@@ -1,10 +1,4 @@
-"""Hot inner loops over dense Cayley tables.
-
-Every kernel has two implementations with identical outputs: a numba
-``@njit`` version and a pure-numpy fallback.  The numba path is used when
-numba imports cleanly and the environment variable ``CAMINA_NO_NUMBA`` is
-not set to ``1``/``true``/``yes``.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+"""Hot inner loops over dense Cayley tables, vectorized with numpy.
 
 All kernels take raw arrays: ``mul`` is the order x order int32 table with
 ``mul[a, b] = a*b``, ``inv`` the int32 inverse map.  Conjugation is
@@ -13,30 +7,15 @@ All kernels take raw arrays: ``mul`` is the order x order int32 table with
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_disables_numba() -> bool:
-    return os.environ.get("CAMINA_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
+# There is no JIT path.  The flag stays because e2ebench/child.py stamps it on
+# every benchmark result and e2ebench/compare.py refuses to compare results
+# whose stamps differ.
 USING_NUMBA = False
-if not _env_disables_numba():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def conjugacy_partition_np(mul, inv):
+def conjugacy_partition(mul, inv):
     """Label each element with its conjugacy class id.
 
     Classes are numbered 0, 1, ... in order of their smallest member, so the
@@ -55,7 +34,7 @@ def conjugacy_partition_np(mul, inv):
     return class_of, n_classes
 
 
-def coset_class_check_np(mul, class_of, members, outside):
+def coset_class_check(mul, class_of, members, outside):
     """First (g, n) with g outside N, n in N and g*n not conjugate to g.
 
     Returns (-1, -1) when every coset g*N lies inside the class of g.
@@ -70,7 +49,7 @@ def coset_class_check_np(mul, class_of, members, outside):
     return int(outside[i]), int(members[j])
 
 
-def commutator_cover_check_np(mul, inv, members, outside):
+def commutator_cover_check(mul, inv, members, outside):
     """First (g, n) with g outside N and n in N not of the form [y, g].
 
     Returns (-1, -1) when {[y, g] : y} covers N for every g outside N.
@@ -86,7 +65,7 @@ def commutator_cover_check_np(mul, inv, members, outside):
     return -1, -1
 
 
-def assoc_violation_np(mul):
+def assoc_violation(mul):
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or (-1, -1, -1)."""
     n = mul.shape[0]
     for a in range(n):
@@ -99,7 +78,7 @@ def assoc_violation_np(mul):
     return -1, -1, -1
 
 
-def class_product_counts_np(mul, inv, class_of, reps):
+def class_product_counts(mul, inv, class_of, reps):
     """Structure constants a[i, j, k] of the class algebra.
 
     a[i, j, k] counts factorizations rep_k = u * v with u in class i and
@@ -114,93 +93,3 @@ def class_product_counts_np(mul, inv, class_of, reps):
             k_count, k_count
         )
     return a
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _conjugacy_partition_jit(mul, inv):
-        n = mul.shape[0]
-        class_of = np.full(n, -1, np.int32)
-        n_classes = 0
-        for x in range(n):
-            if class_of[x] >= 0:
-                continue
-            for g in range(n):
-                class_of[mul[mul[inv[g], x], g]] = n_classes
-            n_classes += 1
-        return class_of, n_classes
-
-    @njit(cache=True)
-    def _coset_class_check_jit(mul, class_of, members, outside):
-        for gi in range(len(outside)):
-            g = outside[gi]
-            cg = class_of[g]
-            for ni in range(len(members)):
-                if class_of[mul[g, members[ni]]] != cg:
-                    return int(g), int(members[ni])
-        return -1, -1
-
-    @njit(cache=True)
-    def _commutator_cover_check_jit(mul, inv, members, outside):
-        n = mul.shape[0]
-        stamp = np.full(n, -1, np.int64)
-        for gi in range(len(outside)):
-            g = outside[gi]
-            ig = inv[g]
-            for y in range(n):
-                stamp[mul[mul[inv[y], ig], mul[y, g]]] = gi
-            for ni in range(len(members)):
-                if stamp[members[ni]] != gi:
-                    return int(g), int(members[ni])
-        return -1, -1
-
-    @njit(cache=True)
-    def _assoc_violation_jit(mul):
-        n = mul.shape[0]
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a, b]
-                for c in range(n):
-                    if mul[ab, c] != mul[a, mul[b, c]]:
-                        return a, b, c
-        return -1, -1, -1
-
-    @njit(cache=True)
-    def _class_product_counts_jit(mul, inv, class_of, reps):
-        n = mul.shape[0]
-        k_count = len(reps)
-        a = np.zeros((k_count, k_count, k_count), dtype=np.int64)
-        for k in range(k_count):
-            z = reps[k]
-            for u in range(n):
-                a[class_of[u], class_of[mul[inv[u], z]], k] += 1
-        return a
-
-    conjugacy_partition = _conjugacy_partition_jit
-    coset_class_check = _coset_class_check_jit
-    commutator_cover_check = _commutator_cover_check_jit
-    assoc_violation = _assoc_violation_jit
-    class_product_counts = _class_product_counts_jit
-else:
-    conjugacy_partition = conjugacy_partition_np
-    coset_class_check = coset_class_check_np
-    commutator_cover_check = commutator_cover_check_np
-    assoc_violation = assoc_violation_np
-    class_product_counts = class_product_counts_np
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on a tiny input (no-op on the numpy path)."""
-    mul = np.array([[0, 1], [1, 0]], dtype=np.int32)
-    inv = np.array([0, 1], dtype=np.int32)
-    members = np.array([0], dtype=np.int32)
-    outside = np.array([1], dtype=np.int32)
-    class_of, _ = conjugacy_partition(mul, inv)
-    coset_class_check(mul, class_of, members, outside)
-    commutator_cover_check(mul, inv, members, outside)
-    assoc_violation(mul)
-    class_product_counts(mul, inv, class_of, np.array([0, 1], dtype=np.int32))

@@ -20,6 +20,7 @@ from . import _kernels
 from .cyclotomic import CyclotomicValue
 from .errors import InternalPrimeSearchFailed
 from .groups import FiniteGroup, SubgroupHandle, group_exponent, is_normal
+from .structure import is_prime_power
 
 PRIME_SEARCH_CAP = 10**6
 
@@ -28,21 +29,10 @@ PRIME_SEARCH_CAP = 10**6
 # small number theory mod l
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1 if f == 2 else 2
-    return True
-
-
 def least_dixon_prime(order: int, exponent: int) -> int:
     """Least prime l with l = 1 (mod exponent) and l > 2*sqrt(order)."""
     l = exponent + 1
-    while l * l <= 4 * order or not _is_prime(l):
+    while l * l <= 4 * order or is_prime_power(l) != (l, 1):
         l += exponent
         if l > PRIME_SEARCH_CAP:
             raise InternalPrimeSearchFailed(
@@ -308,51 +298,55 @@ def check_degree_column(table: CharacterTable) -> bool:
     )
 
 
+def _coefficients(table: CharacterTable) -> np.ndarray:
+    """(k, k, e) array: the zeta-power coefficients of every table value."""
+    return np.array([[v.coeffs for v in row] for row in table.values], dtype=np.int64)
+
+
+def _folds_to(products: np.ndarray, e: int, want: list[int]) -> bool:
+    """True iff each products[r], the coefficient of zeta^u zeta^v at [u, v],
+    sums to the rational integer want[r]."""
+    shift = (np.arange(e)[:, None] + np.arange(e)[None, :]) % e
+    folded = np.zeros((products.shape[0], e), dtype=np.int64)
+    for u in range(e):
+        folded[:, shift[u]] += products[:, u, :]
+    return all(
+        CyclotomicValue.from_coeffs(e, f.tolist()).as_int() == w
+        for f, w in zip(folded, want)
+    )
+
+
 def check_row_orthogonality(table: CharacterTable) -> bool:
     """Exact first orthogonality: sum_j |C_j| chi_i(g_j) chi_m(g_j^-1)."""
     k = table.n_classes
-    e = table.exponent
-    order = table.group.order
-    V = np.array(
-        [[v.coeffs for v in row] for row in table.values], dtype=np.int64
-    )  # (k, k, e)
+    V = _coefficients(table)
     X = V * table.class_sizes[None, :, None]
     Y = V[:, table.inverse_class, :]
-    shift = (np.arange(e)[:, None] + np.arange(e)[None, :]) % e
-    for i in range(k):
-        Z = np.einsum("ju,mjv->muv", X[i], Y)  # (k, e, e)
-        folded = np.zeros((k, e), dtype=np.int64)
-        for u in range(e):
-            folded[:, shift[u]] += Z[:, u, :]
-        for m in range(k):
-            val = CyclotomicValue.from_coeffs(e, folded[m].tolist())
-            want = order if m == i else 0
-            if val.as_int() != want:
-                return False
-    return True
+    order = table.group.order
+    return all(
+        _folds_to(
+            np.einsum("ju,mjv->muv", X[i], Y),
+            table.exponent,
+            [order if m == i else 0 for m in range(k)],
+        )
+        for i in range(k)
+    )
 
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
     """Exact second orthogonality: sum_i chi_i(g_j) chi_i(g_k^-1)."""
     k = table.n_classes
-    e = table.exponent
+    V = _coefficients(table)
+    W = V[:, table.inverse_class, :]
     order = table.group.order
-    V = np.array(
-        [[v.coeffs for v in row] for row in table.values], dtype=np.int64
+    return all(
+        _folds_to(
+            np.einsum("iu,ikv->kuv", V[:, j, :], W),
+            table.exponent,
+            [order // int(table.class_sizes[j]) if c == j else 0 for c in range(k)],
+        )
+        for j in range(k)
     )
-    shift = (np.arange(e)[:, None] + np.arange(e)[None, :]) % e
-    for j in range(k):
-        W = V[:, table.inverse_class, :]
-        Z = np.einsum("iu,ikv->kuv", V[:, j, :], W)
-        folded = np.zeros((k, e), dtype=np.int64)
-        for u in range(e):
-            folded[:, shift[u]] += Z[:, u, :]
-        for kk in range(k):
-            val = CyclotomicValue.from_coeffs(e, folded[kk].tolist())
-            want = order // int(table.class_sizes[j]) if kk == j else 0
-            if val.as_int() != want:
-                return False
-    return True
 
 
 def character_kernel_contains(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import (
+    FAMILIES,
     CorpusEntry,
     build_family,
     default_family_instances,
@@ -26,6 +27,7 @@ from .errors import CaminaError, UnknownGroupId
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, center, derived_subgroup
 from .pairs import (
     CHECK_IDS,
+    DEFAULT_CHAR_TABLE_CAP,
     PREDICATES,
     analyze_center_pair,
     census,
@@ -39,12 +41,11 @@ TSV_HEADER = ("group_id", "order", "p", "n", "m", "l", "class_c", "verdict") + C
 
 @dataclass
 class RunConfig:
-    command: str
     inputs: list[Path] = field(default_factory=list)
     order_cap: int = DEFAULT_ORDER_CAP
     workers: int = 1
     report: Path | None = None
-    chartable_cap: int = 256
+    chartable_cap: int = DEFAULT_CHAR_TABLE_CAP
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--chartable-cap",
             type=int,
-            default=256,
+            default=DEFAULT_CHAR_TABLE_CAP,
             help="largest order for which character tables are computed",
         )
 
@@ -298,14 +299,10 @@ def cmd_chartable(config: RunConfig, args) -> int:
 
 
 def cmd_families(config: RunConfig, args) -> int:
-    lines = [
-        "family spec syntax: name:params",
-        "  cyclic:N  dihedral:N  quaternion:N  elemab:p,k",
-        "  extraspecial_p:p[,blocks]  extraspecial_p2:p[,blocks]",
-        "  heisenberg:p[,k]  T:p[,k]   (T = heisenberg(p,k) x C_p)",
-        "",
-        f"built-in instances up to order {args.max_order}:",
-    ]
+    lines = ["family spec syntax: name:params"]
+    for fam in FAMILIES.values():
+        lines.append(f"  {fam.alias + ':' + fam.syntax:<27} {fam.doc}")
+    lines += ["", f"built-in instances up to order {args.max_order}:"]
     for gid, spec in default_family_instances(args.max_order):
         lines.append(f"  {gid}")
     _emit(config, "\n".join(lines) + "\n")
@@ -325,7 +322,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = RunConfig(
-        command=args.command,
         inputs=list(args.input),
         order_cap=args.order_cap,
         workers=max(1, args.workers),
@@ -334,10 +330,7 @@ def main(argv=None) -> int:
     )
     try:
         return COMMANDS[args.command](config, args)
-    except CaminaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CaminaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,13 @@ Corpus text format (line based, '#' comments and blank lines ignored):
 Families cover the recurring constructions: cyclic, dihedral,
 (generalized) quaternion, elementary abelian, the two extraspecial types
 for odd p, the Sylow p-subgroup of SL3 over GF(p^k) (upper unitriangular
-matrices), and direct products with a cyclic factor.
+matrices), and its product with C_p.  Each is declared once, in `FAMILIES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     ClosureExceedsCap,
     CorpusSyntaxError,
     DuplicateId,
+    InvariantViolation,
     OrderMismatch,
     UnsupportedParameters,
 )
@@ -41,7 +43,7 @@ from .groups import (
     quotient,
     subgroup_generate,
 )
-from .structure import nilpotency_class
+from .structure import is_prime_power, nilpotency_class
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,16 @@ def group_to_entry(
 # finite fields GF(p^k) for the unitriangular family
 
 
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
+def _digits(code: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of code, lowest first."""
+    out = []
+    for _ in range(k):
+        code, digit = divmod(code, p)
+        out.append(digit)
+    return out
+
+
+def _is_irreducible(poly: list[int], p: int) -> bool:
     """Trial division of a monic poly (low-to-high coeffs) over F_p."""
     k = len(poly) - 1
     if k == 1:
@@ -242,12 +253,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     # enumerate monic divisors of degree 1..k//2
     for d in range(1, k // 2 + 1):
         for code in range(p**d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % p)
-                c //= p
-            den = coeffs + [1]
+            den = _digits(code, p, d) + [1]
             if all(v == 0 for v in poly_mod(poly, den)):
                 return False
     return True
@@ -256,29 +262,12 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 def gf_tables(p: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(q, add, mul) index tables for GF(p^k), elements as base-p digit codes."""
     q = p**k
-    if k == 1:
-        idx = np.arange(q, dtype=np.int64)
-        return q, (idx[:, None] + idx[None, :]) % q, (idx[:, None] * idx[None, :]) % q
-
-    modulus = None
-    for code in range(p**k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        cand = tuple(coeffs) + (1,)
-        if _is_irreducible(cand, p):
-            modulus = cand
+    for code in range(q):
+        modulus = _digits(code, p, k) + [1]
+        if _is_irreducible(modulus, p):
             break
-    assert modulus is not None
-
-    def decode(i):
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
+    else:
+        raise InvariantViolation(f"no irreducible polynomial of degree {k} over F_{p}")
 
     def encode(coeffs):
         v = 0
@@ -286,12 +275,10 @@ def gf_tables(p: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
             v = v * p + c
         return v
 
-    add = np.empty((q, q), dtype=np.int64)
     mul = np.empty((q, q), dtype=np.int64)
-    elems = [decode(i) for i in range(q)]
+    elems = [_digits(i, p, k) for i in range(q)]
     for i in range(q):
         for j in range(q):
-            add[i, j] = encode([(a + b) % p for a, b in zip(elems[i], elems[j])])
             prod = [0] * (2 * k - 1)
             for a, ca in enumerate(elems[i]):
                 if ca:
@@ -304,7 +291,7 @@ def gf_tables(p: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
                     for t in range(k):
                         prod[d - k + t] = (prod[d - k + t] - c * modulus[t]) % p
             mul[i, j] = encode(prod[:k])
-    return q, add, mul
+    return q, _digit_sum_table(p, k), mul
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +304,9 @@ class FamilySpec:
 
     family: str
     params: tuple[int, ...]
-    base: "FamilySpec | None" = None
 
     def __str__(self) -> str:
-        inner = f"[{self.base}]" if self.base is not None else ""
-        return f"{self.family}{inner}:{','.join(map(str, self.params))}"
+        return f"{self.family}:{','.join(map(str, self.params))}"
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -329,24 +314,18 @@ def _cyclic(n: int) -> FiniteGroup:
     return from_table_unchecked((idx[:, None] + idx[None, :]) % n, name=f"C{n}")
 
 
-def _dihedral(order: int) -> FiniteGroup:
-    if order < 4 or order % 2:
-        raise UnsupportedParameters("dihedral order must be an even number >= 4")
-    k = order // 2
-    i = np.arange(order)
+def _metacyclic(k: int, s: int, name: str = "") -> FiniteGroup:
+    """<a, b | a^k = b^2 = 1, b a b^-1 = a^s> as an explicit table."""
+    i = np.arange(2 * k)
     rot, flip = i % k, i // k
     r1, f1 = rot[:, None], flip[:, None]
     r2, f2 = rot[None, :], flip[None, :]
-    sign = np.where(f1 == 1, -1, 1)
-    table = (r1 + sign * r2) % k + k * ((f1 + f2) % 2)
-    return from_table_unchecked(table, name=f"D{order}")
+    twist = np.where(f1 == 1, s, 1)
+    table = (r1 + twist * r2) % k + k * ((f1 + f2) % 2)
+    return from_table_unchecked(table, name=name)
 
 
 def _quaternion(order: int) -> FiniteGroup:
-    if order < 8 or order % 4:
-        raise UnsupportedParameters(
-            "generalized quaternion order must be a multiple of 4, at least 8"
-        )
     t = order // 4
     i = np.arange(order)
     a, b = i % (2 * t), i // (2 * t)
@@ -357,7 +336,9 @@ def _quaternion(order: int) -> FiniteGroup:
     return from_table_unchecked(table, name=f"Q{order}")
 
 
-def _elementary_abelian(p: int, k: int) -> FiniteGroup:
+def _digit_sum_table(p: int, k: int) -> np.ndarray:
+    """Digitwise sums mod p of base-p codes: the table of (Z/p)^k and of
+    the addition in GF(p^k)."""
     q = p**k
     digits = np.empty((q, k), dtype=np.int64)
     v = np.arange(q)
@@ -368,7 +349,7 @@ def _elementary_abelian(p: int, k: int) -> FiniteGroup:
     table = np.zeros((q, q), dtype=np.int64)
     for d in range(k - 1, -1, -1):
         table = table * p + summed[:, :, d]
-    return from_table_unchecked(table, name=f"E{p}^{k}")
+    return table
 
 
 def _heisenberg(p: int, k: int) -> FiniteGroup:
@@ -414,13 +395,6 @@ def _central_product_over_cp(A: FiniteGroup, zA: int, B: FiniteGroup, zB: int):
 
 
 def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
-    if p == 2:
-        raise UnsupportedParameters(
-            "extraspecial families here require odd p; use dihedral:8 or "
-            "quaternion:8 for the order-8 cases"
-        )
-    if blocks < 1:
-        raise UnsupportedParameters("need at least one block")
     parts = [_modular_p3(p)] if exponent_p2 else [_heisenberg(p, 1)]
     parts += [_heisenberg(p, 1) for _ in range(blocks - 1)]
 
@@ -438,142 +412,161 @@ def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
     )
 
 
-def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Construct a family instance; deterministic element order."""
-    fam, params = spec.family, spec.params
-    if fam == "cyclic":
-        (n,) = params
-        if n < 1:
-            raise UnsupportedParameters("cyclic order must be positive")
-        G = _cyclic(n)
-    elif fam == "dihedral":
-        G = _dihedral(*params)
-    elif fam == "quaternion":
-        G = _quaternion(*params)
-    elif fam == "elementary_abelian":
-        p, k = params
-        _require_prime(p)
-        G = _elementary_abelian(p, k)
-    elif fam == "extraspecial_exp_p":
-        p, blocks = params if len(params) == 2 else (params[0], 1)
-        _require_prime(p)
-        G = _extraspecial(p, blocks, exponent_p2=False)
-    elif fam == "extraspecial_exp_p2":
-        p, blocks = params if len(params) == 2 else (params[0], 1)
-        _require_prime(p)
-        G = _extraspecial(p, blocks, exponent_p2=True)
-    elif fam == "heisenberg_sl3_sylow":
-        p, k = params if len(params) == 2 else (params[0], 1)
-        _require_prime(p)
-        G = _heisenberg(p, k)
-    elif fam == "direct_product_with_cyclic":
-        (mfac,) = params
-        if spec.base is None:
-            raise UnsupportedParameters("direct_product_with_cyclic needs a base")
-        G = direct_product(
-            build_family(spec.base, order_cap), _cyclic(mfac), order_cap=order_cap
+def _heisenberg_times_cyclic(p: int, k: int) -> FiniteGroup:
+    H = _heisenberg(p, k)
+    return direct_product(H, _cyclic(p), order_cap=H.order * p)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UnsupportedParameters(message)
+
+
+def _check_prime_and_exponent(p: int, k: int) -> None:
+    _require(is_prime_power(p) == (p, 1), f"{p} is not prime")
+    _require(k >= 1, f"the second parameter must be at least 1, got {k}")
+
+
+def _check_extraspecial(p: int, blocks: int) -> None:
+    _check_prime_and_exponent(p, blocks)
+    _require(
+        p != 2,
+        "extraspecial families here require odd p; use dihedral:8 or "
+        "quaternion:8 for the order-8 cases",
+    )
+
+
+@dataclass(frozen=True)
+class Family:
+    """A built-in family: command-line name, parameters, order and builder.
+
+    `syntax` names the parameters, e.g. "p[,k]"; bracketed trailing ones
+    default to 1.  `check` raises UnsupportedParameters outside the
+    family's domain; `check`, `order` and `build` take all parameters.
+    """
+
+    alias: str
+    syntax: str
+    doc: str
+    check: Callable[..., None]
+    order: Callable[..., int]
+    build: Callable[..., FiniteGroup]
+
+
+# fmt: off
+FAMILIES = {
+    "cyclic": Family(
+        "cyclic", "N", "cyclic group of order N",
+        lambda n: _require(n >= 1, "cyclic order must be positive"),
+        lambda n: n, _cyclic),
+    "dihedral": Family(
+        "dihedral", "N", "dihedral group of order N",
+        lambda n: _require(n >= 4 and n % 2 == 0,
+                           "dihedral order must be an even number >= 4"),
+        lambda n: n, lambda n: _metacyclic(n // 2, -1, name=f"D{n}")),
+    "quaternion": Family(
+        "quaternion", "N", "generalized quaternion group of order N",
+        lambda n: _require(n >= 8 and n % 4 == 0, "generalized quaternion "
+                           "order must be a multiple of 4, at least 8"),
+        lambda n: n, _quaternion),
+    "elementary_abelian": Family(
+        "elemab", "p,k", "elementary abelian group of order p^k",
+        _check_prime_and_exponent, lambda p, k: p**k,
+        lambda p, k: from_table_unchecked(_digit_sum_table(p, k), name=f"E{p}^{k}")),
+    "extraspecial_exp_p": Family(
+        "extraspecial_p", "p[,blocks]", "extraspecial, order p^(2 blocks+1), exponent p",
+        _check_extraspecial, lambda p, b: p ** (2 * b + 1),
+        lambda p, b: _extraspecial(p, b, exponent_p2=False)),
+    "extraspecial_exp_p2": Family(
+        "extraspecial_p2", "p[,blocks]", "the same with exponent p^2",
+        _check_extraspecial, lambda p, b: p ** (2 * b + 1),
+        lambda p, b: _extraspecial(p, b, exponent_p2=True)),
+    "heisenberg_sl3_sylow": Family(
+        "heisenberg", "p[,k]", "Sylow p-subgroup of SL3(p^k), of order p^(3k)",
+        _check_prime_and_exponent, lambda p, k: p ** (3 * k), _heisenberg),
+    "heisenberg_times_cyclic": Family(
+        "T", "p[,k]", "the witness product heisenberg(p,k) x C_p",
+        _check_prime_and_exponent, lambda p, k: p ** (3 * k + 1),
+        _heisenberg_times_cyclic),
+}
+# fmt: on
+
+
+def _resolve(spec: FamilySpec) -> tuple[Family, tuple[int, ...]]:
+    """The registry entry of a spec and its parameters, defaults filled in."""
+    fam = FAMILIES.get(spec.family)
+    if fam is None:
+        raise UnsupportedParameters(f"unknown family {spec.family!r}")
+    arity = fam.syntax.count(",") + 1
+    given = len(spec.params)
+    if not arity - fam.syntax.count("[") <= given <= arity:
+        raise UnsupportedParameters(
+            f"{fam.alias} takes parameters {fam.syntax}, got {given}"
         )
-    else:
-        raise UnsupportedParameters(f"unknown family {fam!r}")
-    if G.order > order_cap:
-        raise ClosureExceedsCap(f"family order {G.order} exceeds cap {order_cap}")
-    return G
+    return fam, spec.params + (1,) * (arity - given)
 
 
-def _require_prime(p: int) -> None:
-    if p < 2 or any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
-        raise UnsupportedParameters(f"{p} is not prime")
+def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Construct a family instance; deterministic element order.
+
+    Arity, parameter ranges, primality and the order cap are all checked
+    before any table is allocated.
+    """
+    fam, params = _resolve(spec)
+    # No parameter exceeds the order of its group.  Checked first, this
+    # bounds the cost of the primality test and of computing the order.
+    if max(params) > order_cap:
+        raise ClosureExceedsCap(
+            f"{fam.alias} parameter {max(params)} exceeds the order cap {order_cap}"
+        )
+    fam.check(*params)
+    order = fam.order(*params)
+    if order > order_cap:
+        raise ClosureExceedsCap(f"family order {order} exceeds cap {order_cap}")
+    return fam.build(*params)
 
 
 def t_witness_spec(p: int, k: int) -> FamilySpec:
     """T = (Sylow p-subgroup of SL3(p^k)) x C_p."""
-    return FamilySpec(
-        "direct_product_with_cyclic",
-        (p,),
-        base=FamilySpec("heisenberg_sl3_sylow", (p, k)),
-    )
-
-
-# CLI-facing short names
-FAMILY_ALIASES = {
-    "cyclic": "cyclic",
-    "dihedral": "dihedral",
-    "quaternion": "quaternion",
-    "elemab": "elementary_abelian",
-    "extraspecial_p": "extraspecial_exp_p",
-    "extraspecial_p2": "extraspecial_exp_p2",
-    "heisenberg": "heisenberg_sl3_sylow",
-}
+    return FamilySpec("heisenberg_times_cyclic", (p, k))
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse CLI syntax like 'quaternion:8', 'heisenberg:3,2' or 'T:3,1'."""
-    name, _, rest = text.partition(":")
+    alias, _, rest = text.partition(":")
     if not rest:
         raise UnsupportedParameters(f"family spec {text!r} needs parameters")
     try:
         params = tuple(int(v) for v in rest.split(","))
     except ValueError:
         raise UnsupportedParameters(f"bad family parameters in {text!r}")
-    if name == "T":
-        if len(params) == 1:
-            params = (params[0], 1)
-        if len(params) != 2:
-            raise UnsupportedParameters("T takes parameters p[,k]")
-        return t_witness_spec(*params)
-    if name not in FAMILY_ALIASES:
-        raise UnsupportedParameters(f"unknown family {name!r}")
-    return FamilySpec(FAMILY_ALIASES[name], params)
+    for family, fam in FAMILIES.items():
+        if fam.alias == alias:
+            return FamilySpec(family, params)
+    raise UnsupportedParameters(f"unknown family {alias!r}")
 
 
 def default_family_instances(max_order: int) -> list[tuple[str, FamilySpec]]:
-    """The deterministic family registry used by search and the harness."""
-    raw: list[tuple[str, FamilySpec]] = []
-    for n in (2, 3, 4, 5, 6, 8, 9, 16, 27, 32):
-        raw.append((f"cyclic:{n}", FamilySpec("cyclic", (n,))))
-    for n in (8, 16, 32, 64):
-        raw.append((f"dihedral:{n}", FamilySpec("dihedral", (n,))))
-        raw.append((f"quaternion:{n}", FamilySpec("quaternion", (n,))))
-    for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
-        raw.append((f"elemab:{p},{k}", FamilySpec("elementary_abelian", (p, k))))
-    for p, blocks in ((3, 1), (5, 1), (7, 1), (3, 2)):
-        raw.append(
-            (f"extraspecial_p:{p},{blocks}", FamilySpec("extraspecial_exp_p", (p, blocks)))
-        )
-        raw.append(
-            (
-                f"extraspecial_p2:{p},{blocks}",
-                FamilySpec("extraspecial_exp_p2", (p, blocks)),
-            )
-        )
-    for p, k in ((2, 1), (3, 1), (5, 1), (7, 1)):
-        raw.append((f"heisenberg:{p},{k}", FamilySpec("heisenberg_sl3_sylow", (p, k))))
-    for p, k in ((3, 1), (5, 1)):
-        raw.append((f"T:{p},{k}", t_witness_spec(p, k)))
-
+    """The deterministic family instances used by search and the harness."""
+    gids = [f"cyclic:{n}" for n in (2, 3, 4, 5, 6, 8, 9, 16, 27, 32)]
+    gids += [f"{f}:{n}" for n in (8, 16, 32, 64) for f in ("dihedral", "quaternion")]
+    gids += [
+        f"elemab:{p},{k}" for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
+    ]
+    gids += [
+        f"{f}:{p},{blocks}"
+        for p, blocks in ((3, 1), (5, 1), (7, 1), (3, 2))
+        for f in ("extraspecial_p", "extraspecial_p2")
+    ]
+    gids += [f"heisenberg:{p},1" for p in (2, 3, 5, 7)]
+    gids += [f"T:{p},1" for p in (3, 5)]
     out = []
-    for gid, spec in raw:
-        order = _family_order(spec)
-        if order <= max_order:
+    for gid in gids:
+        spec = parse_family_spec(gid)
+        fam, params = _resolve(spec)
+        if fam.order(*params) <= max_order:
             out.append((gid, spec))
     return out
-
-
-def _family_order(spec: FamilySpec) -> int:
-    fam, params = spec.family, spec.params
-    if fam in ("cyclic", "dihedral", "quaternion"):
-        return params[0]
-    if fam == "elementary_abelian":
-        return params[0] ** params[1]
-    if fam in ("extraspecial_exp_p", "extraspecial_exp_p2"):
-        p, blocks = params if len(params) == 2 else (params[0], 1)
-        return p ** (2 * blocks + 1)
-    if fam == "heisenberg_sl3_sylow":
-        p, k = params if len(params) == 2 else (params[0], 1)
-        return p ** (3 * k)
-    if fam == "direct_product_with_cyclic":
-        return _family_order(spec.base) * params[0]
-    raise UnsupportedParameters(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +591,8 @@ class WitnessReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            (
-                self.order_ok,
-                self.center_order_ok,
-                self.center_index_ok,
-                self.centralizer_order_ok,
-                self.centralizer_abelian_ok,
-                self.derived_inside_center_ok,
-                self.center_over_derived_ok,
-                self.class_two_ok,
-                self.exponent_ok,
-            )
-        )
+        flags = [f.name for f in fields(self) if f.name.endswith("_ok")]
+        return all(getattr(self, name) for name in flags)
 
 
 def verify_witness_properties(T: FiniteGroup, p: int, k: int) -> WitnessReport:

@@ -49,6 +49,10 @@ class EquivalenceViolation(CaminaError):
     """Criteria that are provably equivalent disagreed; indicates a bug."""
 
 
+class InvariantViolation(CaminaError):
+    """An internal invariant failed to hold; indicates a bug."""
+
+
 class NotApplicable(CaminaError):
     """Operation has no content for this input (e.g. script-C when Z = G')."""
 

@@ -130,20 +130,23 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if "orders" not in self._cache:
-            orders = np.zeros(self.order, dtype=np.int64)
-            for x in range(self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = int(self.mul[y, x])
-                    k += 1
-                orders[x] = k
+            orders = np.array(
+                [element_order(self, x) for x in range(self.order)], dtype=np.int64
+            )
             orders.setflags(write=False)
             self._cache["orders"] = orders
         return self._cache["orders"]
 
+    def centralizer_matrix(self) -> np.ndarray:
+        """Boolean order x order matrix whose row x is the centralizer of x.
+
+        Not cached: at order 2048 it takes 4 MB.
+        """
+        return self.mul.T == self.mul
+
     def center_members(self) -> np.ndarray:
         if "center" not in self._cache:
-            members = np.flatnonzero((self.mul == self.mul.T).all(axis=1))
+            members = np.flatnonzero(self.centralizer_matrix().all(axis=1))
             self._cache["center"] = members.astype(np.int32)
         return self._cache["center"]
 
@@ -263,10 +266,8 @@ def group_from_generators(
     for k in range(1, n):
         parent, j = parent_gen[k]
         mul[:, k] = rmaps[j][mul[:, parent]]
-    inv = np.ascontiguousarray((mul == 0).argmax(axis=1).astype(np.int32))
-
     labels = [Permutation(tuple(int(v) + 1 for v in e)).cycle_string() for e in elems]
-    return FiniteGroup(mul, inv, labels=labels, name=name)
+    return from_table_unchecked(mul, labels=labels, name=name)
 
 
 def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
@@ -308,9 +309,7 @@ def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
     a, b, c = _kernels.assoc_violation(mul)
     if a >= 0:
         raise NotAssociative(int(a), int(b), int(c))
-
-    inv = np.ascontiguousarray((mul == 0).argmax(axis=1).astype(np.int32))
-    return FiniteGroup(mul, inv, name=name)
+    return from_table_unchecked(mul, name=name)
 
 
 def from_table_unchecked(mul, inv=None, labels=None, name: str = "") -> FiniteGroup:
@@ -333,6 +332,15 @@ def element_order(G: FiniteGroup, x: int) -> int:
         y = int(G.mul[y, x])
         k += 1
     return k
+
+
+def power_map(G: FiniteGroup, k: int) -> np.ndarray:
+    """x -> x^k for every element, as an index array."""
+    idx = np.arange(G.order, dtype=np.int32)
+    pw = idx.copy()
+    for _ in range(k - 1):
+        pw = G.mul[pw, idx]
+    return pw
 
 
 def group_exponent(G: FiniteGroup) -> int:
@@ -451,10 +459,6 @@ def materialize_subgroup(G: FiniteGroup, H: SubgroupHandle):
     sub_mul = pos[G.mul[np.ix_(m, m)]]
     labels = [G.label(int(x)) for x in m] if G.labels is not None else None
     return from_table_unchecked(sub_mul, labels=labels), m
-
-
-def intersection(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:
-    return _handle(A.parent, np.intersect1d(A.members, B.members))
 
 
 def joined(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:

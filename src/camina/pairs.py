@@ -6,18 +6,25 @@ implemented independently (conjugacy classes, commutator coverage,
 centralizer orders) and always cross-asserted.  For a positive verdict on
 N = Z(G) the full report of named inequality checks is evaluated in exact
 integer arithmetic; every check records its hypothesis and conclusion
-separately so vacuous passes stay visible.
+separately so vacuous passes stay visible.  The checks are declared once,
+in `CHECKS`, over one `Invariants` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import _kernels
 from .characters import dixon_character_table, verify_fully_ramified
-from .errors import EquivalenceViolation, InvalidPairTarget, NotApplicable
+from .errors import (
+    EquivalenceViolation,
+    InvalidPairTarget,
+    InvariantViolation,
+    NotApplicable,
+)
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -26,64 +33,123 @@ from .groups import (
     derived_subgroup,
     is_normal,
     joined,
+    power_map,
     quotient,
 )
 from .structure import (
+    d_members,
     is_prime_power,
     lower_central_series,
     quotient_exponent_over_center,
     upper_central_series,
+    valuation,
 )
 
 DEFAULT_CHAR_TABLE_CAP = 256
 
-CHECK_IDS = (
-    "T1.1",
-    "T1.2",
-    "T1.3",
-    "T1.4",
-    "T1.5",
-    "Texp",
-    "L2.1",
-    "L2.2",
-    "L2.3",
-    "L2.4",
-    "Lcents",
-    "LZ2Gp",
-    "Cor2grp",
-    "Cm2",
-    "CGpZ",
-    "T5.1",
-    "LDquo",
-    "Lidxp",
-    "LidxpRev",
-    "Csmall",
-)
 
-# Inequalities behind the check ids, with |G:Z| = p^n, |Z| = p^m,
-# |G':Z| = p^l and n' the quotient exponent (exp(G/Z) = p^n'):
-#   T1.1     |Z| <= |G:G'|
-#   T1.2     if Z < G':  |Z| < |G':Z|^3
-#   T1.3     4m + 1 <= 3n
-#   T1.4     if Z < G':  |Z|^2 <= |G:Z|  or  |Z| p^4 <= |G:Z|
-#   T1.5     if exp(G/Z) != p:  |Z|^2 < |G:Z|
-#   Texp     |Z|^n' p^n' <= |G:Z|
-#   L2.1     G is a p-group
-#   L2.2     each upper central factor has exponent p
-#   L2.3     Z(G) equals the last nontrivial lower central term
-#   L2.4     |G:Z| is a square; characters over Z vanish off Z and
-#            have chi(1)^2 = |G:Z| (checked when the table is computed)
-#   Lcents   D(g)/C(g) matches Z(G) in order and elementary-abelian shape
-#   LZ2Gp    if G/Z nonabelian:  |G : G'Z_2| >= |Z|
-#   Cor2grp  if p = 2:  |Z|^2 <= |G:Z|
-#   Cm2      |Z|^2 <= |G:Z|  or  |Z| p^3 <= |G:Z|
-#   CGpZ     if |G':Z| = p:  |Z|^2 <= |G:Z|
-#   T5.1     if Z < G':  m <= 3l - 1
-#   LDquo    every a with C(a) and G' meeting exactly in Z has D(a)/Z abelian
-#   Lidxp    if some a has D(a)/Z abelian and |G:D(a)| = p:  |Z|^2 <= |G:Z|
-#   LidxpRev if |Z|^2 > |G:Z|: no a has D(a)/Z abelian with |G:D(a)| = p
-#   Csmall   if some a in (G' n Z_2) - Z has C(b) <= C(a) for all
-#            b in G' - Z:  3m + 2 <= 2n
+# ---------------------------------------------------------------------------
+# the check catalog
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """What the checks read, for a positive verdict on a p-group G.
+
+    |G:Z| = p^n, |Z| = p^m, |G':Z| = p^l, exp(G/Z) = p^n_exp and
+    |G : G'Z_2| = p^n_z2; the flags are the structural facts the other
+    checks test.  fully_ramified is True when no table was computed.
+    """
+
+    p: int
+    n: int
+    m: int
+    l: int
+    n_exp: int
+    n_z2: int
+    class_c: int | None
+    p_group: bool
+    upper_factors_exp_p: bool
+    z_is_last_lower_term: bool
+    fully_ramified: bool
+    d_over_c_like_z: bool
+    some_c_meets_gp_in_z: bool
+    their_d_over_z_abelian: bool
+    some_d_abelian_index_p: bool
+    some_csmall_a: bool
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named inequality: its hypothesis and conclusion over the invariants."""
+
+    check_id: str
+    inequality: str
+    hypothesis: Callable[[Invariants], bool]
+    conclusion: Callable[[Invariants], bool]
+
+
+def _always(v: Invariants) -> bool:
+    return True
+
+
+def _z_below_gp(v: Invariants) -> bool:
+    return v.l >= 1  # with Z <= G', the same as "G/Z is nonabelian"
+
+
+def _nilpotent(v: Invariants) -> bool:
+    return v.class_c is not None
+
+
+def _square_bound(v: Invariants) -> bool:
+    return 2 * v.m <= v.n
+
+
+def _is_p_group(v: Invariants) -> bool:
+    return v.p_group
+
+
+# fmt: off
+CHECKS = (
+    Check("T1.1", "|Z| <= |G:G'|", _always, lambda v: v.m <= v.n - v.l),
+    Check("T1.2", "if Z < G':  |Z| < |G':Z|^3", _z_below_gp, lambda v: v.m < 3 * v.l),
+    Check("T1.3", "4m + 1 <= 3n", _always, lambda v: 4 * v.m + 1 <= 3 * v.n),
+    Check("T1.4", "if Z < G':  |Z|^2 <= |G:Z|  or  |Z| p^4 <= |G:Z|",
+          _z_below_gp, lambda v: 2 * v.m <= v.n or v.m + 4 <= v.n),
+    Check("T1.5", "if exp(G/Z) != p:  |Z|^2 < |G:Z|",
+          lambda v: v.n_exp >= 2, lambda v: 2 * v.m < v.n),
+    Check("Texp", "|Z|^n' p^n' <= |G:Z|",
+          lambda v: v.n_exp >= 1, lambda v: v.n_exp * (v.m + 1) <= v.n),
+    Check("L2.1", "G is a p-group", _always, _is_p_group),
+    Check("L2.2", "each upper central factor has exponent p",
+          _nilpotent, lambda v: v.upper_factors_exp_p),
+    Check("L2.3", "Z(G) equals the last nontrivial lower central term",
+          _nilpotent, lambda v: v.z_is_last_lower_term),
+    Check("L2.4", "|G:Z| is a square; characters over Z vanish off Z and have "
+          "chi(1)^2 = |G:Z| (checked when the table is computed)",
+          _always, lambda v: v.n % 2 == 0 and v.fully_ramified),
+    Check("Lcents", "D(g)/C(g) matches Z(G) in order and elementary-abelian shape",
+          _always, lambda v: v.d_over_c_like_z),
+    Check("LZ2Gp", "if G/Z nonabelian:  |G : G'Z_2| >= |Z|",
+          _z_below_gp, lambda v: v.n_z2 >= v.m),
+    Check("Cor2grp", "if p = 2:  |Z|^2 <= |G:Z|", lambda v: v.p == 2, _square_bound),
+    Check("Cm2", "|Z|^2 <= |G:Z|  or  |Z| p^3 <= |G:Z|",
+          _always, lambda v: 2 * v.m <= v.n or v.m + 3 <= v.n),
+    Check("CGpZ", "if |G':Z| = p:  |Z|^2 <= |G:Z|", lambda v: v.l == 1, _square_bound),
+    Check("T5.1", "if Z < G':  m <= 3l - 1", _z_below_gp, lambda v: v.m < 3 * v.l),
+    Check("LDquo", "every a with C(a) and G' meeting exactly in Z has D(a)/Z abelian",
+          lambda v: v.some_c_meets_gp_in_z, lambda v: v.their_d_over_z_abelian),
+    Check("Lidxp", "if some a has D(a)/Z abelian and |G:D(a)| = p:  |Z|^2 <= |G:Z|",
+          lambda v: v.some_d_abelian_index_p, _square_bound),
+    Check("LidxpRev", "if |Z|^2 > |G:Z|:  no a has D(a)/Z abelian with |G:D(a)| = p",
+          lambda v: 2 * v.m > v.n, lambda v: not v.some_d_abelian_index_p),
+    Check("Csmall", "if some a in (G' n Z_2) - Z has C(b) <= C(a) for all b in "
+          "G' - Z:  3m + 2 <= 2n",
+          lambda v: v.some_csmall_a, lambda v: 3 * v.m + 2 <= 2 * v.n),
+)
+# fmt: on
+
+CHECK_IDS = tuple(c.check_id for c in CHECKS)
 
 
 @dataclass
@@ -247,22 +313,6 @@ def analyze_center_pair(
     return CenterPairAnalysis(G, True, verdict, report)
 
 
-def _valuation(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0 and x > 1:
-        x //= p
-        v += 1
-    return v
-
-
-def _pth_power_map(G: FiniteGroup, p: int) -> np.ndarray:
-    idx = np.arange(G.order, dtype=np.int32)
-    pw = idx.copy()
-    for _ in range(p - 1):
-        pw = G.mul[pw, idx]
-    return pw
-
-
 def verify_bounds(
     G: FiniteGroup,
     verdict: CaminaVerdict,
@@ -271,48 +321,55 @@ def verify_bounds(
     """Evaluate every named check for a positive center-pair verdict."""
     if not verdict.holds:
         raise ValueError("verify_bounds requires a positive verdict")
-    Z = verdict.pair_target
-    order = G.order
-
-    pk = is_prime_power(order)
     upper = upper_central_series(G)
     lower = lower_central_series(G)
     if lower.class_c != upper.class_c:
-        raise AssertionError("central series disagree on the class")
-    class_c = upper.class_c
+        raise EquivalenceViolation("central series disagree on the class")
 
+    pk = is_prime_power(G.order)
     if pk is None:
-        # Mathematically impossible for a true verdict; report it honestly.
-        report = BoundReport(0, 0, 0, 0, class_c, 0)
-        report.checks.append(BoundCheck("L2.1", True, False))
-        for cid in CHECK_IDS:
-            if cid != "L2.1":
-                report.checks.append(BoundCheck(cid, False, False))
-        return report
+        # Mathematically impossible for a true verdict; report it honestly:
+        # the p-group check fails, and every other check needs p.
+        checks = [
+            BoundCheck(c.check_id, c.conclusion is _is_p_group, False) for c in CHECKS
+        ]
+        return BoundReport(0, 0, 0, 0, upper.class_c, 0, checks)
 
-    p, _ = pk
-    m = _valuation(Z.order, p)
-    n = _valuation(order // Z.order, p)
+    v = _invariants(G, verdict.pair_target, pk[0], upper, lower, char_table_cap)
+    checks = [
+        BoundCheck(c.check_id, bool(c.hypothesis(v)), bool(c.conclusion(v)))
+        for c in CHECKS
+    ]
+    return BoundReport(v.p, v.n, v.m, v.l, v.class_c, v.n_exp, checks)
+
+
+def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
+    """The invariants of a p-group G with a positive verdict on Z = Z(G)."""
+    order = G.order
+    class_c = upper.class_c
+    m = valuation(Z.order, p)
+    n = valuation(order // Z.order, p)
     Gp = derived_subgroup(G)
     if not Gp.mask[Z.members].all():
         raise EquivalenceViolation("Z(G) not inside G' despite a true verdict")
-    l = _valuation(Gp.order // Z.order, p)
+    l = valuation(Gp.order // Z.order, p)
     qe = quotient_exponent_over_center(G)
-    assert qe is not None and qe[0] == p
+    if qe is None or qe[0] != p:
+        raise InvariantViolation(f"G/Z(G) is not a nontrivial {p}-group")
     n_exp = qe[1]
 
     Z2 = upper.terms[min(2, len(upper.terms) - 1)]
-    pw = _pth_power_map(G, p)
-    mul, inv = G.mul, G.inv
+    pw = power_map(G, p)
     noncentral = np.flatnonzero(~Z.mask).astype(np.int32)
 
-    orders = G.element_orders()
-    all_orders_p_powers = all(
-        is_prime_power(int(o)) == (p, _valuation(int(o), p)) for o in orders if o > 1
+    p_group = all(
+        is_prime_power(int(o)) == (p, valuation(int(o), p))
+        for o in G.element_orders()
+        if o > 1
     )
 
     # one pass over noncentral elements: D(g), centralizers, derived sets
-    cent_matrix = mul.T == mul  # row x = centralizer mask of x
+    cent_matrix = G.centralizer_matrix()
     dprime_cache: dict[bytes, np.ndarray] = {}
     lcents_ok = True
     ldquo_qualifier = False
@@ -321,12 +378,11 @@ def verify_bounds(
     z_elementary = bool((pw[Z.members] == 0).all())
 
     for g in noncentral:
-        comms = mul[mul[inv[g], inv], mul[g, :]]
-        d_members = np.flatnonzero(Z.mask[comms]).astype(np.int32)
-        key = d_members.tobytes()
+        d = d_members(G, g, Z.mask)
+        key = d.tobytes()
         dprime_mask = dprime_cache.get(key)
         if dprime_mask is None:
-            dset = commutator_set(G, d_members, d_members)
+            dset = commutator_set(G, d, d)
             dprime_mask = np.zeros(order, dtype=bool)
             dprime_mask[dset] = True
             dprime_cache[key] = dprime_mask
@@ -335,13 +391,12 @@ def verify_bounds(
 
         # Lcents: |D:C| = |Z| and D/C elementary abelian of exponent p
         if lcents_ok:
-            good = (
-                len(d_members) == c_size * Z.order
+            lcents_ok = (
+                len(d) == c_size * Z.order
                 and not (dprime_mask & ~c_mask).any()
-                and c_mask[pw[d_members]].all()
+                and c_mask[pw[d]].all()
                 and z_elementary
             )
-            lcents_ok = good
 
         # LDquo: a with C(a) n G' = Z must have D(a)/Z abelian
         if int((c_mask & Gp.mask).sum()) == Z.order:
@@ -350,74 +405,53 @@ def verify_bounds(
                 ldquo_ok = False
 
         # Lidxp qualifier: D(a)/Z abelian and |G:D(a)| = p
-        if order == len(d_members) * p and not (dprime_mask & ~Z.mask).any():
+        if order == len(d) * p and not (dprime_mask & ~Z.mask).any():
             lidxp_qualifier = True
 
     # L2.2: upper central factors have exponent p
-    l22_ok = True
-    for i in range(1, len(upper.terms)):
-        below, here = upper.terms[i - 1], upper.terms[i]
-        if not below.mask[pw[here.members]].all():
-            l22_ok = False
-            break
-
+    l22_ok = all(
+        below.mask[pw[here.members]].all()
+        for below, here in zip(upper.terms, upper.terms[1:])
+    )
     # L2.3: Z(G) = last nontrivial lower central term
-    if class_c is not None and class_c >= 1:
-        gc = lower.terms[class_c - 1]
-        l23_ok = gc == Z
-    else:
-        l23_ok = False
+    l23_ok = class_c is not None and class_c >= 1 and lower.terms[class_c - 1] == Z
 
-    # L2.4: square index, plus the character conditions at desk scale
-    l24_ok = n % 2 == 0
-    if l24_ok and order <= char_table_cap:
+    # L2.4, character half: only on a square index, and at desk scale
+    ramified_ok = True
+    if n % 2 == 0 and order <= char_table_cap:
         table = dixon_character_table(G)
         ramified_ok, _ = verify_fully_ramified(G, Z, table)
-        l24_ok = ramified_ok
 
-    gpz2 = joined(Gp, Z2)
-    quotient_nonabelian = l >= 1  # G/Z abelian iff G' <= Z
-
-    def chk(cid, hyp, concl):
-        return BoundCheck(cid, bool(hyp), bool(concl))
-
-    checks = [
-        chk("T1.1", True, Z.order <= order // Gp.order),
-        chk("T1.2", l >= 1, m < 3 * l),
-        chk("T1.3", True, 4 * m + 1 <= 3 * n),
-        chk("T1.4", l >= 1, 2 * m <= n or m + 4 <= n),
-        chk("T1.5", n_exp >= 2, 2 * m < n),
-        chk("Texp", n_exp >= 1, n_exp * (m + 1) <= n),
-        chk("L2.1", True, all_orders_p_powers),
-        chk("L2.2", class_c is not None, l22_ok),
-        chk("L2.3", class_c is not None, l23_ok),
-        chk("L2.4", True, l24_ok),
-        chk("Lcents", True, lcents_ok),
-        chk("LZ2Gp", quotient_nonabelian, order // gpz2.order >= Z.order),
-        chk("Cor2grp", p == 2, 2 * m <= n),
-        chk("Cm2", True, 2 * m <= n or m + 3 <= n),
-        chk("CGpZ", l == 1, 2 * m <= n),
-        chk("T5.1", l >= 1, m <= 3 * l - 1),
-        chk("LDquo", ldquo_qualifier, ldquo_ok),
-        chk("Lidxp", lidxp_qualifier, 2 * m <= n),
-        chk("LidxpRev", 2 * m > n, not lidxp_qualifier),
-        chk("Csmall", *(_csmall(G, Z, Gp, Z2, cent_matrix, m, n))),
-    ]
-    return BoundReport(p, n, m, l, class_c, n_exp, checks)
+    return Invariants(
+        p=p,
+        n=n,
+        m=m,
+        l=l,
+        n_exp=n_exp,
+        n_z2=valuation(order // joined(Gp, Z2).order, p),
+        class_c=class_c,
+        p_group=p_group,
+        upper_factors_exp_p=l22_ok,
+        z_is_last_lower_term=l23_ok,
+        fully_ramified=ramified_ok,
+        d_over_c_like_z=lcents_ok,
+        some_c_meets_gp_in_z=ldquo_qualifier,
+        their_d_over_z_abelian=ldquo_ok,
+        some_d_abelian_index_p=lidxp_qualifier,
+        some_csmall_a=_some_csmall_a(Z, Gp, Z2, cent_matrix),
+    )
 
 
-def _csmall(G, Z, Gp, Z2, cent_matrix, m, n):
-    """Hypothesis and conclusion of the Csmall check."""
+def _some_csmall_a(Z, Gp, Z2, cent_matrix) -> bool:
+    """Some a in (G' n Z_2) - Z has C(b) <= C(a) for every b in G' - Z."""
     candidates = np.intersect1d(Gp.members, Z2.members)
     candidates = candidates[~Z.mask[candidates]]
     derived_outside = Gp.members[~Z.mask[Gp.members]]
-    hyp = False
     for a in candidates:
         ca = cent_matrix[a]
         if all(not (cent_matrix[b] & ~ca).any() for b in derived_outside):
-            hyp = True
-            break
-    return hyp, 3 * m + 2 <= 2 * n
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +468,7 @@ def script_c(G: FiniteGroup, Z: SubgroupHandle, Gprime: SubgroupHandle) -> np.nd
         raise NotApplicable("script-C is empty when Z(G) = G'")
     if not Gprime.mask[Z.members].all():
         raise ValueError("expected Z <= G'")
-    cent_matrix = G.mul.T == G.mul
+    cent_matrix = G.centralizer_matrix()
     counts = (cent_matrix & Gprime.mask[None, :]).sum(axis=1)
     direct = np.flatnonzero(counts > Z.order)
     a_list = Gprime.members[~Z.mask[Gprime.members]]

@@ -6,12 +6,11 @@ in G/Z(G); it drives most of the inequality checks in `pairs`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CentralElement
+from .errors import CentralElement, EquivalenceViolation, InvariantViolation
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -75,7 +74,7 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
     lower = lower_central_series(G)
     upper = upper_central_series(G)
     if lower.class_c != upper.class_c:
-        raise AssertionError(
+        raise EquivalenceViolation(
             f"central series disagree: lower {lower.class_c}, upper {upper.class_c}"
         )
     return lower.class_c
@@ -87,6 +86,13 @@ def second_center(G: FiniteGroup) -> SubgroupHandle:
     return series.terms[idx]
 
 
+def d_members(G: FiniteGroup, g: int, z_mask: np.ndarray) -> np.ndarray:
+    """Sorted members of D(g) = {x : [g, x] in Z}, Z given by its mask."""
+    m, inv = G.mul, G.inv
+    comms = m[m[inv[g], inv], m[g, :]]
+    return np.flatnonzero(z_mask[comms]).astype(np.int32)
+
+
 def d_subgroup(G: FiniteGroup, g: int, Z: SubgroupHandle) -> SubgroupHandle:
     """D(g) = {x : [g, x] central}; requires Z = center(G) and g noncentral."""
     zc = center(G)
@@ -94,17 +100,10 @@ def d_subgroup(G: FiniteGroup, g: int, Z: SubgroupHandle) -> SubgroupHandle:
         raise ValueError("Z must be the center of G")
     if g in Z:
         raise CentralElement(f"element {g} is central; D(g) would be all of G")
-    m, inv = G.mul, G.inv
-    comms = m[m[inv[g], inv], m[g, :]]
-    members = np.flatnonzero(Z.mask[comms])
-    handle = _handle(G, members)
-    assert handle.closure_holds(), "D(g) failed its subgroup witness"
+    handle = _handle(G, d_members(G, g, Z.mask))
+    if not handle.closure_holds():
+        raise InvariantViolation(f"D({g}) is not closed under the group operations")
     return handle
-
-
-def subgroup_exponent(G: FiniteGroup, members: np.ndarray) -> int:
-    orders = G.element_orders()[np.asarray(members)]
-    return int(math.lcm(*(int(o) for o in orders)))
 
 
 def commutators_land_in(G: FiniteGroup, members: np.ndarray, target_mask) -> bool:
@@ -118,6 +117,15 @@ def commutators_land_in(G: FiniteGroup, members: np.ndarray, target_mask) -> boo
     return True
 
 
+def valuation(x: int, p: int) -> int:
+    """The largest k with p^k dividing x (x >= 1)."""
+    k = 0
+    while x % p == 0 and x > 1:
+        x //= p
+        k += 1
+    return k
+
+
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k and k >= 1, else None."""
     if n < 2:
@@ -125,11 +133,8 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     p = 2
     while p * p <= n:
         if n % p == 0:
-            k, rest = 0, n
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            return (p, k) if rest == 1 else None
+            k = valuation(n, p)
+            return (p, k) if p**k == n else None
         p += 1
     return n, 1
 
@@ -146,10 +151,4 @@ def quotient_exponent_over_center(G: FiniteGroup) -> tuple[int, int] | None:
     pk = is_prime_power(Q.order)
     if pk is None:
         return None
-    p = pk[0]
-    exp = group_exponent(Q)
-    n = 0
-    while exp > 1:
-        exp //= p
-        n += 1
-    return p, n
+    return pk[0], valuation(group_exponent(Q), pk[0])

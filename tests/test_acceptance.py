@@ -25,7 +25,6 @@ from camina import (
     verify_bounds,
     verify_witness_properties,
 )
-from camina import _kernels
 from camina.characters import check_degree_column, check_row_orthogonality
 from camina.structure import is_prime_power
 
@@ -43,7 +42,6 @@ class Harness:
     """Shared lazily-computed corpus state with recorded wall times."""
 
     def __init__(self):
-        _kernels.warm_up()  # JIT compile outside the timed sections
         self.entries = []
         for name in FIXTURE_FILES:
             self.entries.extend(

@@ -1,10 +1,16 @@
 """Command-line interface behavior and output determinism."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from camina.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -189,3 +195,40 @@ def test_parse_error_is_operational(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--input", str(bad))
     assert code == 1
     assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "elemab:2",  # too few parameters
+        "quaternion:8,1",  # too many
+        "heisenberg:2,0",  # would be the trivial group
+        "elemab:2,-1",
+        "elemab:2,40",  # order 2^40, far past the cap
+        "T:4",  # not prime
+        "nosuch:3",
+    ],
+)
+def test_bad_family_spec_is_one_error_line(capsys, spec):
+    code, out, err = run(capsys, "analyze", "--family", spec)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_same_bytes_under_optimize():
+    """Invariants are checked by raising, not by assert, so -O changes nothing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["-m", "camina.cli", "verify", "--workers", "1"]
+    for name in ("order8.grp", "order27.grp"):
+        argv += ["--input", str(FIXTURES / name)]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, *argv], env=env, capture_output=True, check=True
+        ).stdout
+        for flags in ([], ["-O"])
+    )
+    assert plain.count(b"\n") == 11  # header plus 5 + 5 groups
+    assert plain == optimized

@@ -1,63 +1,128 @@
-"""The numba and numpy kernel paths must agree exactly."""
-
-import os
-import subprocess
-import sys
+"""The vectorized kernels against plain loops over the table."""
 
 import numpy as np
 import pytest
 
 from camina import _kernels
-from camina.groups import center, derived_subgroup
+from camina.groups import center, derived_subgroup, subgroup_generate
+
+# ---------------------------------------------------------------------------
+# reference loops: one element at a time, straight from the definitions
 
 
-def _groups(q8, s3, heis27, corpus_groups):
-    return [q8, s3, heis27, corpus_groups["32:6"], corpus_groups["32:49"]]
+def ref_conjugacy_partition(mul, inv):
+    n = mul.shape[0]
+    class_of = np.full(n, -1, np.int32)
+    n_classes = 0
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        for g in range(n):
+            class_of[mul[mul[inv[g], x], g]] = n_classes
+        n_classes += 1
+    return class_of, n_classes
 
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.USING_NUMBA, reason="numba path disabled"
-)
+def ref_coset_class_check(mul, class_of, members, outside):
+    for g in outside:
+        for n in members:
+            if class_of[mul[g, n]] != class_of[g]:
+                return int(g), int(n)
+    return -1, -1
 
 
-@needs_numba
-def test_conjugacy_partition_agrees(q8, s3, heis27, corpus_groups):
-    for G in _groups(q8, s3, heis27, corpus_groups):
-        a = _kernels.conjugacy_partition(G.mul, G.inv)
-        b = _kernels.conjugacy_partition_np(G.mul, G.inv)
-        assert a[1] == b[1]
-        assert np.array_equal(a[0], b[0])
+def ref_commutator_cover_check(mul, inv, members, outside):
+    n = mul.shape[0]
+    for g in outside:
+        hit = {int(mul[mul[inv[y], inv[g]], mul[y, g]]) for y in range(n)}
+        for x in members:
+            if int(x) not in hit:
+                return int(g), int(x)
+    return -1, -1
 
 
-@needs_numba
-def test_pair_check_kernels_agree(q8, s3, heis27, corpus_groups):
-    for G in _groups(q8, s3, heis27, corpus_groups):
-        for H in (center(G), derived_subgroup(G)):
-            if H.order in (0, G.order):
-                continue
-            members = H.members
-            outside = np.flatnonzero(~H.mask).astype(np.int32)
-            class_of, _ = G.conjugacy_data()
-            assert _kernels.coset_class_check(
-                G.mul, class_of, members, outside
-            ) == _kernels.coset_class_check_np(G.mul, class_of, members, outside)
-            assert _kernels.commutator_cover_check(
-                G.mul, G.inv, members, outside
-            ) == _kernels.commutator_cover_check_np(G.mul, G.inv, members, outside)
+def ref_assoc_violation(mul):
+    n = mul.shape[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
+                    return a, b, c
+    return -1, -1, -1
 
 
-@needs_numba
-def test_assoc_and_class_products_agree(q8, s3, corpus_groups):
-    for G in (q8, s3, corpus_groups["32:43"]):
-        assert _kernels.assoc_violation(G.mul) == _kernels.assoc_violation_np(G.mul)
-        class_of, classes = G.conjugacy_data()
-        reps = np.array([int(c[0]) for c in classes], dtype=np.int32)
-        a = _kernels.class_product_counts(G.mul, G.inv, class_of, reps)
-        b = _kernels.class_product_counts_np(G.mul, G.inv, class_of, reps)
-        assert np.array_equal(a, b)
+def ref_class_product_counts(mul, inv, class_of, reps):
+    n = mul.shape[0]
+    k = len(reps)
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for j, z in enumerate(reps):
+        for u in range(n):
+            a[class_of[u], class_of[mul[inv[u], z]], j] += 1
+    return a
 
 
-@needs_numba
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def groups(q8, s3, heis27, corpus_groups):
+    return {
+        "q8": q8,
+        "s3": s3,
+        "heis27": heis27,
+        **{gid: corpus_groups[gid] for gid in ("32:6", "32:43", "32:49")},
+    }
+
+
+GROUP_NAMES = ["q8", "s3", "heis27", "32:6", "32:43", "32:49"]
+
+
+def _targets(G):
+    """Center, derived subgroup and <1>, where proper and nontrivial.
+
+    (G, <1>) is not a Camina pair for q8, 32:6 or 32:43, so the witnesses
+    the checks return are compared too.
+    """
+    candidates = (center(G), derived_subgroup(G), subgroup_generate(G, [1]))
+    return [H for H in candidates if 1 < H.order < G.order]
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_conjugacy_partition(groups, name):
+    G = groups[name]
+    class_of, n_classes = _kernels.conjugacy_partition(G.mul, G.inv)
+    ref_class_of, ref_n = ref_conjugacy_partition(G.mul, G.inv)
+    assert n_classes == ref_n
+    assert np.array_equal(class_of, ref_class_of)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_pair_checks(groups, name):
+    G = groups[name]
+    class_of, _ = G.conjugacy_data()
+    for H in _targets(G):
+        members = H.members
+        outside = np.flatnonzero(~H.mask).astype(np.int32)
+        assert _kernels.coset_class_check(
+            G.mul, class_of, members, outside
+        ) == ref_coset_class_check(G.mul, class_of, members, outside)
+        assert _kernels.commutator_cover_check(
+            G.mul, G.inv, members, outside
+        ) == ref_commutator_cover_check(G.mul, G.inv, members, outside)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_assoc_and_class_products(groups, name):
+    G = groups[name]
+    assert _kernels.assoc_violation(G.mul) == ref_assoc_violation(G.mul) == (-1, -1, -1)
+    class_of, classes = G.conjugacy_data()
+    reps = np.array([int(c[0]) for c in classes], dtype=np.int32)
+    assert np.array_equal(
+        _kernels.class_product_counts(G.mul, G.inv, class_of, reps),
+        ref_class_product_counts(G.mul, G.inv, class_of, reps),
+    )
+
+
 def test_assoc_kernel_reports_first_violation():
     bad = np.array(
         [
@@ -69,20 +134,5 @@ def test_assoc_kernel_reports_first_violation():
         ],
         dtype=np.int32,
     )
-    assert _kernels.assoc_violation(bad) == _kernels.assoc_violation_np(bad)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, CAMINA_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from camina import _kernels; print(_kernels.USING_NUMBA)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_kernel_warm_up_runs():
-    _kernels.warm_up()
+    # (1*1)*2 = 0*2 = 2, but 1*(1*2) = 1*3 = 4
+    assert _kernels.assoc_violation(bad) == ref_assoc_violation(bad) == (1, 1, 2)

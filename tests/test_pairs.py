@@ -1,5 +1,8 @@
 """Pair criteria, the bound-check suite, census, and the search."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from camina import (
     verify_bounds,
 )
 from camina.errors import InvalidPairTarget, NotApplicable
+from camina.pairs import CHECK_IDS, CaminaVerdict
 from camina.groups import (
     centralizer,
     element_order,
@@ -139,6 +143,21 @@ def test_verify_bounds_requires_true_verdict(c3s3):
     assert a.applicable and not a.verdict.holds
     with pytest.raises(ValueError):
         verify_bounds(c3s3, a.verdict)
+
+
+def test_verify_bounds_off_p_groups_fails_only_l21(s3):
+    # no true verdict can reach this branch; force it with a made-up verdict
+    verdict = CaminaVerdict(derived_subgroup(s3), True, True, True, None, True)
+    r = verify_bounds(s3, verdict)
+    assert [c.check_id for c in r.checks] == list(CHECK_IDS)
+    assert r.failures() == [r.check("L2.1")]
+    assert all(c.status == "VACUOUS" for c in r.checks if c.check_id != "L2.1")
+
+
+def test_readme_lists_the_check_catalog():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"The check ids, in report\s+order:(.*?)\.\n", readme, re.S)
+    assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == CHECK_IDS
 
 
 def test_bound_checks_32_6(corpus_groups):

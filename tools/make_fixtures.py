@@ -35,8 +35,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from camina._kernels import assoc_violation  # noqa: E402
 from camina.corpus import (  # noqa: E402
     FamilySpec,
+    _central_product_over_cp,
+    _metacyclic as metacyclic,
     build_family,
     greedy_generators,
     group_to_entry,
@@ -49,11 +52,16 @@ from camina.groups import (  # noqa: E402
     derived_subgroup,
     direct_product,
     from_table_unchecked,
+    power_map,
     quotient,
     subgroup_generate,
 )
-from camina.pairs import analyze_center_pair  # noqa: E402
-from camina.structure import nilpotency_class, upper_central_series  # noqa: E402
+from camina.pairs import census  # noqa: E402
+from camina.structure import (  # noqa: E402
+    nilpotency_class,
+    upper_central_series,
+    valuation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +110,9 @@ def fingerprint(G: FiniteGroup) -> tuple:
 
 def generator_rank(G: FiniteGroup, p: int) -> int:
     """Rank of G over its Frattini quotient (p-groups only)."""
-    idx = np.arange(G.order, dtype=np.int32)
-    pw = idx.copy()
-    for _ in range(p - 1):
-        pw = G.mul[pw, idx]
-    frattini_gens = np.union1d(derived_subgroup(G).members, np.unique(pw))
+    frattini_gens = np.union1d(derived_subgroup(G).members, np.unique(power_map(G, p)))
     phi = subgroup_generate(G, frattini_gens)
-    quot = G.order // phi.order
-    r = 0
-    while quot > 1:
-        quot //= p
-        r += 1
-    return r
+    return valuation(G.order // phi.order, p)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +238,7 @@ def _inner_maps(G: FiniteGroup) -> np.ndarray:
 
 
 def _assoc_ok(table: np.ndarray) -> bool:
-    for a in range(table.shape[0]):
-        if not np.array_equal(table[table[a, :], :], table[a][table]):
-            return False
-    return True
+    return assoc_violation(table)[0] < 0
 
 
 def extensions_of(H: FiniteGroup, p: int) -> list[np.ndarray]:
@@ -293,26 +289,12 @@ def abelian_product(*factors: int) -> FiniteGroup:
     return G
 
 
-def metacyclic(k: int, s: int) -> FiniteGroup:
-    """<a, b | a^k = b^2 = 1, b a b^-1 = a^s> as an explicit table."""
-    i = np.arange(2 * k)
-    rot, fl = i % k, i // k
-    r1, f1, r2 = rot[:, None], fl[:, None], rot[None, :]
-    f2 = fl[None, :]
-    tw = np.where(f1 == 1, s, 1)
-    table = (r1 + tw * r2) % k + k * ((f1 + f2) % 2)
-    return from_table_unchecked(table)
-
-
 def semidirect_by_cyclic(H: FiniteGroup, alpha: np.ndarray, m: int) -> FiniteGroup:
     return from_table_unchecked(cyclic_extension(H.mul, alpha, 0, m))
 
 
 def central_product(A: FiniteGroup, zA: int, B: FiniteGroup, zB: int) -> FiniteGroup:
-    prod = direct_product(A, B, order_cap=A.order * B.order)
-    anti = int(zA) * B.order + int(B.inv[zB])
-    Q, _ = quotient(prod, subgroup_generate(prod, [anti]))
-    return Q
+    return _central_product_over_cp(A, zA, B, zB)[0]
 
 
 def named_groups_8() -> list[tuple[int, str, FiniteGroup]]:
@@ -406,12 +388,8 @@ def match_named(
 
 
 def center_pair_positions(reps: list[FiniteGroup]) -> list[int]:
-    out = []
-    for i, G in enumerate(reps):
-        a = analyze_center_pair(G, with_bounds=False)
-        if a.applicable and a.verdict.holds and not a.verdict.is_camina_group:
-            out.append(i)
-    return out
+    """Positions of the center pairs that are not Camina groups."""
+    return census(enumerate(reps), reps[0].order, "center-pair-not-camina-group").hits
 
 
 def assign_indices_32(reps: list[FiniteGroup]) -> dict[int, tuple[int, str]]:
@@ -549,19 +527,10 @@ def main() -> int:
     e32 = build_fixture(32, order32, a32, args.out)
 
     # cross-checks against the expected census facts
-    pair8 = sorted(
-        idx for idx, name, G in e8
-        if analyze_center_pair(G, with_bounds=False).applicable
-        and analyze_center_pair(G, with_bounds=False).verdict.holds
-    )
+    pair8 = census([(idx, G) for idx, _, G in e8], 8, "center-pair").hits
     assert pair8 == [3, 4], pair8  # D8 and Q8
-    five = sorted(
-        idx for idx, name, G in e32
-        if (lambda a: a.applicable and a.verdict.holds and not a.verdict.is_camina_group)(
-            analyze_center_pair(G, with_bounds=False)
-        )
-    )
-    assert five == [6, 7, 8, 43, 44], five
+    five = center_pair_positions([G for _, _, G in e32])
+    assert [e32[i][0] for i in five] == [6, 7, 8, 43, 44], five
     for idx, name, G in e32:
         if idx in (6, 7, 8, 43, 44):
             assert center(G).order == 2
