@@ -3,11 +3,14 @@
 The table is computed over F_l for the least prime l with l = 1 (mod
 exponent(G)) and l > 2*sqrt(|G|): the structure constants of the class
 algebra give commuting matrices whose joint eigenvectors are the rows
-(|C_j| chi(g_j) / chi(1))_j reduced mod l.  Eigenvalues are found by
-exhaustive search over F_l (the field is small at the orders handled
-here) with nullspace elimination, and the values are lifted to exact
+(|C_j| chi(g_j) / chi(1))_j reduced mod l.  Following Dixon (1967) as
+refined by Schneider (1990), the common eigenspaces are split by random
+F_l-combinations of all class matrices: the eigenvalues of each
+combination, restricted to an unsplit subspace, are the roots in F_l of
+its characteristic polynomial (through a Hessenberg reduction mod l), and
+each eigenspace is one nullspace.  The values are lifted to exact
 cyclotomic integers through the discrete Fourier transform over powers
-of a primitive root of F_l.
+of a primitive root of F_l, one matrix product mod l per class.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .cyclotomic import CyclotomicValue
-from .errors import InternalPrimeSearchFailed
+from .errors import InternalPrimeSearchFailed, InvariantViolation
 from .groups import FiniteGroup, SubgroupHandle, group_exponent, is_normal
 from .structure import is_prime_power
 
@@ -56,7 +59,7 @@ def _primitive_root(l: int) -> int:
     for g in range(2, l):
         if all(pow(g, phi // q, l) != 1 for q in factors):
             return g
-    raise AssertionError("no primitive root found")  # pragma: no cover
+    raise InvariantViolation(f"no primitive root mod {l}")  # pragma: no cover
 
 
 def _sqrt_mod(a: int, l: int) -> int:
@@ -64,7 +67,8 @@ def _sqrt_mod(a: int, l: int) -> int:
     a %= l
     if a == 0:
         return 0
-    assert pow(a, (l - 1) // 2, l) == 1, "not a quadratic residue"
+    if pow(a, (l - 1) // 2, l) != 1:
+        raise InvariantViolation(f"{a} is not a quadratic residue mod {l}")
     if l % 4 == 3:
         return pow(a, (l + 1) // 4, l)
     q, s = l - 1, 0
@@ -105,10 +109,11 @@ def _rref_mod(M: np.ndarray, l: int):
         pr = r + int(hit[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, l) % l
+        # rows r.. vanish left of column c, so only columns c.. change
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, l) % l
         other = np.flatnonzero(R[:, c])
         other = other[other != r]
-        R[other] = (R[other] - np.outer(R[other, c], R[r])) % l
+        R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % l
         pivots.append(c)
         r += 1
     return R, pivots
@@ -118,45 +123,103 @@ def _nullspace_mod(M: np.ndarray, l: int) -> np.ndarray:
     """Columns spanning the nullspace of M mod l."""
     R, pivots = _rref_mod(M, l)
     cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-R[i, fc]) % l
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -R[: len(pivots), free] % l
     return basis
 
 
-def _joint_eigenrows(mats: list[np.ndarray], l: int) -> list[np.ndarray]:
-    """Common eigenvectors (as rows, k-vectors) of commuting matrices mod l."""
-    k = mats[0].shape[0]
-    spaces = [(_rref_mod(np.eye(k, dtype=np.int64), l))]
-    for A in mats:
+def _charpoly_mod(R: np.ndarray, l: int) -> np.ndarray:
+    """Characteristic polynomial of a square matrix mod l, low to high.
+
+    R is brought to upper Hessenberg form H by similarity transforms mod l;
+    then p_m, the polynomial of the leading m x m block of H, follows from
+        p_m = (x - h_mm) p_(m-1) - sum_i h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1)
+    (1-based).  H and the d + 1 polynomials take O(d^2) numbers.
+    """
+    H = R % l
+    d = H.shape[0]
+    for j in range(d - 2):
+        hit = np.flatnonzero(H[j + 1 :, j])
+        if hit.size == 0:
+            continue
+        i = j + 1 + int(hit[0])
+        if i != j + 1:
+            H[[i, j + 1]] = H[[j + 1, i]]
+            H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        u = H[j + 2 :, j] * pow(int(H[j + 1, j]), -1, l) % l
+        if u.any():
+            # row_r -= u_r row_(j+1), then column_(j+1) += sum_r u_r column_r
+            H[j + 2 :] = (H[j + 2 :] - np.outer(u, H[j + 1])) % l
+            H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ u) % l
+    P = np.zeros((d + 1, d + 1), dtype=np.int64)
+    P[0, 0] = 1
+    T = np.zeros(0, dtype=np.int64)  # T[i-1] = h_(i+1,i) ... h_(m,m-1)
+    for m in range(1, d + 1):
+        p = np.zeros(d + 1, dtype=np.int64)
+        p[1:] = P[m - 1, :-1]
+        p -= H[m - 1, m - 1] * P[m - 1]
+        if m > 1:
+            s = H[m - 1, m - 2]
+            T = np.append(T * s % l, s)
+            p -= (H[: m - 1, m - 1] * T % l) @ P[: m - 1]
+        P[m] = p % l
+    return P[d]
+
+
+def _roots_mod(poly: np.ndarray, l: int) -> np.ndarray:
+    """The roots in F_l of a polynomial (low to high), by evaluating it
+    at every point of F_l at once."""
+    x = np.arange(l, dtype=np.int64)
+    val = np.zeros(l, dtype=np.int64)
+    for c in poly[::-1]:
+        val = (val * x + int(c)) % l
+    return np.flatnonzero(val == 0)
+
+
+# A random combination separates two given characters with probability
+# 1 - 1/l, and l >= 3, so a pair stays unsplit through all rounds with
+# probability at most 3^-64.
+SPLIT_ROUNDS = 64
+
+
+def _joint_eigenrows(consts: np.ndarray, l: int) -> list[np.ndarray]:
+    """Common eigenvectors (as rows, k-vectors) of the class matrices mod l.
+
+    consts[i] is the i-th class matrix, reduced mod l.  Each round draws
+    one random F_l-combination C of all of them (seeded from l, so the
+    draws depend only on the input), restricts C to each unsplit subspace
+    and splits the subspace into the eigenspaces of C: the eigenvalues
+    are the roots of the characteristic polynomial, and each eigenspace
+    is one nullspace.  The class algebra mod l is split semisimple, so
+    the joint eigenspaces are lines.
+    """
+    k = consts.shape[0]
+    rng = np.random.default_rng(l)
+    spaces = [_rref_mod(np.eye(k, dtype=np.int64), l)]
+    for _ in range(SPLIT_ROUNDS):
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
-        Mt = A.T % l
+        Ct = np.tensordot(rng.integers(0, l, size=k), consts, axes=1).T % l
         refined = []
         for B, piv in spaces:
             d = B.shape[0]
             if d == 1:
                 refined.append((B, piv))
                 continue
-            transformed = B @ Mt % l
-            R = transformed[:, piv]  # coords in the rref basis
+            R = (B @ Ct % l)[:, piv]  # row i: C b_i in the coordinates of B
             found = 0
-            for lam in range(l):
-                shifted = (R - lam * np.eye(d, dtype=np.int64)) % l
+            for lam in _roots_mod(_charpoly_mod(R, l), l):
+                shifted = (R - int(lam) * np.eye(d, dtype=np.int64)) % l
                 null_cols = _nullspace_mod(shifted.T, l)
-                if null_cols.shape[1] == 0:
-                    continue
-                rows = null_cols.T @ B % l
-                refined.append(_rref_mod(rows, l))
+                refined.append(_rref_mod(null_cols.T @ B % l, l))
                 found += null_cols.shape[1]
-                if found == d:
-                    break
-            assert found == d, "class matrix failed to diagonalize"
+            if found != d:
+                raise InvariantViolation("class matrix failed to diagonalize")
         spaces = refined
-    assert all(B.shape[0] == 1 for B, _ in spaces), "joint eigenbasis incomplete"
+    if not all(B.shape[0] == 1 for B, _ in spaces):
+        raise InvariantViolation("joint eigenbasis incomplete")
     return [B[0] for B, _ in spaces]
 
 
@@ -166,9 +229,14 @@ def _joint_eigenrows(mats: list[np.ndarray], l: int) -> list[np.ndarray]:
 
 @dataclass
 class CharacterTable:
-    """Exact character table: degrees plus cyclotomic values per class."""
+    """Exact character table: degrees plus cyclotomic values per class.
 
-    group: FiniteGroup
+    It holds the group order and class map its checks read, not the
+    group itself, so a cached table keeps no reference back to its group.
+    """
+
+    order: int
+    class_of: np.ndarray
     class_reps: np.ndarray
     class_sizes: np.ndarray
     inverse_class: np.ndarray
@@ -197,6 +265,16 @@ def class_mult_coefficients(G: FiniteGroup) -> np.ndarray:
     return G._cache["class_consts"]
 
 
+def _power_classes(G: FiniteGroup, class_of: np.ndarray, rep: int, o: int) -> np.ndarray:
+    """Classes of rep^0, rep^1, ..., rep^(o-1)."""
+    pm = np.empty(o, dtype=np.int64)
+    cur = 0
+    for t in range(o):
+        pm[t] = class_of[cur]
+        cur = int(G.mul[cur, rep])
+    return pm
+
+
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     """Exact character table of G (cached on the group)."""
     if "chartable" in G._cache:
@@ -211,71 +289,55 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     order = G.order
     l = least_dixon_prime(order, e)
 
-    consts = class_mult_coefficients(G) % l
-    mats = [consts[i] for i in range(1, k)]
-    rows = _joint_eigenrows(mats, l) if k > 1 else [np.array([1], dtype=np.int64)]
-
-    # normalize w[0] = 1 so w_j = |C_j| chi(g_j) / chi(1) mod l
-    norm_rows = []
-    for w in rows:
-        assert w[0] % l != 0, "eigenvector vanishes on the identity class"
-        norm_rows.append(w * pow(int(w[0]), -1, l) % l)
+    rows = _joint_eigenrows(class_mult_coefficients(G) % l, l)
 
     size_inv = np.array([pow(int(s), -1, l) for s in sizes], dtype=np.int64)
     chars_mod = []
     degrees = []
-    for w in norm_rows:
+    for w in rows:
+        if w[0] % l == 0:
+            raise InvariantViolation("eigenvector vanishes on the identity class")
+        # normalize w[0] = 1 so w_j = |C_j| chi(g_j) / chi(1) mod l
+        w = w * pow(int(w[0]), -1, l) % l
         dot = int((w * w[inverse_class] % l * size_inv % l).sum() % l)
         chi1_sq = order * pow(dot, -1, l) % l
         root = _sqrt_mod(chi1_sq, l)
         chi1 = min(root, l - root)
         degrees.append(int(chi1))
         chars_mod.append(w * chi1 % l * size_inv % l)
-    assert sum(d * d for d in degrees) == order, "degree sum check failed"
+    if sum(d * d for d in degrees) != order:
+        raise InvariantViolation("degree sum check failed")
 
-    # power map and Fourier lift to Z[zeta_e]
-    elem_orders = G.element_orders()
+    # Fourier lift to Z[zeta_e]: on a class of order o, the multiplicity of
+    # the eigenvalue zeta_o^u of chi is (1/o) sum_t chi(g^t) zeta_o^(-ut).
+    chars = np.array(chars_mod, dtype=np.int64)
     z = pow(_primitive_root(l), (l - 1) // e, l)
-    values_by_class = []
-    power_classes = []
+    elem_orders = G.element_orders()
+    fourier: dict[int, np.ndarray] = {}
+    table_values: list[list[CyclotomicValue]] = [[] for _ in range(k)]
     for j in range(k):
         o = int(elem_orders[reps[j]])
-        pm = np.empty(o, dtype=np.int64)
-        cur = 0
-        for t in range(o):
-            pm[t] = class_of[cur]
-            cur = int(G.mul[cur, reps[j]])
-        power_classes.append((o, pm))
-
-    table_values: list[list[CyclotomicValue]] = []
-    for chi_hat, chi1 in zip(chars_mod, degrees):
-        row = []
-        for j in range(k):
-            o, pm = power_classes[j]
-            zo = pow(z, e // o, l)
-            zo_inv = pow(zo, -1, l)
-            o_inv = pow(o, -1, l)
-            coeffs = [0] * e
-            total = 0
-            for u in range(o):
-                acc = 0
-                zpow = 1
-                step = pow(zo_inv, u, l)
-                for t in range(o):
-                    acc = (acc + int(chi_hat[pm[t]]) * zpow) % l
-                    zpow = zpow * step % l
-                mult = acc * o_inv % l
-                total += mult
-                coeffs[(u * (e // o)) % e] += mult
-            assert total == chi1, "eigenvalue multiplicities do not sum to the degree"
-            row.append(CyclotomicValue.from_coeffs(e, coeffs))
-        table_values.append(row)
+        if o not in fourier:
+            zo_inv = pow(z, -(e // o), l)
+            powers = np.array([pow(zo_inv, s, l) for s in range(o)], dtype=np.int64)
+            t = np.arange(o)
+            fourier[o] = powers[np.outer(t, t) % o] * pow(o, -1, l) % l
+        mult = chars[:, _power_classes(G, class_of, int(reps[j]), o)] @ fourier[o] % l
+        if not np.array_equal(mult.sum(axis=1), degrees):
+            raise InvariantViolation(
+                "eigenvalue multiplicities do not sum to the degree"
+            )
+        coeffs = np.zeros((k, e), dtype=np.int64)
+        coeffs[:, np.arange(o) * (e // o)] = mult
+        for row, c in zip(table_values, coeffs.tolist()):
+            row.append(CyclotomicValue.from_coeffs(e, c))
 
     order_key = sorted(
         range(k), key=lambda i: (degrees[i], [v.coeffs for v in table_values[i]])
     )
     table = CharacterTable(
-        group=G,
+        order=order,
+        class_of=class_of,
         class_reps=reps,
         class_sizes=sizes,
         inverse_class=inverse_class,
@@ -322,7 +384,7 @@ def check_row_orthogonality(table: CharacterTable) -> bool:
     V = _coefficients(table)
     X = V * table.class_sizes[None, :, None]
     Y = V[:, table.inverse_class, :]
-    order = table.group.order
+    order = table.order
     return all(
         _folds_to(
             np.einsum("ju,mjv->muv", X[i], Y),
@@ -338,7 +400,7 @@ def check_column_orthogonality(table: CharacterTable) -> bool:
     k = table.n_classes
     V = _coefficients(table)
     W = V[:, table.inverse_class, :]
-    order = table.group.order
+    order = table.order
     return all(
         _folds_to(
             np.einsum("iu,ikv->kuv", V[:, j, :], W),
@@ -353,9 +415,8 @@ def character_kernel_contains(
     table: CharacterTable, i: int, members: np.ndarray
 ) -> bool:
     """True iff every listed element lies in ker chi_i."""
-    class_of, _ = table.group.conjugacy_data()
     deg = CyclotomicValue.from_int(table.exponent, table.degrees[i])
-    for c in np.unique(class_of[np.asarray(members)]):
+    for c in np.unique(table.class_of[np.asarray(members)]):
         if table.values[i][int(c)] != deg:
             return False
     return True

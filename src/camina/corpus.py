@@ -340,15 +340,17 @@ def _digit_sum_table(p: int, k: int) -> np.ndarray:
     """Digitwise sums mod p of base-p codes: the table of (Z/p)^k and of
     the addition in GF(p^k)."""
     q = p**k
-    digits = np.empty((q, k), dtype=np.int64)
-    v = np.arange(q)
-    for d in range(k):
-        digits[:, d] = v % p
-        v = v // p
-    summed = (digits[:, None, :] + digits[None, :, :]) % p
     table = np.zeros((q, q), dtype=np.int64)
-    for d in range(k - 1, -1, -1):
-        table = table * p + summed[:, :, d]
+    v = np.arange(q)
+    place = 1
+    for _ in range(k):  # one q x q digit plane at a time
+        digit = v % p
+        plane = np.add.outer(digit, digit)
+        plane %= p
+        plane *= place
+        table += plane
+        v //= p
+        place *= p
     return table
 
 

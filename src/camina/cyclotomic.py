@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InvariantViolation
+
 
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
@@ -29,7 +31,8 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         if q:
             for j, c in enumerate(den):
                 num[i - dn + j] -= q * c
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise InvariantViolation("non-exact polynomial division")
     return out
 
 
@@ -60,6 +63,11 @@ def _reduce_mod_cyclotomic(coeffs: list[int], e: int) -> tuple[int, ...]:
                 rem[i - deg + j] -= q * phi[j]
     rem = rem[:deg]
     return tuple(rem) + (0,) * (e - len(rem))
+
+
+def _same_e(a: "CyclotomicValue", b: "CyclotomicValue") -> None:
+    if a.e != b.e:
+        raise InvariantViolation(f"mixed cyclotomic fields: e = {a.e} and e = {b.e}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,7 @@ class CyclotomicValue:
         return self.coeffs[0]
 
     def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        assert self.e == other.e
+        _same_e(self, other)
         return CyclotomicValue(
             self.e, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -109,7 +117,7 @@ class CyclotomicValue:
         return self + (-other)
 
     def __mul__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        assert self.e == other.e
+        _same_e(self, other)
         e = self.e
         out = [0] * e
         for i, a in enumerate(self.coeffs):

@@ -88,7 +88,7 @@ class Permutation:
 class FiniteGroup:
     """A finite group on elements 0..order-1 with identity 0."""
 
-    __slots__ = ("order", "mul", "inv", "labels", "name", "_cache")
+    __slots__ = ("order", "mul", "inv", "labels", "name", "_cache", "__weakref__")
 
     def __init__(self, mul: np.ndarray, inv: np.ndarray, labels=None, name: str = ""):
         self.mul = mul

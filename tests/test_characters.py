@@ -1,5 +1,13 @@
 """Dixon character tables: structure constants, degrees, exact checks."""
 
+import gc
+import hashlib
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,12 +22,19 @@ from camina import (
     verify_fully_ramified,
 )
 from camina.characters import (
+    _joint_eigenrows,
+    _nullspace_mod,
+    _rref_mod,
     check_column_orthogonality,
     check_degree_column,
     check_row_orthogonality,
     least_dixon_prime,
 )
+from camina.cli import main
+from camina.corpus import parse_family_spec
 from camina.groups import group_from_cayley_table, subgroup_generate
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +189,130 @@ def test_dixon_table_is_deterministic():
     assert [[v.coeffs for v in row] for row in ta.values] == [
         [v.coeffs for v in row] for row in tb.values
     ]
+
+
+# ---------------------------------------------------------------------------
+# the eigenspace splitter against the exhaustive lambda-scan
+
+
+def _lambda_scan_eigenrows(mats, l):
+    """Reference splitter: refine by each class matrix in turn, trying
+    every lambda in F_l with one nullspace per lambda."""
+    k = mats[0].shape[0]
+    spaces = [_rref_mod(np.eye(k, dtype=np.int64), l)]
+    for A in mats:
+        Mt = A.T % l
+        refined = []
+        for B, piv in spaces:
+            d = B.shape[0]
+            if d == 1:
+                refined.append((B, piv))
+                continue
+            R = (B @ Mt % l)[:, piv]
+            found = 0
+            for lam in range(l):
+                shifted = (R - lam * np.eye(d, dtype=np.int64)) % l
+                null_cols = _nullspace_mod(shifted.T, l)
+                if null_cols.shape[1] == 0:
+                    continue
+                refined.append(_rref_mod(null_cols.T @ B % l, l))
+                found += null_cols.shape[1]
+                if found == d:
+                    break
+            assert found == d
+        spaces = refined
+    assert all(B.shape[0] == 1 for B, _ in spaces)
+    return [B[0] for B, _ in spaces]
+
+
+def _normalized(rows, l):
+    return sorted(tuple((w * pow(int(w[0]), -1, l) % l).tolist()) for w in rows)
+
+
+@pytest.mark.parametrize(
+    "name", ["q8", "c3s3", "heis27", "32:49", "extraspecial_p:3,2", "cyclic:32"]
+)
+def test_splitter_matches_lambda_scan(request, corpus_groups, name):
+    if name in ("q8", "c3s3", "heis27"):
+        G = request.getfixturevalue(name)
+    elif name in corpus_groups:
+        G = corpus_groups[name]
+    else:
+        G = build_family(parse_family_spec(name))
+    l = dixon_character_table(G).modulus
+    consts = class_mult_coefficients(G) % l
+    k = consts.shape[0]
+    want = _normalized(_lambda_scan_eigenrows([consts[i] for i in range(1, k)], l), l)
+    got = _normalized(_joint_eigenrows(consts, l), l)
+    assert len(got) == k
+    assert got == want
+
+
+# sha256 of `camina chartable --family SPEC`, as printed by the lambda-scan
+# implementation; the splitter's random draws must not reach the output.
+CHARTABLE_SHA256 = {
+    "heisenberg:3": "b9f554420bc77c3191d17df006b4b190564a9dad73cdf37c2df86bdb408840d1",
+    "extraspecial_p:3,2": (
+        "5db96984e4d290061c8cc7e42783368e81837b303b638b9b5b24770fd20f48da"
+    ),
+    "T:3,1": "e2cc066c8e9cb81191d3094652de2e6fa325b7c923cee5b80235029b0816c9d2",
+    "cyclic:64": "76ea7c344da99f8491d97b176dae17392e2623420286a63e704916cbbbd08374",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CHARTABLE_SHA256))
+def test_chartable_output_is_pinned(capsys, spec):
+    assert main(["chartable", "--family", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[spec]
+
+
+CORRUPTED_TABLE = """
+from camina import FamilySpec, build_family, class_mult_coefficients
+from camina import dixon_character_table
+from camina.errors import InvariantViolation
+G = build_family(FamilySpec("quaternion", (8,)))
+consts = class_mult_coefficients(G).copy()
+{corruption}
+G._cache["class_consts"] = consts
+try:
+    dixon_character_table(G)
+except InvariantViolation as exc:
+    print("InvariantViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        ("consts[1, 0, 1] += 1", "class matrix failed to diagonalize"),
+        ("consts[...] = 0", "joint eigenbasis incomplete"),
+        ("consts[...] += 1", "11 is not a quadratic residue mod 13"),
+    ],
+)
+def test_corrupted_class_constants_raise_under_optimize(corruption, message):
+    """The invariant checks raise InvariantViolation, so -O keeps them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_TABLE.format(corruption=corruption)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == f"InvariantViolation: {message}\n"
+
+
+def test_table_does_not_keep_its_group_alive(q8):
+    G = build_family(FamilySpec("quaternion", (8,)))
+    gc.disable()
+    try:
+        table = dixon_character_table(G)
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert table.degrees == dixon_character_table(q8).degrees
+    assert irr_over(q8, center(q8), table) == [table.degrees.index(2)]

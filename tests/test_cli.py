@@ -217,18 +217,32 @@ def test_bad_family_spec_is_one_error_line(capsys, spec):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_verify_same_bytes_under_optimize():
-    """Invariants are checked by raising, not by assert, so -O changes nothing."""
+def _plain_and_optimized(*argv):
+    """stdout of `camina ARGV` run without and with python -O."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = ["-m", "camina.cli", "verify", "--workers", "1"]
-    for name in ("order8.grp", "order27.grp"):
-        argv += ["--input", str(FIXTURES / name)]
-    plain, optimized = (
+    return tuple(
         subprocess.run(
-            [sys.executable, *flags, *argv], env=env, capture_output=True, check=True
+            [sys.executable, *flags, "-m", "camina.cli", *argv],
+            env=env,
+            capture_output=True,
+            check=True,
         ).stdout
         for flags in ([], ["-O"])
     )
+
+
+def test_verify_same_bytes_under_optimize():
+    """Invariants are checked by raising, not by assert, so -O changes nothing."""
+    argv = ["verify", "--workers", "1"]
+    for name in ("order8.grp", "order27.grp"):
+        argv += ["--input", str(FIXTURES / name)]
+    plain, optimized = _plain_and_optimized(*argv)
     assert plain.count(b"\n") == 11  # header plus 5 + 5 groups
+    assert plain == optimized
+
+
+def test_chartable_same_bytes_under_optimize():
+    plain, optimized = _plain_and_optimized("chartable", "--family", "heisenberg:3")
+    assert plain.count(b"\n") == 14  # header, reps, sizes, 11 characters
     assert plain == optimized

@@ -18,7 +18,7 @@ from camina import (
     t_witness_spec,
     verify_witness_properties,
 )
-from camina.corpus import default_family_instances, group_to_entry
+from camina.corpus import _digit_sum_table, default_family_instances, group_to_entry
 from camina.errors import (
     CorpusSyntaxError,
     DuplicateId,
@@ -143,6 +143,21 @@ def test_family_heisenberg_prime_power_field():
     G = build_family(FamilySpec("heisenberg_sl3_sylow", (2, 2)))
     assert G.order == 64
     assert center(G).order == 4
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (2, 6)])
+def test_digit_sum_table_matches_broadcast_formula(p, k):
+    """The plane-at-a-time table equals the all-digits-at-once formula."""
+    q = p**k
+    v = np.arange(q)
+    digits = np.stack([v // p**d % p for d in range(k)], axis=1)
+    summed = (digits[:, None, :] + digits[None, :, :]) % p
+    want = np.zeros((q, q), dtype=np.int64)
+    for d in range(k - 1, -1, -1):
+        want = want * p + summed[:, :, d]
+    got = _digit_sum_table(p, k)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_family_t_witness(t81):
