@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_entries(config: RunConfig) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     for path in config.inputs:
-        entries.extend(parse_corpus(path.read_text(), validate=False))
+        text = path.read_text()
+        entries.extend(parse_corpus(text, validate=False, order_cap=config.order_cap))
     return entries
 
 

@@ -25,6 +25,7 @@ from .errors import (
     ClosureExceedsCap,
     CorpusSyntaxError,
     DuplicateId,
+    InvalidPermutation,
     InvariantViolation,
     OrderMismatch,
     UnsupportedParameters,
@@ -84,8 +85,13 @@ class CorpusEntry:
         return G
 
 
-def parse_corpus(text: str, validate: bool = True) -> list[CorpusEntry]:
-    """Parse corpus text into entries; closures are validated by default."""
+def parse_corpus(
+    text: str, validate: bool = True, order_cap: int = DEFAULT_ORDER_CAP
+) -> list[CorpusEntry]:
+    """Parse corpus text into entries; closures are validated by default.
+
+    A degree above the order cap is rejected before anything is allocated.
+    """
     entries: list[CorpusEntry] = []
     seen: set[tuple[int, int]] = set()
     cur: dict | None = None
@@ -126,6 +132,10 @@ def parse_corpus(text: str, validate: bool = True) -> list[CorpusEntry]:
                 raise CorpusSyntaxError(lineno, "expected: degree <d>")
             if cur["degree"] < 1:
                 raise CorpusSyntaxError(lineno, "degree must be positive")
+            if cur["degree"] > order_cap:
+                raise CorpusSyntaxError(
+                    lineno, f"degree {cur['degree']} exceeds the order cap {order_cap}"
+                )
         elif kw == "gen":
             if cur is None or cur["degree"] is None:
                 raise CorpusSyntaxError(lineno, "'gen' before 'degree'")
@@ -138,7 +148,10 @@ def parse_corpus(text: str, validate: bool = True) -> list[CorpusEntry]:
                     lineno,
                     f"expected {cur['degree']} images, got {len(images)}",
                 )
-            cur["gens"].append(Permutation(images))
+            try:
+                cur["gens"].append(Permutation(images))
+            except InvalidPermutation as exc:
+                raise CorpusSyntaxError(lineno, str(exc)) from None
         elif kw == "end":
             if cur is None:
                 raise CorpusSyntaxError(lineno, "'end' outside a group block")

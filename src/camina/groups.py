@@ -32,6 +32,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 2048
+COMMUTATOR_BLOCK = 1 << 16  # commutators formed per array operation
 
 
 @dataclass(frozen=True)
@@ -385,12 +386,16 @@ def commutator(G: FiniteGroup, x: int, y: int) -> int:
 def commutator_set(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """All values [a, b] with a in `left`, b in `right` (unique, sorted)."""
     m, inv = G.mul, G.inv
-    out = []
+    left = np.asarray(left, dtype=np.int32)
     right = np.asarray(right, dtype=np.int32)
-    for a in np.asarray(left, dtype=np.int32):
-        vals = m[m[inv[a], inv[right]], m[a, right]]
-        out.append(np.unique(vals))
-    return np.unique(np.concatenate(out)) if out else np.array([0], dtype=np.int32)
+    if not left.size:
+        return np.array([0], dtype=np.int32)
+    hit = np.zeros(G.order, dtype=bool)
+    rows = max(1, COMMUTATOR_BLOCK // max(1, right.size))
+    for i in range(0, left.size, rows):
+        a = left[i : i + rows, None]
+        hit[m[m[inv[a], inv[right]], m[a, right]]] = True
+    return np.flatnonzero(hit).astype(np.int32)
 
 
 def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:

@@ -37,11 +37,11 @@ from .groups import (
     quotient,
 )
 from .structure import (
+    central_series,
     d_members,
     is_prime_power,
-    lower_central_series,
     quotient_exponent_over_center,
-    upper_central_series,
+    second_center_of,
     valuation,
 )
 
@@ -321,10 +321,7 @@ def verify_bounds(
     """Evaluate every named check for a positive center-pair verdict."""
     if not verdict.holds:
         raise ValueError("verify_bounds requires a positive verdict")
-    upper = upper_central_series(G)
-    lower = lower_central_series(G)
-    if lower.class_c != upper.class_c:
-        raise EquivalenceViolation("central series disagree on the class")
+    lower, upper = central_series(G)
 
     pk = is_prime_power(G.order)
     if pk is None:
@@ -358,7 +355,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         raise InvariantViolation(f"G/Z(G) is not a nontrivial {p}-group")
     n_exp = qe[1]
 
-    Z2 = upper.terms[min(2, len(upper.terms) - 1)]
+    Z2 = second_center_of(upper)
     pw = power_map(G, p)
     noncentral = np.flatnonzero(~Z.mask).astype(np.int32)
 

@@ -69,21 +69,29 @@ def upper_central_series(G: FiniteGroup) -> CentralSeries:
     return CentralSeries("upper", terms, class_c)
 
 
-def nilpotency_class(G: FiniteGroup) -> int | None:
-    """Common class of both central series (asserted to agree)."""
+def central_series(G: FiniteGroup) -> tuple[CentralSeries, CentralSeries]:
+    """The lower and upper central series, checked to agree on the class."""
     lower = lower_central_series(G)
     upper = upper_central_series(G)
     if lower.class_c != upper.class_c:
         raise EquivalenceViolation(
             f"central series disagree: lower {lower.class_c}, upper {upper.class_c}"
         )
-    return lower.class_c
+    return lower, upper
+
+
+def nilpotency_class(G: FiniteGroup) -> int | None:
+    """Common class of both central series (checked to agree)."""
+    return central_series(G)[0].class_c
+
+
+def second_center_of(upper: CentralSeries) -> SubgroupHandle:
+    """Z_2(G) read off an upper central series (its last term if shorter)."""
+    return upper.terms[min(2, len(upper.terms) - 1)]
 
 
 def second_center(G: FiniteGroup) -> SubgroupHandle:
-    series = upper_central_series(G)
-    idx = min(2, len(series.terms) - 1)
-    return series.terms[idx]
+    return second_center_of(upper_central_series(G))
 
 
 def d_members(G: FiniteGroup, g: int, z_mask: np.ndarray) -> np.ndarray:

@@ -217,6 +217,25 @@ def test_bad_family_spec_is_one_error_line(capsys, spec):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # rejected at parse time, before the identity of degree 10^8 is built
+        ("group 1 1 x\ndegree 99999999\nend\n", "line 2: degree 99999999 exceeds"),
+        ("group 2 1 C2\ndegree 2\ngen 1 3\nend\n", "line 3: images (1, 3) are not"),
+    ],
+)
+def test_bad_corpus_entry_is_one_error_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.grp"
+    bad.write_text(text)
+    code, out, err = run(capsys, "verify", "--input", str(bad))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 def _plain_and_optimized(*argv):
     """stdout of `camina ARGV` run without and with python -O."""
     env = dict(os.environ)

@@ -29,7 +29,8 @@ from camina.errors import (
     NotLatinSquare,
     NotNormal,
 )
-from camina.groups import materialize_subgroup
+from camina import groups
+from camina.groups import commutator_set, materialize_subgroup
 
 # right-regular generators of the quaternion group on {1,-1,i,-i,j,-j,k,-k}
 Q8_MUL_BY_I = Permutation((3, 4, 2, 1, 8, 7, 5, 6))
@@ -240,6 +241,20 @@ def test_commutator(q8, klein):
     i, j = 1, q8.order // 2
     minus_one = next(x for x in range(1, 8) if brute_order(q8, x) == 2)
     assert commutator(q8, i, j) == minus_one
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_commutator_set_matches_pairwise(q8, s3, heis27, monkeypatch, block):
+    """Any block size gives the set of all [a, b], a in left, b in right."""
+    monkeypatch.setattr(groups, "COMMUTATOR_BLOCK", block)
+    for G in (q8, s3, heis27):
+        right = np.arange(G.order)[::-1]
+        for left in [[a] for a in range(G.order)] + [np.arange(1, G.order, 2)]:
+            want = sorted({commutator(G, int(a), int(b)) for a in left for b in right})
+            got = commutator_set(G, left, right)
+            assert got.dtype == np.int32 and got.tolist() == want
+        assert commutator_set(G, left, right[:0]).size == 0
+        assert commutator_set(G, left[:0], right).tolist() == [0]
 
 
 def test_derived_subgroup(q8, s3, klein):

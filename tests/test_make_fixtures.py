@@ -1,0 +1,201 @@
+"""The fixture generator: automorphism counts, the mapping search against a
+reference copy of the breadth-first search it replaced, and byte-identical
+regeneration of the shipped fixture files."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from camina.corpus import greedy_generators
+from camina.errors import CaminaError
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import make_fixtures as mf  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
+
+
+@pytest.fixture(scope="module")
+def census_groups():
+    """Representatives of orders 8 and 16, as the generator builds them."""
+    order4 = mf.classify_order([mf.cyclic_table(2)], 2)
+    order8 = mf.classify_order(order4, 2)
+    return {8: order8, 16: mf.classify_order(order8, 2)}
+
+
+def _is_elementary_abelian(G) -> bool:
+    return G.is_abelian() and int(G.element_orders().max()) == 2
+
+
+def _reference_mapping_search(A, B, find_all):
+    """The generator-image search the array search replaced, kept as a
+    reference: greedy generators, candidates matched on (order, class size,
+    order of the square), and <gens[:k]> re-closed breadth-first at every
+    node."""
+    gens = greedy_generators(A)
+    if not gens:
+        return [np.zeros(1, dtype=np.int32)]
+
+    def invariants(G):
+        orders = G.element_orders()
+        class_of, classes = G.conjugacy_data()
+        sizes = np.array([len(c) for c in classes])
+        return [
+            (int(orders[x]), int(sizes[class_of[x]]), int(orders[G.mul[x, x]]))
+            for x in range(G.order)
+        ]
+
+    invA, invB = invariants(A), invariants(B)
+    candidates = [[y for y in range(B.order) if invB[y] == invA[g]] for g in gens]
+    n = A.order
+    found = []
+
+    def check_partial(images):
+        k = len(images)
+        phi = np.full(n, -1, dtype=np.int32)
+        phi[0] = 0
+        queue = [0]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for gi in range(k):
+                y = int(A.mul[x, gens[gi]])
+                v = int(B.mul[phi[x], images[gi]])
+                if phi[y] < 0:
+                    phi[y] = v
+                    queue.append(y)
+                elif phi[y] != v:
+                    return None
+        got = np.array(queue, dtype=np.int32)
+        vals = phi[got]
+        if len(np.unique(vals)) != len(got):
+            return None
+        if (phi[A.mul[np.ix_(got, got)]] != B.mul[vals[:, None], vals[None, :]]).any():
+            return None
+        return phi
+
+    def recurse(images):
+        if len(images) == len(gens):
+            phi = check_partial(images)
+            if phi is not None and (phi >= 0).all():
+                found.append(phi.astype(np.int32))
+            return
+        for cand in candidates[len(images)]:
+            images.append(cand)
+            if check_partial(images) is not None:
+                recurse(images)
+            images.pop()
+            if found and not find_all:
+                return
+
+    recurse([])
+    return found
+
+
+def test_automorphism_counts_of_order_8():
+    counts = {name: len(mf.all_automorphisms(G)) for _, name, G in mf.named_groups_8()}
+    assert counts == {"C8": 4, "C4xC2": 8, "D8": 8, "Q8": 24, "C2^3": 168}
+
+
+def test_automorphism_counts_of_elementary_abelian_groups():
+    """|GL(4, 2)| and |GL(3, 3)|."""
+    assert len(mf.all_automorphisms(mf.abelian_product(2, 2, 2, 2))) == 20160
+    assert len(mf.all_automorphisms(mf.abelian_product(3, 3, 3))) == 11232
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_automorphisms_match_reference_in_order(census_groups, order):
+    """Same maps in the same order, so the extension tables, the class
+    representatives and the fixture bytes stay the same (Aut(E16), 20160
+    maps, is left out: the reference takes minutes on it)."""
+    for G in census_groups[order]:
+        if order == 16 and _is_elementary_abelian(G):
+            continue
+        got = mf.all_automorphisms(G)
+        want = _reference_mapping_search(G, G, find_all=True)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_iso_exists_is_the_identity_relation_on_order_16(census_groups):
+    reps = census_groups[16]
+    assert len(reps) == 14
+    relation = [[mf.iso_exists(A, B) for B in reps] for A in reps]
+    assert relation == [[i == j for j in range(14)] for i in range(14)]
+
+
+def test_iso_exists_finds_relabelled_copies(census_groups):
+    rng = np.random.default_rng(16)
+    for G in census_groups[16]:
+        perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+        inverse = np.argsort(perm)
+        H = mf.from_table_unchecked(perm[G.mul[np.ix_(inverse, inverse)]])
+        assert mf.iso_exists(G, H) and mf.iso_exists(H, G)
+
+
+def test_mapping_search_rejects_a_non_prime_power_order():
+    S3 = mf.build_family(mf.FamilySpec("dihedral", (6,)))
+    with pytest.raises(CaminaError, match="p-group"):
+        mf.all_automorphisms(S3)
+
+
+def test_burnside_basis_has_the_generator_rank(census_groups):
+    for G in census_groups[8] + census_groups[16]:
+        plan = mf._SearchPlan(G)
+        assert len(plan.gens) == mf.generator_rank(G, 2)
+        assert plan.members[-1].size == G.order
+
+
+def test_regenerated_fixtures_are_byte_identical(tmp_path, capsys):
+    assert mf.main(["--out", str(tmp_path)]) == 0
+    for order in (8, 16, 27, 32):
+        name = f"order{order}.grp"
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_generator_checks_survive_optimize():
+    """The census count and associativity checks raise under python -O;
+    classify_order calls _assoc_ok and iso_exists through the module."""
+    script = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "tools")!r})
+import make_fixtures as mf
+from camina.errors import InvariantViolation
+
+def raised(fn):
+    try:
+        fn()
+    except InvariantViolation as exc:
+        return str(exc)
+
+order4 = mf.classify_checked([mf.cyclic_table(2)], 2)
+print(raised(lambda: mf.classify_checked(order4, 2)))
+mf.iso_exists = lambda A, B: False
+print(raised(lambda: mf.classify_checked(order4, 2)))
+mf._assoc_ok = lambda table: False
+print(raised(lambda: mf.classify_checked(order4, 2)))
+"""
+    proc = _run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    unchanged, no_iso, no_assoc = proc.stdout.splitlines()
+    assert unchanged == "None"
+    assert no_iso.startswith("order 8: ") and no_iso.endswith("expected 5")
+    assert no_assoc == "extension table is not associative"

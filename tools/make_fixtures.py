@@ -8,8 +8,20 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
 (a, h0) yields a group on H x Zp.  The builder therefore:
 
   1. enumerates all extensions of the known groups of order n by C_p,
-  2. deduplicates up to isomorphism (invariant fingerprints, then an
-     exact generator-mapping search),
+  2. deduplicates up to isomorphism: invariant fingerprints split the
+     tables into buckets, and within a bucket an exact search maps a
+     Burnside basis of one group (d(G) elements, each outside the subgroup
+     generated by the Frattini subgroup and the ones before it) onto
+     elements of the other with the same invariants (order, class size,
+     order of the square, membership of Phi and Z, number of p-th roots);
+     an image must also lie outside Phi and the images before it, and
+     its products and commutators with them must match in invariants.
+     Each generator added extends the map to the next subgroup of a
+     closure precomputed once per group, with a few array gathers, and
+     keeps it only while it is injective and multiplicative there; a
+     complete map is checked against the whole table.  Run from a group
+     to itself and sorted by image array, the same search lists the
+     automorphisms that step 1 needs,
   3. checks the census counts against the classical classification
      (5 groups of order 8, 14 of order 16, 5 of order 27, 51 of order 32),
   4. assigns catalogue indices: isomorphism-anchored indices where the
@@ -41,13 +53,14 @@ from camina.corpus import (  # noqa: E402
     _central_product_over_cp,
     _metacyclic as metacyclic,
     build_family,
-    greedy_generators,
     group_to_entry,
     parse_corpus,
     serialize_corpus,
 )
+from camina.errors import CaminaError, InvariantViolation  # noqa: E402
 from camina.groups import (  # noqa: E402
     FiniteGroup,
+    SubgroupHandle,
     center,
     derived_subgroup,
     direct_product,
@@ -57,11 +70,13 @@ from camina.groups import (  # noqa: E402
     subgroup_generate,
 )
 from camina.pairs import census  # noqa: E402
-from camina.structure import (  # noqa: E402
-    nilpotency_class,
-    upper_central_series,
-    valuation,
-)
+from camina.structure import central_series, is_prime_power, valuation  # noqa: E402
+
+
+def _ensure(ok: bool, message: str) -> None:
+    """A check of the generator that stays on under python -O."""
+    if not ok:
+        raise InvariantViolation(message)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +96,7 @@ def fingerprint(G: FiniteGroup) -> tuple:
     Z = center(G)
     Gp = derived_subgroup(G)
     Q, _ = quotient(G, Gp)
+    lower, upper = central_series(G)
     idx = np.arange(G.order)
     squares = np.unique(G.mul[idx, idx])
     profile = tuple(
@@ -102,95 +118,193 @@ def fingerprint(G: FiniteGroup) -> tuple:
         order_histogram(G, Gp.members),
         int(squares.size),
         order_histogram(Q),
-        tuple(t.order for t in upper_central_series(G).terms),
-        nilpotency_class(G),
+        tuple(t.order for t in upper.terms),
+        lower.class_c,
         profile,
     )
 
 
+def frattini_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
+    """Phi(G) = G'G^p, the Frattini subgroup of a p-group G."""
+    seeds = np.union1d(derived_subgroup(G).members, np.unique(power_map(G, p)))
+    return subgroup_generate(G, seeds)
+
+
 def generator_rank(G: FiniteGroup, p: int) -> int:
     """Rank of G over its Frattini quotient (p-groups only)."""
-    frattini_gens = np.union1d(derived_subgroup(G).members, np.unique(power_map(G, p)))
-    phi = subgroup_generate(G, frattini_gens)
-    return valuation(G.order // phi.order, p)
+    return valuation(G.order // frattini_subgroup(G, p).order, p)
 
 
 # ---------------------------------------------------------------------------
 # generator-mapping searches (isomorphism and automorphisms)
 
 
-def _element_invariants(G: FiniteGroup) -> list[tuple]:
+def _element_invariants(G: FiniteGroup, p: int, frattini: SubgroupHandle):
+    """One row of isomorphism invariants per element: order, class size,
+    order of the square, membership of Phi(G) and of Z(G), number of p-th
+    roots."""
     orders = G.element_orders()
     class_of, classes = G.conjugacy_data()
     sizes = np.array([len(c) for c in classes])
-    return [
-        (int(orders[x]), int(sizes[class_of[x]]), int(orders[G.mul[x, x]]))
-        for x in range(G.order)
-    ]
+    idx = np.arange(G.order)
+    return np.stack(
+        [
+            orders,
+            sizes[class_of],
+            orders[G.mul[idx, idx]],
+            frattini.mask,
+            center(G).mask,
+            np.bincount(power_map(G, p), minlength=G.order),
+        ],
+        axis=1,
+    )
+
+
+def _kinds(invariants: np.ndarray):
+    """Sorts elements into kinds, one per distinct invariant row.
+
+    Returns (the kinds' keys, the kind of each element, elements per kind);
+    a row's key has the row's entries as its digits in base n + 1.
+    """
+    n, width = invariants.shape
+    if (n + 1) ** width >= 2**63:
+        raise CaminaError(f"invariant keys overflow at order {n}")
+    key = invariants @ (n + 1) ** np.arange(width, dtype=np.int64)
+    return np.unique(key, return_inverse=True, return_counts=True)
+
+
+def _products_and_commutators(G: FiniteGroup, a, b) -> np.ndarray:
+    """Stacked arrays of the products ab and the commutators [a, b]."""
+    ab = G.mul[a, b]
+    return np.stack([ab, G.mul[G.mul[G.inv[a], G.inv[b]], ab]])
+
+
+class _SearchPlan:
+    """What the mapping search needs of its source group A, computed once.
+
+    gens is a Burnside basis: each generator is the first element outside
+    the subgroup generated by Phi(A) and the generators before it, so
+    there are d(A) of them.  For depth k, levels[k] lists the breadth-first
+    levels (element, parent, generator index) of <gens[:k+1]> beyond
+    <gens[:k]>, members[k] the elements of <gens[:k+1]>, prods[k] the
+    products A.mul[members[k], gens[:k+1]], and pair_kinds[k] the kinds of
+    the products and commutators of each earlier generator with gens[k].
+    """
+
+    def __init__(self, A: FiniteGroup):
+        n = A.order
+        pk = is_prime_power(n)
+        if pk is None:
+            raise CaminaError(f"the mapping search needs a p-group, got order {n}")
+        self.p = pk[0]
+        frattini = frattini_subgroup(A, self.p)
+        self.keys, self.kind, self.kind_sizes = _kinds(
+            _element_invariants(A, self.p, frattini)
+        )
+        self.gens: list[int] = []
+        self.levels: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+        self.members: list[np.ndarray] = []
+        self.prods: list[np.ndarray] = []
+        self.pair_kinds: list[np.ndarray] = []
+        mask = np.zeros(n, dtype=bool)  # <gens>
+        mask[0] = True
+        spanned = frattini.mask.copy()  # <Phi(A), gens> = Phi(A)<gens>
+        for x in range(1, n):
+            if spanned.all():
+                break
+            if spanned[x]:
+                continue
+            pairs = _products_and_commutators(A, self.gens, x)
+            self.pair_kinds.append(self.kind[pairs])
+            self.gens.append(x)
+            self._add_depth(A, mask)
+            spanned[A.mul[np.ix_(frattini.members, self.members[-1])]] = True
+        if not mask.all():
+            raise InvariantViolation("a Burnside basis failed to generate the group")
+
+    def _add_depth(self, A: FiniteGroup, mask: np.ndarray) -> None:
+        gens = np.asarray(self.gens, dtype=np.int32)
+        levels = []
+        frontier = np.flatnonzero(mask)
+        while frontier.size:
+            prods = A.mul[np.ix_(frontier, gens)].ravel()
+            fresh, first = np.unique(prods, return_index=True)
+            keep = ~mask[fresh]
+            fresh, first = fresh[keep], first[keep]
+            if fresh.size:
+                parent, gen = np.divmod(first, len(gens))
+                levels.append((fresh, frontier[parent], gen))
+                mask[fresh] = True
+            frontier = fresh
+        self.levels.append(levels)
+        members = np.flatnonzero(mask)
+        self.members.append(members)
+        self.prods.append(A.mul[np.ix_(members, gens)])
 
 
 def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
-    """Generator-image search for isomorphisms A -> B.
+    """Isomorphisms A -> B, found by the images of a Burnside basis of A.
 
-    Returns a list of image arrays (all of them when find_all, else at
-    most one).  Assumes |A| = |B|.
+    Returns a list of image arrays: all of them in lexicographic order when
+    find_all, else at most one.  Assumes |A| = |B|.  Each depth extends
+    the map to the next subgroup of the plan with a few array gathers and
+    rejects it unless it is injective and multiplicative there; every
+    complete map is checked again against the whole table.
     """
-    gens = greedy_generators(A)
-    if not gens:  # trivial group
+    if A.order == 1:
         return [np.zeros(1, dtype=np.int32)]
-    invA = _element_invariants(A)
-    invB = _element_invariants(B)
-    candidates = [
-        [y for y in range(B.order) if invB[y] == invA[g]] for g in gens
-    ]
-    n = A.order
+    if "search_plan" not in A._cache:
+        A._cache["search_plan"] = _SearchPlan(A)
+    plan = A._cache["search_plan"]
+    frattini_b = frattini_subgroup(B, plan.p)
+    keys, kind, kind_sizes = _kinds(_element_invariants(B, plan.p, frattini_b))
+    if not (
+        np.array_equal(keys, plan.keys) and np.array_equal(kind_sizes, plan.kind_sizes)
+    ):
+        return []  # the invariant rows differ as multisets
+    candidates = [np.flatnonzero(kind == plan.kind[g]) for g in plan.gens]
+    depth = len(plan.gens)
+    phi = np.full(A.order, -1, dtype=np.int32)
+    phi[0] = 0
+    imgs = np.zeros(depth, dtype=np.int32)
     found: list[np.ndarray] = []
 
-    def check_partial(images: list[int]) -> np.ndarray | None:
-        """phi on the subgroup generated by the mapped generators, or None.
+    def extends(k: int) -> bool:
+        """Map <gens[:k+1]> by imgs[:k+1]; True iff that is an injective
+        homomorphism on it.  It is a homomorphism iff phi(x g) = phi(x)
+        phi(g) for every member x and generator g, and then injective iff
+        only the identity maps to the identity."""
+        for el, parent, gen in plan.levels[k]:
+            phi[el] = B.mul[phi[parent], imgs[gen]]
+        vals = phi[plan.members[k]]
+        if np.count_nonzero(vals) != vals.size - 1:
+            return False
+        return bool((phi[plan.prods[k]] == B.mul[vals[:, None], imgs[: k + 1]]).all())
 
-        Closes <gens[:k]> breadth-first while propagating images; rejects on
-        any inconsistency, non-injectivity, or a failed product check.
-        """
-        k = len(images)
-        phi = np.full(n, -1, dtype=np.int32)
-        phi[0] = 0
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for gi in range(k):
-                y = int(A.mul[x, gens[gi]])
-                v = int(B.mul[phi[x], images[gi]])
-                if phi[y] < 0:
-                    phi[y] = v
-                    queue.append(y)
-                elif phi[y] != v:
-                    return None
-        got = np.array(queue, dtype=np.int32)
-        vals = phi[got]
-        if len(np.unique(vals)) != len(got):
-            return None
-        if (phi[A.mul[np.ix_(got, got)]] != B.mul[vals[:, None], vals[None, :]]).any():
-            return None
-        return phi
-
-    def recurse(images: list[int]):
-        if len(images) == len(gens):
-            phi = check_partial(images)
-            if phi is not None and (phi >= 0).all():
-                found.append(phi.astype(np.int32))
-            return
-        for cand in candidates[len(images)]:
-            images.append(cand)
-            if check_partial(images) is not None:
-                recurse(images)
-            images.pop()
+    def search(k: int) -> None:
+        pool = candidates[k]
+        if k:  # the images of a Burnside basis form one
+            spanned = np.zeros(B.order, dtype=bool)
+            spanned[B.mul[np.ix_(frattini_b.members, phi[plan.members[k - 1]])]] = True
+            pool = pool[~spanned[pool]]
+            pairs = kind[_products_and_commutators(B, imgs[:k, None], pool)]
+            pool = pool[(pairs == plan.pair_kinds[k][..., None]).all(axis=(0, 1))]
+        for image in pool:
+            imgs[k] = image
+            if not extends(k):
+                continue
+            if k + 1 < depth:
+                search(k + 1)
+            elif (phi >= 0).all() and (phi[A.mul] == B.mul[phi[:, None], phi]).all():
+                found.append(phi.copy())
             if found and not find_all:
                 return
+        for el, _, _ in plan.levels[k]:
+            phi[el] = -1
 
-    recurse([])
+    search(0)
+    if find_all and found:
+        found = [found[i] for i in np.lexsort(np.array(found).T[::-1])]
     return found
 
 
@@ -201,7 +315,9 @@ def iso_exists(A: FiniteGroup, B: FiniteGroup) -> bool:
         if A.is_abelian() != B.is_abelian():
             return False
         return order_histogram(A) == order_histogram(B)
-    return bool(_mapping_search(A, B, find_all=False))
+    # Searching from B reuses its cached plan: classify_order passes the
+    # class representative second.
+    return bool(_mapping_search(B, A, find_all=False))
 
 
 def all_automorphisms(G: FiniteGroup) -> list[np.ndarray]:
@@ -263,7 +379,7 @@ def classify_order(groups_below: list[FiniteGroup], p: int) -> list[FiniteGroup]
     reps: list[FiniteGroup] = []
     for H in groups_below:
         for table in extensions_of(H, p):
-            assert _assoc_ok(table), "extension table is not associative"
+            _ensure(_assoc_ok(table), "extension table is not associative")
             G = from_table_unchecked(table)
             key = fingerprint(G)
             bucket = buckets.setdefault(key, [])
@@ -382,7 +498,7 @@ def match_named(
             for i, G in enumerate(reps)
             if fps[i] == fpH and i not in assigned and iso_exists(H, G)
         ]
-        assert len(hits) == 1, f"anchor {name}: {len(hits)} matches"
+        _ensure(len(hits) == 1, f"anchor {name}: {len(hits)} matches")
         assigned[hits[0]] = (index, name)
     return assigned
 
@@ -395,16 +511,17 @@ def center_pair_positions(reps: list[FiniteGroup]) -> list[int]:
 def assign_indices_32(reps: list[FiniteGroup]) -> dict[int, tuple[int, str]]:
     assigned = match_named(reps, anchors_32())
     special = center_pair_positions(reps)
-    assert len(special) == 5, f"expected 5 center-pair groups, got {len(special)}"
-    assert not (set(special) & set(assigned)), "census groups collide with anchors"
+    _ensure(len(special) == 5, f"expected 5 center-pair groups, got {len(special)}")
+    _ensure(not set(special) & set(assigned), "census groups collide with anchors")
 
     ranks = {i: generator_rank(reps[i], 2) for i in range(len(reps))}
     fps = {i: fingerprint(reps[i]) for i in range(len(reps))}
     rank_split = Counter(ranks[i] for i in special)
     print(f"  census-five generator ranks: {dict(rank_split)}")
-    assert rank_split == Counter({2: 3, 3: 2}), (
+    _ensure(
+        rank_split == Counter({2: 3, 3: 2}),
         "unexpected rank split for the five center-pair groups; "
-        "the 6,7,8/43,44 block placement would not be consistent"
+        "the 6,7,8/43,44 block placement would not be consistent",
     )
     two_gen = sorted((i for i in special if ranks[i] == 2), key=lambda i: fps[i])
     three_gen = sorted((i for i in special if ranks[i] == 3), key=lambda i: fps[i])
@@ -418,7 +535,7 @@ def assign_indices_32(reps: list[FiniteGroup]) -> dict[int, tuple[int, str]]:
         key=lambda i: (ranks[i], fps[i]),
     )
     free_slots = sorted(set(range(1, 52)) - {v[0] for v in assigned.values()})
-    assert len(rest) == len(free_slots)
+    _ensure(len(rest) == len(free_slots), "free slots do not match the rest")
     for slot, i in zip(free_slots, rest):
         assigned[i] = (slot, f"G32_{slot}")
     return assigned
@@ -428,7 +545,7 @@ def assign_exact(
     reps: list[FiniteGroup], named: list[tuple[int, str, FiniteGroup]]
 ) -> dict[int, tuple[int, str]]:
     assigned = match_named(reps, named)
-    assert len(assigned) == len(reps), "not every group matched a named anchor"
+    _ensure(len(assigned) == len(reps), "not every group matched a named anchor")
     return assigned
 
 
@@ -477,41 +594,49 @@ def build_fixture(order: int, reps: list[FiniteGroup], assigned, out_dir: Path):
     path.write_text(text)
 
     reparsed = parse_corpus(path.read_text())
-    assert len(reparsed) == len(reps)
+    _ensure(len(reparsed) == len(reps), f"round trip of {path}: entry count")
     for entry, (index, name, G) in zip(reparsed, entries):
         rebuilt = entry.build()
-        assert rebuilt.order == order
-        assert fingerprint(rebuilt) == fingerprint(G), f"round trip {entry.gid}"
+        _ensure(
+            rebuilt.order == order and fingerprint(rebuilt) == fingerprint(G),
+            f"round trip {entry.gid}",
+        )
     print(f"  wrote {path} ({len(reps)} groups)")
     return entries
 
 
-def main() -> int:
+CENSUS = {4: 2, 8: 5, 16: 14, 32: 51, 9: 2, 27: 5}
+
+
+def classify_checked(groups_below: list[FiniteGroup], p: int) -> list[FiniteGroup]:
+    """classify_order, checked against the classical census count."""
+    reps = classify_order(groups_below, p)
+    order = groups_below[0].order * p
+    _ensure(
+        len(reps) == CENSUS[order],
+        f"order {order}: {len(reps)} classes, expected {CENSUS[order]}",
+    )
+    return reps
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", type=Path, default=Path("tests/fixtures"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
     print("enumerating 2-groups ...")
-    order2 = [cyclic_table(2)]
-    order4 = classify_order(order2, 2)
-    assert len(order4) == 2, len(order4)
-    order8 = classify_order(order4, 2)
-    assert len(order8) == 5, len(order8)
+    order4 = classify_checked([cyclic_table(2)], 2)
+    order8 = classify_checked(order4, 2)
     print(f"  order 8: {len(order8)} classes")
-    order16 = classify_order(order8, 2)
-    assert len(order16) == 14, len(order16)
+    order16 = classify_checked(order8, 2)
     print(f"  order 16: {len(order16)} classes ({time.time() - t0:.1f}s)")
-    order32 = classify_order(order16, 2)
-    assert len(order32) == 51, len(order32)
+    order32 = classify_checked(order16, 2)
     print(f"  order 32: {len(order32)} classes ({time.time() - t0:.1f}s)")
 
     print("enumerating 3-groups ...")
-    order9 = classify_order([cyclic_table(3)], 3)
-    assert len(order9) == 2
-    order27 = classify_order(order9, 3)
-    assert len(order27) == 5
+    order27 = classify_checked(classify_checked([cyclic_table(3)], 3), 3)
     print(f"  order 27: {len(order27)} classes")
 
     print("assigning indices ...")
@@ -528,12 +653,13 @@ def main() -> int:
 
     # cross-checks against the expected census facts
     pair8 = census([(idx, G) for idx, _, G in e8], 8, "center-pair").hits
-    assert pair8 == [3, 4], pair8  # D8 and Q8
+    _ensure(pair8 == [3, 4], f"order-8 center pairs {pair8}, not D8 and Q8")
     five = center_pair_positions([G for _, _, G in e32])
-    assert [e32[i][0] for i in five] == [6, 7, 8, 43, 44], five
-    for idx, name, G in e32:
-        if idx in (6, 7, 8, 43, 44):
-            assert center(G).order == 2
+    _ensure([e32[i][0] for i in five] == [6, 7, 8, 43, 44], f"center pairs at {five}")
+    _ensure(
+        all(center(e32[i][2]).order == 2 for i in five),
+        "an order-32 center pair has a center larger than 2",
+    )
     print(f"all checks passed ({time.time() - t0:.1f}s total)")
     return 0
 
