@@ -3,14 +3,19 @@
 The table is computed over F_l for the least prime l with l = 1 (mod
 exponent(G)) and l > 2*sqrt(|G|): the structure constants of the class
 algebra give commuting matrices whose joint eigenvectors are the rows
-(|C_j| chi(g_j) / chi(1))_j reduced mod l.  Following Dixon (1967) as
-refined by Schneider (1990), the common eigenspaces are split by random
-F_l-combinations of all class matrices: the eigenvalues of each
-combination, restricted to an unsplit subspace, are the roots in F_l of
-its characteristic polynomial (through a Hessenberg reduction mod l), and
-each eigenspace is one nullspace.  The values are lifted to exact
-cyclotomic integers through the discrete Fourier transform over powers
-of a primitive root of F_l, one matrix product mod l per class.
+(|C_j| chi(g_j) / chi(1))_j reduced mod l.  The |G:G'| linear rows are
+read off the abelianization G/G', built one cyclic extension at a time.
+The nonlinear rows span the vectors whose entries sum to zero over the
+classes in each coset of G'; following Dixon (1967) as refined by
+Schneider (1990), that span alone is split by random F_l-combinations of
+all class matrices: the eigenvalues of each combination, restricted to an
+unsplit subspace, are the roots in F_l of its characteristic polynomial
+(through a Hessenberg reduction mod l), and each eigenspace is one
+nullspace.  The values are lifted to exact cyclotomic integers through
+the discrete Fourier transform over powers of a primitive root of F_l,
+one matrix product mod l per class.  The orthogonality checks form whole
+Gram matrices over Z[x]/(x^e - 1) and reduce them mod the cyclotomic
+polynomial, exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ import numpy as np
 from . import _kernels
 from .cyclotomic import CyclotomicValue
 from .errors import InternalPrimeSearchFailed, InvariantViolation
-from .groups import FiniteGroup, SubgroupHandle, group_exponent, is_normal
+from .groups import (
+    FiniteGroup,
+    SubgroupHandle,
+    derived_subgroup,
+    group_exponent,
+    is_normal,
+    quotient,
+)
 from .structure import is_prime_power
 
 PRIME_SEARCH_CAP = 10**6
@@ -184,20 +196,25 @@ def _roots_mod(poly: np.ndarray, l: int) -> np.ndarray:
 SPLIT_ROUNDS = 64
 
 
-def _joint_eigenrows(consts: np.ndarray, l: int) -> list[np.ndarray]:
-    """Common eigenvectors (as rows, k-vectors) of the class matrices mod l.
+def _joint_eigenrows(
+    consts: np.ndarray, B: np.ndarray, piv: np.ndarray, l: int
+) -> list[np.ndarray]:
+    """Common eigenvectors (as rows, k-vectors) of the class matrices mod l
+    inside the row space of B.
 
-    consts[i] is the i-th class matrix, reduced mod l.  Each round draws
-    one random F_l-combination C of all of them (seeded from l, so the
-    draws depend only on the input), restricts C to each unsplit subspace
-    and splits the subspace into the eigenspaces of C: the eigenvalues
-    are the roots of the characteristic polynomial, and each eigenspace
-    is one nullspace.  The class algebra mod l is split semisimple, so
-    the joint eigenspaces are lines.
+    consts[i] is the i-th class matrix, reduced mod l.  The rows of B span
+    a sum of joint eigenspaces, and B[:, piv] is the identity, so a vector
+    v of the space is sum_i v[piv[i]] B[i].  Each
+    round draws one random F_l-combination C of all class matrices (seeded
+    from l, so the draws depend only on the input), restricts C to each
+    unsplit subspace and splits the subspace into the eigenspaces of C:
+    the eigenvalues are the roots of the characteristic polynomial, and
+    each eigenspace is one nullspace.  The class algebra mod l is split
+    semisimple, so the joint eigenspaces are lines.
     """
     k = consts.shape[0]
     rng = np.random.default_rng(l)
-    spaces = [_rref_mod(np.eye(k, dtype=np.int64), l)]
+    spaces = [(B, piv)]
     for _ in range(SPLIT_ROUNDS):
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
@@ -275,6 +292,83 @@ def _power_classes(G: FiniteGroup, class_of: np.ndarray, rep: int, o: int) -> np
     return pm
 
 
+def _linear_characters(G: FiniteGroup, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The characters of G/G' as exponents mod e.
+
+    Returns (A, proj): proj maps each element of G to its coset of G', and
+    the i-th linear character is lambda_i(g) = zeta_e^A[i, proj[g]].  The
+    table grows one cyclic step at a time: if x has order r modulo the
+    subgroup H built so far and lambda(x^r) = zeta_e^a, then r divides a
+    and lambda extends to <H, x> in r ways, by lambda(x) = zeta_e^b with
+    b = a/r + t e/r for t = 0, ..., r - 1.
+    """
+    Q, proj = quotient(G, derived_subgroup(G))
+    members = np.zeros(1, dtype=np.int64)  # H, in the column order of A
+    pos = np.full(Q.order, -1, dtype=np.int64)  # column of each element of H
+    pos[0] = 0
+    A = np.zeros((1, 1), dtype=np.int64)
+    while members.size < Q.order:
+        x = int(np.flatnonzero(pos < 0)[0])
+        cosets, y = [members], x  # H, Hx, Hx^2, ...; y runs over x^i
+        while pos[y] < 0:
+            cosets.append(Q.mul[members, y])
+            y = int(Q.mul[y, x])
+        r = len(cosets)
+        b = A[:, pos[y]][:, None] // r + np.arange(r)[None, :] * (e // r)
+        i = np.arange(r)[None, None, :, None]
+        A = (A[:, None, None, :] + i * b[:, :, None, None]) % e
+        A = A.reshape(b.size, b.size)
+        members = np.concatenate(cosets)
+        pos[members] = np.arange(members.size)
+    return A[:, pos], proj
+
+
+def _nonlinear_basis(coset_of_class: np.ndarray, m: int, l: int):
+    """(B, piv): the span of the nonlinear rows w_j = |C_j| chi(g_j) / chi(1).
+
+    A nonlinear chi is orthogonal to every function on G/G', so its row
+    sums to zero over the classes of each of the m = |G:G'| cosets of G';
+    those conditions have disjoint supports, and the span is exactly their
+    solution space.  Its basis is e_j - e_f for each class j that is not
+    the first class f of its coset, with B[:, piv] the identity.
+    """
+    k = coset_of_class.size
+    first = np.unique(coset_of_class, return_index=True)[1]
+    if first.size != m:
+        raise InvariantViolation(
+            f"|G:G'| = {m} plus {k - first.size} nonlinear rows is not {k} classes"
+        )
+    piv = np.setdiff1d(np.arange(k), first)
+    B = np.zeros((piv.size, k), dtype=np.int64)
+    B[np.arange(piv.size), piv] = 1
+    B[np.arange(piv.size), first[coset_of_class[piv]]] = l - 1
+    return B, piv
+
+
+def _character_rows(G: FiniteGroup, reps, sizes, e: int, l: int):
+    """(linear, nonlinear): the rows w_j = |C_j| chi(g_j) / chi(1) mod l.
+
+    reps and sizes are the class representatives and class sizes.  The
+    linear rows come from G/G'; only the nonlinear span is split, so the
+    class-constant tensor is built only when that span has dimension at
+    least 2 (never for an abelian group).
+    """
+    A, proj = _linear_characters(G, e)
+    coset_of_class = proj[reps]
+    B, piv = _nonlinear_basis(coset_of_class, A.shape[0], l)
+    z = _root_of_unity(e, l)
+    zpow = np.array([pow(z, a, l) for a in range(e)], dtype=np.int64)
+    linear = sizes * zpow[A[:, coset_of_class]] % l
+    if B.shape[0] < 2:
+        return linear, list(B)
+    return linear, _joint_eigenrows(class_mult_coefficients(G) % l, B, piv, l)
+
+
+def _root_of_unity(e: int, l: int) -> int:
+    """The primitive e-th root of unity mod l that the lift reads as zeta_e."""
+    return pow(_primitive_root(l), (l - 1) // e, l)
+
+
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     """Exact character table of G (cached on the group)."""
     if "chartable" in G._cache:
@@ -289,7 +383,8 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     order = G.order
     l = least_dixon_prime(order, e)
 
-    rows = _joint_eigenrows(class_mult_coefficients(G) % l, l)
+    linear, nonlinear = _character_rows(G, reps, sizes, e, l)
+    rows = list(linear) + nonlinear
 
     size_inv = np.array([pow(int(s), -1, l) for s in sizes], dtype=np.int64)
     chars_mod = []
@@ -311,7 +406,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     # Fourier lift to Z[zeta_e]: on a class of order o, the multiplicity of
     # the eigenvalue zeta_o^u of chi is (1/o) sum_t chi(g^t) zeta_o^(-ut).
     chars = np.array(chars_mod, dtype=np.int64)
-    z = pow(_primitive_root(l), (l - 1) // e, l)
+    z = _root_of_unity(e, l)
     elem_orders = G.element_orders()
     fourier: dict[int, np.ndarray] = {}
     table_values: list[list[CyclotomicValue]] = [[] for _ in range(k)]
@@ -365,50 +460,56 @@ def _coefficients(table: CharacterTable) -> np.ndarray:
     return np.array([[v.coeffs for v in row] for row in table.values], dtype=np.int64)
 
 
-def _folds_to(products: np.ndarray, e: int, want: list[int]) -> bool:
-    """True iff each products[r], the coefficient of zeta^u zeta^v at [u, v],
-    sums to the rational integer want[r]."""
-    shift = (np.arange(e)[:, None] + np.arange(e)[None, :]) % e
-    folded = np.zeros((products.shape[0], e), dtype=np.int64)
+def _gram(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
+    """Canonical coefficients of sum_j X[i, j] Y[m, j] in Z[zeta_e], as (i, m, u).
+
+    X[i, j] and Y[m, j] are coefficient vectors of length e.  The products
+    are taken in Z[x]/(x^e - 1), one matrix product per power u of x in X,
+    and every entry is then reduced mod Phi_e by one e x e matrix whose row
+    u is the canonical form of x^u.  The products run in float64, which is
+    exact while every partial sum stays below 2^53; the bound below covers
+    the sum of the absolute values of all terms of every entry.
+    """
+    ki, kj, _ = X.shape
+    km = Y.shape[0]
+    reduce = np.array([CyclotomicValue.root(e, u).coeffs for u in range(e)])
+    bound = (
+        int(np.abs(X).sum(axis=(1, 2)).max())
+        * int(np.abs(Y).max())
+        * int(np.abs(reduce).sum(axis=0).max())
+    )
+    if bound >= 2**53:
+        raise InvariantViolation(f"Gram bound {bound} is not below 2^53")
+    Xf = X.astype(np.float64)
+    Yt = Y.transpose(1, 0, 2).astype(np.float64)  # (j, m, v)
+    prod = np.zeros((ki, km * e))
     for u in range(e):
-        folded[:, shift[u]] += products[:, u, :]
-    return all(
-        CyclotomicValue.from_coeffs(e, f.tolist()).as_int() == w
-        for f, w in zip(folded, want)
+        # x^u times Y: coefficient v moves to v + u (mod e)
+        prod += Xf[:, :, u] @ np.roll(Yt, u, axis=2).reshape(kj, km * e)
+    return (prod.reshape(ki, km, e) @ reduce).astype(np.int64)
+
+
+def _is_diagonal(gram: np.ndarray, diagonal) -> bool:
+    """True iff the reduced Gram matrix is the rational diag(diagonal)."""
+    return bool(
+        np.array_equal(gram[:, :, 0], np.diag(diagonal)) and not gram[:, :, 1:].any()
     )
 
 
 def check_row_orthogonality(table: CharacterTable) -> bool:
     """Exact first orthogonality: sum_j |C_j| chi_i(g_j) chi_m(g_j^-1)."""
-    k = table.n_classes
     V = _coefficients(table)
     X = V * table.class_sizes[None, :, None]
     Y = V[:, table.inverse_class, :]
-    order = table.order
-    return all(
-        _folds_to(
-            np.einsum("ju,mjv->muv", X[i], Y),
-            table.exponent,
-            [order if m == i else 0 for m in range(k)],
-        )
-        for i in range(k)
-    )
+    gram = _gram(X, Y, table.exponent)
+    return _is_diagonal(gram, [table.order] * table.n_classes)
 
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
     """Exact second orthogonality: sum_i chi_i(g_j) chi_i(g_k^-1)."""
-    k = table.n_classes
-    V = _coefficients(table)
-    W = V[:, table.inverse_class, :]
-    order = table.order
-    return all(
-        _folds_to(
-            np.einsum("iu,ikv->kuv", V[:, j, :], W),
-            table.exponent,
-            [order // int(table.class_sizes[j]) if c == j else 0 for c in range(k)],
-        )
-        for j in range(k)
-    )
+    V = _coefficients(table).transpose(1, 0, 2)
+    gram = _gram(V, V[table.inverse_class], table.exponent)
+    return _is_diagonal(gram, table.order // table.class_sizes)
 
 
 def character_kernel_contains(

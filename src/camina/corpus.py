@@ -90,7 +90,8 @@ def parse_corpus(
 ) -> list[CorpusEntry]:
     """Parse corpus text into entries; closures are validated by default.
 
-    A degree above the order cap is rejected before anything is allocated.
+    A degree above the order cap is rejected before anything is allocated,
+    and so, when closures are validated, is a declared order above it.
     """
     entries: list[CorpusEntry] = []
     seen: set[tuple[int, int]] = set()
@@ -178,7 +179,7 @@ def parse_corpus(
         raise CorpusSyntaxError(cur["line"], "unterminated group block")
     if validate:
         for entry in entries:
-            entry.build()
+            entry.build(order_cap)
     return entries
 
 

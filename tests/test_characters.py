@@ -1,5 +1,6 @@
 """Dixon character tables: structure constants, degrees, exact checks."""
 
+import dataclasses
 import gc
 import hashlib
 import os
@@ -16,13 +17,15 @@ from camina import (
     build_family,
     center,
     class_mult_coefficients,
+    derived_subgroup,
     direct_product,
     dixon_character_table,
     irr_over,
     verify_fully_ramified,
 )
 from camina.characters import (
-    _joint_eigenrows,
+    _character_rows,
+    _coefficients,
     _nullspace_mod,
     _rref_mod,
     check_column_orthogonality,
@@ -32,6 +35,8 @@ from camina.characters import (
 )
 from camina.cli import main
 from camina.corpus import parse_family_spec
+from camina.cyclotomic import CyclotomicValue
+from camina.errors import InvariantViolation
 from camina.groups import group_from_cayley_table, subgroup_generate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -155,8 +160,7 @@ def test_orthogonality_over_whole_fixture_corpus(corpus_groups):
     for gid, G in sorted(corpus_groups.items()):
         t = dixon_character_table(G)
         assert sum(d * d for d in t.degrees) == G.order
-        assert check_row_orthogonality(t)
-        assert check_column_orthogonality(t)
+        assert _checks_agree(t) == (True, True), gid
 
 
 def test_table_of_cyclic_32():
@@ -230,22 +234,131 @@ def _normalized(rows, l):
 
 
 @pytest.mark.parametrize(
-    "name", ["q8", "c3s3", "heis27", "32:49", "extraspecial_p:3,2", "cyclic:32"]
+    "name", ["q8", "s3", "c3s3", "heis27", "32:49", "extraspecial_p:3,2", "cyclic:32"]
 )
 def test_splitter_matches_lambda_scan(request, corpus_groups, name):
-    if name in ("q8", "c3s3", "heis27"):
+    """The rows from G/G' plus the split nonlinear span are the rows the
+    lambda-scan finds on all of F_l^k."""
+    if name in ("q8", "s3", "c3s3", "heis27"):
         G = request.getfixturevalue(name)
     elif name in corpus_groups:
         G = corpus_groups[name]
     else:
         G = build_family(parse_family_spec(name))
-    l = dixon_character_table(G).modulus
+    table = dixon_character_table(G)
+    l = table.modulus
     consts = class_mult_coefficients(G) % l
     k = consts.shape[0]
     want = _normalized(_lambda_scan_eigenrows([consts[i] for i in range(1, k)], l), l)
-    got = _normalized(_joint_eigenrows(consts, l), l)
+    linear, nonlinear = _character_rows(
+        G, table.class_reps, table.class_sizes, table.exponent, l
+    )
+    assert len(linear) == G.order // derived_subgroup(G).order
+    assert table.degrees.count(1) == len(linear)
+    got = _normalized(list(linear) + nonlinear, l)
     assert len(got) == k
     assert got == want
+
+
+@pytest.mark.parametrize("spec", ["cyclic:64", "elemab:3,4"])
+def test_abelian_table_builds_no_class_constants(spec):
+    G = build_family(parse_family_spec(spec))
+    t = dixon_character_table(G)
+    assert t.degrees == [1] * G.order
+    assert "class_consts" not in G._cache
+    assert check_row_orthogonality(t) and check_column_orthogonality(t)
+
+
+# ---------------------------------------------------------------------------
+# the Gram-product orthogonality checks against the per-entry folds
+
+
+def _folds_to(products, e, want):
+    """True iff each products[r], the coefficient of zeta^u zeta^v at [u, v],
+    sums to the rational integer want[r]."""
+    shift = (np.arange(e)[:, None] + np.arange(e)[None, :]) % e
+    folded = np.zeros((products.shape[0], e), dtype=np.int64)
+    for u in range(e):
+        folded[:, shift[u]] += products[:, u, :]
+    return all(
+        CyclotomicValue.from_coeffs(e, f.tolist()).as_int() == w
+        for f, w in zip(folded, want)
+    )
+
+
+def _fold_row_orthogonality(table):
+    """Reference first orthogonality: one einsum and k folds per row."""
+    k = table.n_classes
+    V = _coefficients(table)
+    X = V * table.class_sizes[None, :, None]
+    Y = V[:, table.inverse_class, :]
+    return all(
+        _folds_to(
+            np.einsum("ju,mjv->muv", X[i], Y),
+            table.exponent,
+            [table.order if m == i else 0 for m in range(k)],
+        )
+        for i in range(k)
+    )
+
+
+def _fold_column_orthogonality(table):
+    """Reference second orthogonality: one einsum and k folds per class."""
+    k = table.n_classes
+    V = _coefficients(table)
+    W = V[:, table.inverse_class, :]
+    return all(
+        _folds_to(
+            np.einsum("iu,ikv->kuv", V[:, j, :], W),
+            table.exponent,
+            [table.order // int(table.class_sizes[j]) if c == j else 0 for c in range(k)],
+        )
+        for j in range(k)
+    )
+
+
+def _perturbed(table, i, j, delta):
+    values = [list(row) for row in table.values]
+    values[i][j] = values[i][j] + delta
+    return dataclasses.replace(table, values=values)
+
+
+def _checks_agree(table):
+    row, col = check_row_orthogonality(table), check_column_orthogonality(table)
+    assert row == _fold_row_orthogonality(table)
+    assert col == _fold_column_orthogonality(table)
+    return row, col
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:2,3", "heisenberg:3,2", "T:5,1"])
+def test_gram_checks_match_folds_on_wide_tables(spec):
+    t = dixon_character_table(build_family(parse_family_spec(spec)))
+    assert _checks_agree(t) == (True, True)
+    i = t.degrees.index(max(t.degrees))
+    one = CyclotomicValue.from_int(t.exponent, 1)
+    assert _checks_agree(_perturbed(t, i, 1, one)) == (False, False)
+
+
+@pytest.mark.parametrize("name", ["q8", "s3", "heis27"])
+def test_gram_checks_reject_one_perturbed_value(request, name):
+    t = dixon_character_table(request.getfixturevalue(name))
+    e = t.exponent
+    zeta = CyclotomicValue.root(e, 1)
+    for i, j in [(0, 0), (t.n_classes - 1, t.n_classes - 1), (1, t.n_classes - 1)]:
+        for delta in (CyclotomicValue.from_int(e, 1), zeta):
+            assert _checks_agree(_perturbed(t, i, j, delta)) == (False, False)
+
+
+def test_column_check_reads_the_irrational_part():
+    """zeta_8 added to the trivial character of C_8 on a non-real class
+    moves only irrational coefficients of the column Gram matrix (zeta_8
+    and zeta_8^2 are both basis elements)."""
+    t = dixon_character_table(build_family(FamilySpec("cyclic", (8,))))
+    i = next(i for i, row in enumerate(t.values) if all(v.as_int() == 1 for v in row))
+    j = next(j for j in range(t.n_classes) if t.inverse_class[j] != j)
+    bad = _perturbed(t, i, j, CyclotomicValue.root(t.exponent, 1))
+    assert not check_column_orthogonality(bad)
+    assert not _fold_column_orthogonality(bad)
 
 
 # sha256 of `camina chartable --family SPEC`, as printed by the lambda-scan
@@ -267,11 +380,13 @@ def test_chartable_output_is_pinned(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[spec]
 
 
+# heis27 has a 2-dimensional nonlinear span, so the splitter reads the
+# constants (for q8 the span is one line and they are never read).
 CORRUPTED_TABLE = """
 from camina import FamilySpec, build_family, class_mult_coefficients
 from camina import dixon_character_table
 from camina.errors import InvariantViolation
-G = build_family(FamilySpec("quaternion", (8,)))
+G = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
 consts = class_mult_coefficients(G).copy()
 {corruption}
 G._cache["class_consts"] = consts
@@ -285,9 +400,9 @@ except InvariantViolation as exc:
 @pytest.mark.parametrize(
     "corruption, message",
     [
-        ("consts[1, 0, 1] += 1", "class matrix failed to diagonalize"),
+        ("consts[:, 1, 2] += 1", "class matrix failed to diagonalize"),
         ("consts[...] = 0", "joint eigenbasis incomplete"),
-        ("consts[...] += 1", "11 is not a quadratic residue mod 13"),
+        ("consts[1, 1, 1] += 1", "11 is not a quadratic residue mod 13"),
     ],
 )
 def test_corrupted_class_constants_raise_under_optimize(corruption, message):
@@ -302,6 +417,13 @@ def test_corrupted_class_constants_raise_under_optimize(corruption, message):
         check=True,
     ).stdout
     assert out == f"InvariantViolation: {message}\n"
+
+
+def test_linear_and_nonlinear_counts_must_sum_to_the_class_count():
+    G = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
+    G._cache["derived"] = np.zeros(1, dtype=np.int32)  # a wrong G' = 1
+    with pytest.raises(InvariantViolation, match="27 plus 0 nonlinear rows is not 11"):
+        dixon_character_table(G)
 
 
 def test_table_does_not_keep_its_group_alive(q8):

@@ -18,8 +18,15 @@ from camina import (
     t_witness_spec,
     verify_witness_properties,
 )
-from camina.corpus import _digit_sum_table, default_family_instances, group_to_entry
+from camina.corpus import (
+    FAMILIES,
+    _digit_sum_table,
+    default_family_instances,
+    group_to_entry,
+)
 from camina.errors import (
+    CaminaError,
+    ClosureExceedsCap,
     CorpusSyntaxError,
     DuplicateId,
     OrderMismatch,
@@ -118,6 +125,66 @@ def test_cyclic_round_trip(n):
     entry = group_to_entry(G, n, 1, f"C{n}")
     back = parse_corpus(serialize_corpus([entry]))[0].build()
     assert np.array_equal(back.mul, G.mul)
+
+
+def test_declared_order_above_the_cap_is_rejected_before_closure():
+    # the generators close to S_5; the cap stops the closure before it starts
+    text = "group 120 1 S5\ndegree 5\ngen 2 3 4 5 1\ngen 2 1 3 4 5\nend\n"
+    with pytest.raises(ClosureExceedsCap):
+        parse_corpus(text, order_cap=24)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input parses or raises a CaminaError, within a small cap
+
+FUZZ_CAP = 24
+
+_small_ints = st.integers(min_value=-2, max_value=30) | st.integers()
+_corpus_line = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(["end", "group", "degree", "gen", "# note", "", "  end  "]),
+    st.builds(
+        "group {} {} {}".format, _small_ints, _small_ints, st.text(max_size=4)
+    ),
+    st.builds("degree {}".format, _small_ints),
+    st.lists(_small_ints, max_size=9).map(lambda xs: " ".join(["gen", *map(str, xs)])),
+    st.integers(min_value=1, max_value=8)
+    .flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda xs: " ".join(["gen", *map(str, xs)])),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_corpus_line, max_size=12).map("\n".join))
+def test_parse_corpus_fuzz(text):
+    try:
+        entries = parse_corpus(text, order_cap=FUZZ_CAP)
+    except CaminaError:
+        return
+    for e in entries:
+        assert 1 <= e.degree <= FUZZ_CAP
+        assert e.build(FUZZ_CAP).order == e.order <= FUZZ_CAP
+
+
+_aliases = sorted(f.alias for f in FAMILIES.values())
+_family_text = st.one_of(
+    st.text(max_size=20),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(_aliases) | st.text(max_size=4),
+        st.lists(_small_ints.map(str) | st.text(max_size=3), max_size=4).map(",".join),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_family_text)
+def test_parse_family_spec_fuzz(text):
+    try:
+        G = build_family(parse_family_spec(text), order_cap=FUZZ_CAP)
+    except CaminaError:
+        return
+    assert G.order <= FUZZ_CAP
 
 
 # ---------------------------------------------------------------------------
