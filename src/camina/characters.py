@@ -11,22 +11,26 @@ Schneider (1990), that span alone is split by random F_l-combinations of
 all class matrices: the eigenvalues of each combination, restricted to an
 unsplit subspace, are the roots in F_l of its characteristic polynomial
 (through a Hessenberg reduction mod l), and each eigenspace is one
-nullspace.  The values are lifted to exact cyclotomic integers through
-the discrete Fourier transform over powers of a primitive root of F_l,
-one matrix product mod l per class.  The orthogonality checks form whole
+nullspace.  The values form one (k, k, phi(e)) array of canonical
+coefficients in Z[zeta_e]: the linear rows are rows of the reduction
+matrix picked by their exponents, and only the nonlinear rows are lifted,
+through the discrete Fourier transform over powers of a primitive root
+of F_l, one matrix product mod l per class.  A fixed entry budget is
+checked before anything is built.  The orthogonality checks form whole
 Gram matrices over Z[x]/(x^e - 1) and reduce them mod the cyclotomic
 polynomial, exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .cyclotomic import CyclotomicValue
-from .errors import InternalPrimeSearchFailed, InvariantViolation
+from .cyclotomic import reduction_matrix
+from .errors import InternalPrimeSearchFailed, InvariantViolation, TableTooLarge
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -38,6 +42,11 @@ from .groups import (
 from .structure import is_prime_power
 
 PRIME_SEARCH_CAP = 10**6
+
+# The most int64 entries a table may hold, checked before anything is built:
+# k^2 phi(e) values, and the k^3 class constants when the nonlinear span is
+# split (128 MB each).
+TABLE_BUDGET = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +257,10 @@ def _joint_eigenrows(
 class CharacterTable:
     """Exact character table: degrees plus cyclotomic values per class.
 
-    It holds the group order and class map its checks read, not the
-    group itself, so a cached table keeps no reference back to its group.
+    values is a read-only (k, k, phi(e)) int64 array: values[i, j] is the
+    canonical form of chi_i(g_j) in Z[zeta_e] (see camina.cyclotomic).
+    The table holds the group order and class map its checks read, not
+    the group itself, so a cached table keeps no reference back to it.
     """
 
     order: int
@@ -258,7 +269,7 @@ class CharacterTable:
     class_sizes: np.ndarray
     inverse_class: np.ndarray
     degrees: list[int]
-    values: list[list[CyclotomicValue]]
+    values: np.ndarray
     modulus: int
     exponent: int
 
@@ -345,28 +356,59 @@ def _nonlinear_basis(coset_of_class: np.ndarray, m: int, l: int):
     return B, piv
 
 
-def _character_rows(G: FiniteGroup, reps, sizes, e: int, l: int):
-    """(linear, nonlinear): the rows w_j = |C_j| chi(g_j) / chi(1) mod l.
+def _character_rows(G: FiniteGroup, reps, e: int, l: int):
+    """(A, nonlinear): the linear characters as exponents, and the
+    nonlinear rows w_j = |C_j| chi(g_j) / chi(1) mod l.
 
-    reps and sizes are the class representatives and class sizes.  The
-    linear rows come from G/G'; only the nonlinear span is split, so the
-    class-constant tensor is built only when that span has dimension at
-    least 2 (never for an abelian group).
+    reps are the class representatives; the i-th linear character takes
+    the value zeta_e^A[i, j] on class j.  Only the nonlinear span is
+    split, so the class-constant tensor is built only when that span has
+    dimension at least 2 (never for an abelian group).
     """
     A, proj = _linear_characters(G, e)
     coset_of_class = proj[reps]
     B, piv = _nonlinear_basis(coset_of_class, A.shape[0], l)
-    z = _root_of_unity(e, l)
-    zpow = np.array([pow(z, a, l) for a in range(e)], dtype=np.int64)
-    linear = sizes * zpow[A[:, coset_of_class]] % l
+    A = A[:, coset_of_class]
     if B.shape[0] < 2:
-        return linear, list(B)
-    return linear, _joint_eigenrows(class_mult_coefficients(G) % l, B, piv, l)
+        return A, list(B)
+    return A, _joint_eigenrows(class_mult_coefficients(G) % l, B, piv, l)
 
 
 def _root_of_unity(e: int, l: int) -> int:
     """The primitive e-th root of unity mod l that the lift reads as zeta_e."""
     return pow(_primitive_root(l), (l - 1) // e, l)
+
+
+def _check_budget(k: int, e: int, span: int) -> None:
+    """Refuse a table whose value array or class-constant tensor would hold
+    more than TABLE_BUDGET int64 entries; span is the dimension of the
+    nonlinear span, and the k^3 tensor is built only when it is 2 or more."""
+    values = k * k * sum(math.gcd(u, e) == 1 for u in range(e))
+    consts = k**3 if span >= 2 else 0
+    if max(values, consts) > TABLE_BUDGET:
+        raise TableTooLarge(
+            f"character table with {k} classes and exponent {e} needs "
+            f"{values} values (k^2 phi(e)) and {consts} class constants (k^3); "
+            f"the budget is {TABLE_BUDGET} int64 entries each"
+        )
+
+
+def _row_order(degrees: list[int], values: np.ndarray) -> np.ndarray:
+    """Indices sorting the rows by degree, then coefficients in order.
+
+    The rows of a character table are distinct, so the stable sort reads
+    only as many leading coefficients as it needs to tell every pair of
+    neighbours apart, doubling that number until it does.
+    """
+    flat = values.reshape(len(degrees), -1)
+    c = 1
+    while True:
+        keys = np.column_stack([degrees, flat[:, :c]])
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        if c >= flat.shape[1] or (ranked[1:] != ranked[:-1]).any(axis=1).all():
+            return order
+        c *= 2
 
 
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
@@ -381,15 +423,15 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     inverse_class = np.array([class_of[G.inv[r]] for r in reps], dtype=np.int64)
     e = group_exponent(G)
     order = G.order
+    _check_budget(k, e, k - order // derived_subgroup(G).order)
     l = least_dixon_prime(order, e)
 
-    linear, nonlinear = _character_rows(G, reps, sizes, e, l)
-    rows = list(linear) + nonlinear
-
+    A, nonlinear = _character_rows(G, reps, e, l)
+    m = len(A)
     size_inv = np.array([pow(int(s), -1, l) for s in sizes], dtype=np.int64)
-    chars_mod = []
-    degrees = []
-    for w in rows:
+    chars = []
+    degrees = [1] * m
+    for w in nonlinear:
         if w[0] % l == 0:
             raise InvariantViolation("eigenvector vanishes on the identity class")
         # normalize w[0] = 1 so w_j = |C_j| chi(g_j) / chi(1) mod l
@@ -399,37 +441,38 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
         root = _sqrt_mod(chi1_sq, l)
         chi1 = min(root, l - root)
         degrees.append(int(chi1))
-        chars_mod.append(w * chi1 % l * size_inv % l)
+        chars.append(w * chi1 % l * size_inv % l)
     if sum(d * d for d in degrees) != order:
         raise InvariantViolation("degree sum check failed")
 
-    # Fourier lift to Z[zeta_e]: on a class of order o, the multiplicity of
-    # the eigenvalue zeta_o^u of chi is (1/o) sum_t chi(g^t) zeta_o^(-ut).
-    chars = np.array(chars_mod, dtype=np.int64)
-    z = _root_of_unity(e, l)
-    elem_orders = G.element_orders()
-    fourier: dict[int, np.ndarray] = {}
-    table_values: list[list[CyclotomicValue]] = [[] for _ in range(k)]
-    for j in range(k):
-        o = int(elem_orders[reps[j]])
-        if o not in fourier:
-            zo_inv = pow(z, -(e // o), l)
-            powers = np.array([pow(zo_inv, s, l) for s in range(o)], dtype=np.int64)
-            t = np.arange(o)
-            fourier[o] = powers[np.outer(t, t) % o] * pow(o, -1, l) % l
-        mult = chars[:, _power_classes(G, class_of, int(reps[j]), o)] @ fourier[o] % l
-        if not np.array_equal(mult.sum(axis=1), degrees):
-            raise InvariantViolation(
-                "eigenvalue multiplicities do not sum to the degree"
-            )
-        coeffs = np.zeros((k, e), dtype=np.int64)
-        coeffs[:, np.arange(o) * (e // o)] = mult
-        for row, c in zip(table_values, coeffs.tolist()):
-            row.append(CyclotomicValue.from_coeffs(e, c))
+    R = reduction_matrix(e)
+    values = np.empty((k, k, R.shape[1]), dtype=np.int64)
+    values[:m] = R[A]
+    if chars:
+        # Fourier lift of the nonlinear rows to Z[zeta_e]: on a class of
+        # order o, the multiplicity of the eigenvalue zeta_o^u of chi is
+        # (1/o) sum_t chi(g^t) zeta_o^(-ut).
+        chars = np.array(chars, dtype=np.int64)
+        z = _root_of_unity(e, l)
+        elem_orders = G.element_orders()
+        fourier: dict[int, np.ndarray] = {}
+        for j in range(k):
+            o = int(elem_orders[reps[j]])
+            if o not in fourier:
+                zo_inv = pow(z, -(e // o), l)
+                powers = np.array([pow(zo_inv, s, l) for s in range(o)], dtype=np.int64)
+                t = np.arange(o)
+                fourier[o] = powers[np.outer(t, t) % o] * pow(o, -1, l) % l
+            mult = chars[:, _power_classes(G, class_of, int(reps[j]), o)] @ fourier[o] % l
+            if not np.array_equal(mult.sum(axis=1), degrees[m:]):
+                raise InvariantViolation(
+                    "eigenvalue multiplicities do not sum to the degree"
+                )
+            values[m:, j] = mult @ R[np.arange(o) * (e // o)]
 
-    order_key = sorted(
-        range(k), key=lambda i: (degrees[i], [v.coeffs for v in table_values[i]])
-    )
+    order_key = _row_order(degrees, values)
+    values = values[order_key]
+    values.setflags(write=False)
     table = CharacterTable(
         order=order,
         class_of=class_of,
@@ -437,7 +480,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
         class_sizes=sizes,
         inverse_class=inverse_class,
         degrees=[degrees[i] for i in order_key],
-        values=[table_values[i] for i in order_key],
+        values=values,
         modulus=l,
         exponent=e,
     )
@@ -449,30 +492,29 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
 # table-level checks
 
 
+def _is_integer(V: np.ndarray, n) -> bool:
+    """True iff the canonical forms along the last axis of V are the
+    rational integers n (broadcast against V[..., 0])."""
+    return bool((V[..., 0] == n).all() and not V[..., 1:].any())
+
+
 def check_degree_column(table: CharacterTable) -> bool:
-    return all(
-        row[0].as_int() == d for row, d in zip(table.values, table.degrees)
-    )
-
-
-def _coefficients(table: CharacterTable) -> np.ndarray:
-    """(k, k, e) array: the zeta-power coefficients of every table value."""
-    return np.array([[v.coeffs for v in row] for row in table.values], dtype=np.int64)
+    return _is_integer(table.values[:, 0], table.degrees)
 
 
 def _gram(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     """Canonical coefficients of sum_j X[i, j] Y[m, j] in Z[zeta_e], as (i, m, u).
 
-    X[i, j] and Y[m, j] are coefficient vectors of length e.  The products
-    are taken in Z[x]/(x^e - 1), one matrix product per power u of x in X,
-    and every entry is then reduced mod Phi_e by one e x e matrix whose row
-    u is the canonical form of x^u.  The products run in float64, which is
-    exact while every partial sum stays below 2^53; the bound below covers
-    the sum of the absolute values of all terms of every entry.
+    X[i, j] and Y[m, j] are canonical coefficient vectors of length phi(e).
+    The products are taken in Z[x]/(x^e - 1), with Y padded to length e,
+    one matrix product per power u of x in X, and every entry is then
+    reduced mod Phi_e by reduction_matrix(e).  The products run in float64,
+    which is exact while every partial sum stays below 2^53; the bound
+    below covers the sum of the absolute values of all terms of every entry.
     """
-    ki, kj, _ = X.shape
+    ki, kj, phi = X.shape
     km = Y.shape[0]
-    reduce = np.array([CyclotomicValue.root(e, u).coeffs for u in range(e)])
+    reduce = reduction_matrix(e)
     bound = (
         int(np.abs(X).sum(axis=(1, 2)).max())
         * int(np.abs(Y).max())
@@ -481,46 +523,36 @@ def _gram(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     if bound >= 2**53:
         raise InvariantViolation(f"Gram bound {bound} is not below 2^53")
     Xf = X.astype(np.float64)
-    Yt = Y.transpose(1, 0, 2).astype(np.float64)  # (j, m, v)
+    Yt = np.zeros((kj, km, e))  # (j, m, v)
+    Yt[:, :, :phi] = Y.transpose(1, 0, 2)
     prod = np.zeros((ki, km * e))
-    for u in range(e):
+    for u in range(phi):
         # x^u times Y: coefficient v moves to v + u (mod e)
         prod += Xf[:, :, u] @ np.roll(Yt, u, axis=2).reshape(kj, km * e)
     return (prod.reshape(ki, km, e) @ reduce).astype(np.int64)
 
 
-def _is_diagonal(gram: np.ndarray, diagonal) -> bool:
-    """True iff the reduced Gram matrix is the rational diag(diagonal)."""
-    return bool(
-        np.array_equal(gram[:, :, 0], np.diag(diagonal)) and not gram[:, :, 1:].any()
-    )
-
-
 def check_row_orthogonality(table: CharacterTable) -> bool:
     """Exact first orthogonality: sum_j |C_j| chi_i(g_j) chi_m(g_j^-1)."""
-    V = _coefficients(table)
+    V = table.values
     X = V * table.class_sizes[None, :, None]
-    Y = V[:, table.inverse_class, :]
-    gram = _gram(X, Y, table.exponent)
-    return _is_diagonal(gram, [table.order] * table.n_classes)
+    gram = _gram(X, V[:, table.inverse_class], table.exponent)
+    return _is_integer(gram, np.diag([table.order] * table.n_classes))
 
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
     """Exact second orthogonality: sum_i chi_i(g_j) chi_i(g_k^-1)."""
-    V = _coefficients(table).transpose(1, 0, 2)
+    V = table.values.transpose(1, 0, 2)
     gram = _gram(V, V[table.inverse_class], table.exponent)
-    return _is_diagonal(gram, table.order // table.class_sizes)
+    return _is_integer(gram, np.diag(table.order // table.class_sizes))
 
 
 def character_kernel_contains(
     table: CharacterTable, i: int, members: np.ndarray
 ) -> bool:
     """True iff every listed element lies in ker chi_i."""
-    deg = CyclotomicValue.from_int(table.exponent, table.degrees[i])
-    for c in np.unique(table.class_of[np.asarray(members)]):
-        if table.values[i][int(c)] != deg:
-            return False
-    return True
+    classes = np.unique(table.class_of[np.asarray(members)])
+    return _is_integer(table.values[i, classes], table.degrees[i])
 
 
 def irr_over(G: FiniteGroup, N: SubgroupHandle, table: CharacterTable) -> list[int]:
@@ -547,10 +579,11 @@ def verify_fully_ramified(
     a vanishing failure and (character index, -1) for a degree failure.
     """
     index = G.order // Z.order
+    off_z = ~Z.mask[table.class_reps]
     for i in irr_over(G, Z, table):
         if table.degrees[i] ** 2 != index:
             return False, (i, -1)
-        for j, rep in enumerate(table.class_reps):
-            if int(rep) not in Z and not table.values[i][j].is_zero():
-                return False, (i, int(rep))
+        bad = np.flatnonzero(off_z & table.values[i].any(axis=1))
+        if bad.size:
+            return False, (i, int(table.class_reps[bad[0]]))
     return True, None

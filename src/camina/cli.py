@@ -34,6 +34,7 @@ from .pairs import (
     search_counterexample,
 )
 from .characters import dixon_character_table
+from .cyclotomic import format_values
 from .structure import lower_central_series, upper_central_series
 
 TSV_HEADER = ("group_id", "order", "p", "n", "m", "l", "class_c", "verdict") + CHECK_IDS
@@ -294,7 +295,7 @@ def cmd_chartable(config: RunConfig, args) -> int:
         "class sizes: " + " ".join(str(int(s)) for s in table.class_sizes),
     ]
     for deg, row in zip(table.degrees, table.values):
-        lines.append(f"deg {deg}: " + "  ".join(str(v) for v in row))
+        lines.append(f"deg {deg}: " + "  ".join(format_values(row)))
     _emit(config, "\n".join(lines) + "\n")
     return 0
 

@@ -1,16 +1,19 @@
-"""Exact arithmetic in Z[zeta_e], the e-th cyclotomic integers.
+"""Canonical forms in Z[zeta_e], the e-th cyclotomic integers.
 
-Values are integer coefficient vectors of length e against the power basis
-1, zeta, ..., zeta^(e-1), kept in the canonical form obtained by reducing
-modulo the e-th cyclotomic polynomial.  Canonical forms are unique, so
-zero testing and equality are exact; no floating point is involved
-anywhere.
+A value is an integer coefficient vector of length phi(e) against the
+power basis 1, zeta, ..., zeta^(phi(e)-1): the remainder of a polynomial
+in zeta modulo the e-th cyclotomic polynomial Phi_e.  Canonical forms are
+unique, so zero testing and equality compare integer arrays; no floating
+point is involved anywhere.  reduction_matrix(e) takes coefficient
+vectors of length e to canonical form in one matrix product, and
+format_values writes canonical forms as text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvariantViolation
 
@@ -51,117 +54,55 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[int], e: int) -> tuple[int, ...]:
-    """Remainder of the polynomial modulo Phi_e, padded to length e."""
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        q = rem[i]
-        if q:
-            for j in range(deg + 1):
-                rem[i - deg + j] -= q * phi[j]
-    rem = rem[:deg]
-    return tuple(rem) + (0,) * (e - len(rem))
+@lru_cache(maxsize=None)
+def reduction_matrix(e: int) -> np.ndarray:
+    """(e, phi(e)) read-only int64 array whose row u is the canonical form
+    of zeta_e^u.
+
+    Row u is x times row u - 1, minus its top coefficient times Phi_e
+    (which is monic), so a polynomial with coefficient vector c of length
+    e has canonical form c @ reduction_matrix(e).
+    """
+    phi = np.array(cyclotomic_polynomial(e), dtype=np.int64)
+    R = np.zeros((e, phi.size - 1), dtype=np.int64)
+    R[0, 0] = 1
+    for u in range(1, e):
+        R[u, 1:] = R[u - 1, :-1]
+        R[u] -= R[u - 1, -1] * phi[:-1]
+    R.setflags(write=False)
+    return R
 
 
-def _same_e(a: "CyclotomicValue", b: "CyclotomicValue") -> None:
-    if a.e != b.e:
-        raise InvariantViolation(f"mixed cyclotomic fields: e = {a.e} and e = {b.e}")
+def _format_terms(powers: list[int], coeffs: list[int]) -> str:
+    """sum_i coeffs[i] z^powers[i] as text, for nonzero coefficients."""
+    parts = []
+    for i, c in zip(powers, coeffs):
+        if i == 0:
+            parts.append(str(c))
+            continue
+        unit = f"z{i}" if i > 1 else "z"
+        if c == 1:
+            parts.append(unit)
+        elif c == -1:
+            parts.append(f"-{unit}")
+        else:
+            parts.append(f"{c}*{unit}")
+    return "+".join(parts).replace("+-", "-") or "0"
 
 
-@dataclass(frozen=True)
-class CyclotomicValue:
-    """An element of Z[zeta_e] in canonical (reduced) coefficient form."""
+def format_values(V: np.ndarray) -> list[str]:
+    """format_value of every vector along the last axis of V, in C order,
+    from one np.nonzero pass over the whole array."""
+    flat = V.reshape(-1, V.shape[-1])
+    which, powers = np.nonzero(flat)
+    coeffs = flat[which, powers].tolist()
+    powers = powers.tolist()
+    ends = np.searchsorted(which, np.arange(flat.shape[0] + 1)).tolist()
+    return [
+        _format_terms(powers[a:b], coeffs[a:b]) for a, b in zip(ends, ends[1:])
+    ]
 
-    e: int
-    coeffs: tuple[int, ...]
 
-    @classmethod
-    def from_coeffs(cls, e: int, coeffs) -> "CyclotomicValue":
-        coeffs = list(coeffs)
-        if len(coeffs) < e:
-            coeffs += [0] * (e - len(coeffs))
-        return cls(e, _reduce_mod_cyclotomic(coeffs, e))
-
-    @classmethod
-    def from_int(cls, e: int, value: int) -> "CyclotomicValue":
-        return cls.from_coeffs(e, [value])
-
-    @classmethod
-    def root(cls, e: int, k: int) -> "CyclotomicValue":
-        """zeta_e^k."""
-        coeffs = [0] * e
-        coeffs[k % e] = 1
-        return cls.from_coeffs(e, coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def as_int(self) -> int | None:
-        """The value as a rational integer, or None if it is not one."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        _same_e(self, other)
-        return CyclotomicValue(
-            self.e, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicValue":
-        return CyclotomicValue(self.e, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        return self + (-other)
-
-    def __mul__(self, other: "CyclotomicValue") -> "CyclotomicValue":
-        _same_e(self, other)
-        e = self.e
-        out = [0] * e
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % e] += a * b
-        return CyclotomicValue.from_coeffs(e, out)
-
-    def scaled(self, k: int) -> "CyclotomicValue":
-        return CyclotomicValue(self.e, tuple(k * a for a in self.coeffs))
-
-    def conjugate(self) -> "CyclotomicValue":
-        """Complex conjugation, zeta -> zeta^-1."""
-        e = self.e
-        out = [0] * e
-        for i, a in enumerate(self.coeffs):
-            out[(-i) % e] += a
-        return CyclotomicValue.from_coeffs(e, out)
-
-    def galois(self, a: int) -> "CyclotomicValue":
-        """The automorphism zeta -> zeta^a (a coprime to e)."""
-        e = self.e
-        out = [0] * e
-        for i, c in enumerate(self.coeffs):
-            out[(i * a) % e] += c
-        return CyclotomicValue.from_coeffs(e, out)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                unit = f"z{i}" if i > 1 else "z"
-                if c == 1:
-                    parts.append(unit)
-                elif c == -1:
-                    parts.append(f"-{unit}")
-                else:
-                    parts.append(f"{c}*{unit}")
-        return "+".join(parts).replace("+-", "-")
+def format_value(coeffs) -> str:
+    """A canonical coefficient vector as text, e.g. "1-z2+3*z5" or "0"."""
+    return format_values(np.asarray(coeffs, dtype=np.int64)[None])[0]

@@ -83,3 +83,7 @@ class DuplicateId(CaminaError):
 
 class UnknownGroupId(CaminaError):
     """Requested group id not present in the loaded corpus."""
+
+
+class TableTooLarge(CaminaError):
+    """A character table would hold more entries than its fixed budget."""

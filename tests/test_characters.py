@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -24,9 +25,10 @@ from camina import (
     verify_fully_ramified,
 )
 from camina.characters import (
+    TABLE_BUDGET,
     _character_rows,
-    _coefficients,
     _nullspace_mod,
+    _root_of_unity,
     _rref_mod,
     check_column_orthogonality,
     check_degree_column,
@@ -35,8 +37,8 @@ from camina.characters import (
 )
 from camina.cli import main
 from camina.corpus import parse_family_spec
-from camina.cyclotomic import CyclotomicValue
-from camina.errors import InvariantViolation
+from camina.cyclotomic import reduction_matrix
+from camina.errors import InvariantViolation, TableTooLarge
 from camina.groups import group_from_cayley_table, subgroup_generate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,8 +85,8 @@ def test_c2_table():
     c2 = group_from_cayley_table([[0, 1], [1, 0]])
     t = dixon_character_table(c2)
     assert t.degrees == [1, 1]
-    vals = sorted(v.as_int() for v in (t.values[0][1], t.values[1][1]))
-    assert vals == [-1, 1]
+    assert t.values.shape == (2, 2, 1)
+    assert sorted(t.values[:, 1, 0].tolist()) == [-1, 1]
     assert t.modulus == least_dixon_prime(2, 2)
 
 
@@ -104,7 +106,7 @@ def test_q8_table(q8):
     Z = center(q8)
     for j, rep in enumerate(t.class_reps):
         if int(rep) not in Z:
-            assert t.values[deg2][j].is_zero()
+            assert not t.values[deg2, j].any()
 
 
 def test_heisenberg_table(heis27):
@@ -175,12 +177,11 @@ def test_d8_and_q8_share_a_character_table(q8, d8):
     """The classic pair of nonisomorphic groups with identical tables."""
     td, tq = dixon_character_table(d8), dixon_character_table(q8)
     assert td.degrees == tq.degrees == [1, 1, 1, 1, 2]
-    rows_d = sorted(tuple(v.coeffs[0] for v in row) for row in td.values)
-    rows_q = sorted(tuple(v.coeffs[0] for v in row) for row in tq.values)
-    # all values are rational integers here; compare as sorted row multisets
-    for row in td.values + tq.values:
-        for v in row:
-            assert v.as_int() is not None
+    # exponent 4, so phi(e) = 2; all values are rational integers here
+    for t in (td, tq):
+        assert t.values.shape == (5, 5, 2) and not t.values[:, :, 1].any()
+    rows_d = sorted(map(tuple, td.values[:, :, 0].tolist()))
+    rows_q = sorted(map(tuple, tq.values[:, :, 0].tolist()))
     assert rows_d == rows_q
 
 
@@ -190,9 +191,7 @@ def test_dixon_table_is_deterministic():
     ta, tb = dixon_character_table(a), dixon_character_table(b)
     assert ta.degrees == tb.degrees
     assert ta.modulus == tb.modulus
-    assert [[v.coeffs for v in row] for row in ta.values] == [
-        [v.coeffs for v in row] for row in tb.values
-    ]
+    assert np.array_equal(ta.values, tb.values)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +249,11 @@ def test_splitter_matches_lambda_scan(request, corpus_groups, name):
     consts = class_mult_coefficients(G) % l
     k = consts.shape[0]
     want = _normalized(_lambda_scan_eigenrows([consts[i] for i in range(1, k)], l), l)
-    linear, nonlinear = _character_rows(
-        G, table.class_reps, table.class_sizes, table.exponent, l
-    )
+    A, nonlinear = _character_rows(G, table.class_reps, table.exponent, l)
+    # the linear rows |C_j| lambda(g_j) = |C_j| z^A mod l, z read as zeta_e
+    z = _root_of_unity(table.exponent, l)
+    zpow = np.array([pow(z, a, l) for a in range(table.exponent)], dtype=np.int64)
+    linear = table.class_sizes * zpow[A] % l
     assert len(linear) == G.order // derived_subgroup(G).order
     assert table.degrees.count(1) == len(linear)
     got = _normalized(list(linear) + nonlinear, l)
@@ -280,16 +281,16 @@ def _folds_to(products, e, want):
     folded = np.zeros((products.shape[0], e), dtype=np.int64)
     for u in range(e):
         folded[:, shift[u]] += products[:, u, :]
+    canonical = folded @ reduction_matrix(e)
     return all(
-        CyclotomicValue.from_coeffs(e, f.tolist()).as_int() == w
-        for f, w in zip(folded, want)
+        c[0] == w and not c[1:].any() for c, w in zip(canonical, want)
     )
 
 
 def _fold_row_orthogonality(table):
     """Reference first orthogonality: one einsum and k folds per row."""
     k = table.n_classes
-    V = _coefficients(table)
+    V = _padded(table)
     X = V * table.class_sizes[None, :, None]
     Y = V[:, table.inverse_class, :]
     return all(
@@ -305,7 +306,7 @@ def _fold_row_orthogonality(table):
 def _fold_column_orthogonality(table):
     """Reference second orthogonality: one einsum and k folds per class."""
     k = table.n_classes
-    V = _coefficients(table)
+    V = _padded(table)
     W = V[:, table.inverse_class, :]
     return all(
         _folds_to(
@@ -317,10 +318,25 @@ def _fold_column_orthogonality(table):
     )
 
 
+def _padded(table):
+    """The table values as coefficient vectors of length e (zeros past phi(e))."""
+    V = table.values
+    return np.pad(V, [(0, 0), (0, 0), (0, table.exponent - V.shape[2])])
+
+
 def _perturbed(table, i, j, delta):
-    values = [list(row) for row in table.values]
-    values[i][j] = values[i][j] + delta
+    """The table with the canonical vector delta added to chi_i(g_j)."""
+    values = table.values.copy()
+    values[i, j] += delta
     return dataclasses.replace(table, values=values)
+
+
+def _one(e):
+    return reduction_matrix(e)[0]
+
+
+def _zeta(e):
+    return reduction_matrix(e)[1]
 
 
 def _checks_agree(table):
@@ -335,17 +351,15 @@ def test_gram_checks_match_folds_on_wide_tables(spec):
     t = dixon_character_table(build_family(parse_family_spec(spec)))
     assert _checks_agree(t) == (True, True)
     i = t.degrees.index(max(t.degrees))
-    one = CyclotomicValue.from_int(t.exponent, 1)
-    assert _checks_agree(_perturbed(t, i, 1, one)) == (False, False)
+    assert _checks_agree(_perturbed(t, i, 1, _one(t.exponent))) == (False, False)
 
 
 @pytest.mark.parametrize("name", ["q8", "s3", "heis27"])
 def test_gram_checks_reject_one_perturbed_value(request, name):
     t = dixon_character_table(request.getfixturevalue(name))
     e = t.exponent
-    zeta = CyclotomicValue.root(e, 1)
     for i, j in [(0, 0), (t.n_classes - 1, t.n_classes - 1), (1, t.n_classes - 1)]:
-        for delta in (CyclotomicValue.from_int(e, 1), zeta):
+        for delta in (_one(e), _zeta(e)):
             assert _checks_agree(_perturbed(t, i, j, delta)) == (False, False)
 
 
@@ -354,15 +368,17 @@ def test_column_check_reads_the_irrational_part():
     moves only irrational coefficients of the column Gram matrix (zeta_8
     and zeta_8^2 are both basis elements)."""
     t = dixon_character_table(build_family(FamilySpec("cyclic", (8,))))
-    i = next(i for i, row in enumerate(t.values) if all(v.as_int() == 1 for v in row))
+    i = next(i for i, row in enumerate(t.values) if (row == _one(t.exponent)).all())
     j = next(j for j in range(t.n_classes) if t.inverse_class[j] != j)
-    bad = _perturbed(t, i, j, CyclotomicValue.root(t.exponent, 1))
+    bad = _perturbed(t, i, j, _zeta(t.exponent))
     assert not check_column_orthogonality(bad)
     assert not _fold_column_orthogonality(bad)
 
 
 # sha256 of `camina chartable --family SPEC`, as printed by the lambda-scan
-# implementation; the splitter's random draws must not reach the output.
+# implementation (cyclic:256 and dihedral:256 by the per-value object
+# tables); neither the splitter's random draws nor the array layout of
+# the values may reach the output.
 CHARTABLE_SHA256 = {
     "heisenberg:3": "b9f554420bc77c3191d17df006b4b190564a9dad73cdf37c2df86bdb408840d1",
     "extraspecial_p:3,2": (
@@ -370,6 +386,8 @@ CHARTABLE_SHA256 = {
     ),
     "T:3,1": "e2cc066c8e9cb81191d3094652de2e6fa325b7c923cee5b80235029b0816c9d2",
     "cyclic:64": "76ea7c344da99f8491d97b176dae17392e2623420286a63e704916cbbbd08374",
+    "cyclic:256": "a023567ca26688d3f658ceb8fc488398855e6e61818dbf729958798bcb10ce1f",
+    "dihedral:256": "e0aed8fbc758d4fd3872ff86072d939ea33cd1efb905f1df0ce3788796f8e5a2",
 }
 
 
@@ -438,3 +456,33 @@ def test_table_does_not_keep_its_group_alive(q8):
         gc.enable()
     assert table.degrees == dixon_character_table(q8).degrees
     assert irr_over(q8, center(q8), table) == [table.degrees.index(2)]
+
+
+def test_cached_values_are_read_only(q8):
+    t = dixon_character_table(q8)
+    assert t.values.shape == (5, 5, 2) and t.values.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        t.values[0, 0, 0] = 7
+    assert dixon_character_table(q8).values[0, 0, 0] == 1
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        ("cyclic:512", "67108864 values (k^2 phi(e)) and 0 class constants"),
+        ("dihedral:1024", "17172736 values (k^2 phi(e)) and 17373979 class constants"),
+    ],
+)
+def test_table_over_budget_raises_before_building(spec, sizes):
+    G = build_family(parse_family_spec(spec))
+    with pytest.raises(TableTooLarge, match=rf"needs {re.escape(sizes)}"):
+        dixon_character_table(G)
+    assert "class_consts" not in G._cache and "chartable" not in G._cache
+
+
+def test_chartable_over_budget_is_one_error_line(capsys):
+    assert main(["chartable", "--family", "cyclic:512"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: character table with 512 classes")
+    assert err.count("\n") == 1 and str(TABLE_BUDGET) in err

@@ -1,11 +1,169 @@
-"""Exact cyclotomic integer arithmetic."""
+"""Canonical forms in Z[zeta_e], against a reference implementation of
+the full ring arithmetic."""
 
 import cmath
+from dataclasses import dataclass
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camina.cyclotomic import CyclotomicValue, cyclotomic_polynomial
+from camina.cyclotomic import (
+    cyclotomic_polynomial,
+    format_value,
+    format_values,
+    reduction_matrix,
+)
+
+# ---------------------------------------------------------------------------
+# reference: one frozen object per value, reduced mod Phi_e in pure Python
+
+
+def _reduce_mod_cyclotomic(coeffs: list[int], e: int) -> tuple[int, ...]:
+    """Remainder of the polynomial modulo Phi_e, padded to length e."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        q = rem[i]
+        if q:
+            for j in range(deg + 1):
+                rem[i - deg + j] -= q * phi[j]
+    rem = rem[:deg]
+    return tuple(rem) + (0,) * (e - len(rem))
+
+
+@dataclass(frozen=True)
+class CyclotomicValue:
+    """An element of Z[zeta_e] in canonical (reduced) coefficient form."""
+
+    e: int
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def from_coeffs(cls, e: int, coeffs) -> "CyclotomicValue":
+        coeffs = list(coeffs)
+        if len(coeffs) < e:
+            coeffs += [0] * (e - len(coeffs))
+        return cls(e, _reduce_mod_cyclotomic(coeffs, e))
+
+    @classmethod
+    def from_int(cls, e: int, value: int) -> "CyclotomicValue":
+        return cls.from_coeffs(e, [value])
+
+    @classmethod
+    def root(cls, e: int, k: int) -> "CyclotomicValue":
+        """zeta_e^k."""
+        coeffs = [0] * e
+        coeffs[k % e] = 1
+        return cls.from_coeffs(e, coeffs)
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def as_int(self) -> int | None:
+        """The value as a rational integer, or None if it is not one."""
+        if any(self.coeffs[1:]):
+            return None
+        return self.coeffs[0]
+
+    def __add__(self, other: "CyclotomicValue") -> "CyclotomicValue":
+        assert self.e == other.e
+        return CyclotomicValue(
+            self.e, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __neg__(self) -> "CyclotomicValue":
+        return CyclotomicValue(self.e, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other: "CyclotomicValue") -> "CyclotomicValue":
+        return self + (-other)
+
+    def __mul__(self, other: "CyclotomicValue") -> "CyclotomicValue":
+        assert self.e == other.e
+        e = self.e
+        out = [0] * e
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[(i + j) % e] += a * b
+        return CyclotomicValue.from_coeffs(e, out)
+
+    def scaled(self, k: int) -> "CyclotomicValue":
+        return CyclotomicValue(self.e, tuple(k * a for a in self.coeffs))
+
+    def conjugate(self) -> "CyclotomicValue":
+        """Complex conjugation, zeta -> zeta^-1."""
+        e = self.e
+        out = [0] * e
+        for i, a in enumerate(self.coeffs):
+            out[(-i) % e] += a
+        return CyclotomicValue.from_coeffs(e, out)
+
+    def galois(self, a: int) -> "CyclotomicValue":
+        """The automorphism zeta -> zeta^a (a coprime to e)."""
+        e = self.e
+        out = [0] * e
+        for i, c in enumerate(self.coeffs):
+            out[(i * a) % e] += c
+        return CyclotomicValue.from_coeffs(e, out)
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                unit = f"z{i}" if i > 1 else "z"
+                if c == 1:
+                    parts.append(unit)
+                elif c == -1:
+                    parts.append(f"-{unit}")
+                else:
+                    parts.append(f"{c}*{unit}")
+        return "+".join(parts).replace("+-", "-")
+
+
+def _phi(e: int) -> int:
+    return len(cyclotomic_polynomial(e)) - 1
+
+
+# ---------------------------------------------------------------------------
+# the package's canonical form against the reference
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 8, 9, 12, 16, 25, 27, 30, 64, 128])
+def test_reduction_matrix_rows_are_canonical_roots(e):
+    R = reduction_matrix(e)
+    assert R.shape == (e, _phi(e)) and R.dtype == np.int64
+    for u in range(e):
+        assert R[u].tolist() == list(CyclotomicValue.root(e, u).coeffs[: _phi(e)])
+    assert not R.flags.writeable
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    e=st.sampled_from([2, 3, 4, 8, 9, 12]),
+    raw=st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -7]), min_size=12, max_size=12),
+)
+def test_format_value_matches_reference_text(e, raw):
+    c = raw[: _phi(e)]
+    want = str(CyclotomicValue.from_coeffs(e, c))
+    assert format_value(c) == want
+    assert format_values(np.array([[c, [0] * len(c)]])) == [want, "0"]
+
+
+def test_format_value_of_zero_and_units():
+    assert format_value([0, 0, 0, 0]) == "0"
+    assert format_value([-1, 0, 1, 0]) == "-1+z2"
+    assert format_value([0, -1, 0, 3]) == "-z+3*z3"
 
 
 def test_known_cyclotomic_polynomials():
@@ -62,6 +220,7 @@ def test_ring_axioms_e8(a, b, c):
     assert (A * B) * C == A * (B * C)
     assert A * (B + C) == A * B + A * C
     assert (A - A).is_zero()
+    assert A.scaled(3) == A + A + A
 
 
 @settings(deadline=None, max_examples=40)
