@@ -1,9 +1,9 @@
 """Command-line front end: analyze, verify, census, search, chartable.
 
 Exit codes: 0 all checks pass or vacuous, 2 at least one FAIL, 1
-operational error (bad input, unknown id, parse failure).  With
---workers 1 output is byte-identical across runs; with more workers the
-rows are sorted by group id before emission, so files still match.
+operational error (bad input, unknown id, parse failure, bad usage).
+With --workers 1 output is byte-identical across runs; with more workers
+the rows are sorted by group id before emission, so files still match.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 from .corpus import (
@@ -23,7 +23,7 @@ from .corpus import (
     parse_corpus,
     parse_family_spec,
 )
-from .errors import CaminaError, UnknownGroupId
+from .errors import CaminaError, UnknownGroupId, UsageError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, center, derived_subgroup
 from .pairs import (
     CHECK_IDS,
@@ -40,39 +40,36 @@ from .structure import lower_central_series, upper_central_series
 TSV_HEADER = ("group_id", "order", "p", "n", "m", "l", "class_c", "verdict") + CHECK_IDS
 
 
-@dataclass
-class RunConfig:
-    inputs: list[Path] = field(default_factory=list)
-    order_cap: int = DEFAULT_ORDER_CAP
-    workers: int = 1
-    report: Path | None = None
-    chartable_cap: int = DEFAULT_CHAR_TABLE_CAP
+class _Parser(argparse.ArgumentParser):
+    """Reports bad usage as a CaminaError instead of exiting 2."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="camina",
         description="Exact center-Camina-pair verdicts, inequality checks, "
         "census and counterexample search over finite-group corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers_default=1):
-        p.add_argument(
-            "--input",
-            action="append",
-            default=[],
-            type=Path,
-            help="corpus file (repeatable)",
-        )
-        p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=workers_default,
-            help="parallel workers (default: %(default)s)",
-        )
+    def command(name, help, corpus=True):
+        p = sub.add_parser(name, help=help)
+        if corpus:
+            p.add_argument(
+                "--input",
+                action="append",
+                default=[],
+                type=Path,
+                help="corpus file (repeatable)",
+            )
+            p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
         p.add_argument("--report", type=Path, default=None, help="write output here")
+        return p
+
+    def chartable_cap(p):
         p.add_argument(
             "--chartable-cap",
             type=int,
@@ -80,20 +77,28 @@ def _build_parser() -> argparse.ArgumentParser:
             help="largest order for which character tables are computed",
         )
 
-    p = sub.add_parser("analyze", help="analyze one group (corpus id or family)")
-    common(p)
-    p.add_argument("--id", dest="gid", help="corpus group id, e.g. 32:6")
+    def one_group(p):
+        p.add_argument("--id", dest="gid", help="corpus group id, e.g. 32:6")
+        p.add_argument(
+            "--family",
+            help="family spec name:params, e.g. quaternion:8, heisenberg:3, "
+            "extraspecial_p:5, T:3,1",
+        )
+
+    p = command("analyze", "analyze one group (corpus id or family)")
+    chartable_cap(p)
+    one_group(p)
+
+    p = command("verify", "run the full check suite over a corpus")
     p.add_argument(
-        "--family",
-        help="family spec name:params, e.g. quaternion:8, heisenberg:3, "
-        "extraspecial_p:5, T:3,1",
+        "--workers",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="parallel workers, at most one per entry and CPU (default: %(default)s)",
     )
+    chartable_cap(p)
 
-    p = sub.add_parser("verify", help="run the full check suite over a corpus")
-    common(p, workers_default=os.cpu_count() or 1)
-
-    p = sub.add_parser("census", help="count groups matching a predicate")
-    common(p)
+    p = command("census", "count groups matching a predicate")
     p.add_argument("--order", type=int, required=True)
     p.add_argument(
         "--predicate",
@@ -101,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(PREDICATES),
     )
 
-    p = sub.add_parser("search", help="scan for |Z|^2 > |G:Z| center pairs")
-    common(p)
+    p = command("search", "scan for |Z|^2 > |G:Z| center pairs")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
     p.add_argument(
         "--no-families",
@@ -110,41 +114,36 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scan only the corpus inputs, not the built-in families",
     )
 
-    p = sub.add_parser("chartable", help="print an exact character table")
-    common(p)
-    p.add_argument("--id", dest="gid")
-    p.add_argument("--family")
+    one_group(command("chartable", "print an exact character table"))
 
-    p = sub.add_parser("families", help="list built-in families and instances")
-    common(p)
+    p = command("families", "list built-in families and instances", corpus=False)
     p.add_argument("--max-order", type=int, default=625)
     return parser
 
 
-def _load_entries(config: RunConfig) -> list[CorpusEntry]:
+def _load_entries(args) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
-    for path in config.inputs:
+    for path in args.input:
         text = path.read_text()
-        entries.extend(parse_corpus(text, validate=False, order_cap=config.order_cap))
+        entries.extend(parse_corpus(text, validate=False, order_cap=args.order_cap))
     return entries
 
 
-def _resolve_group(config: RunConfig, args) -> tuple[str, FiniteGroup]:
-    if getattr(args, "family", None):
+def _resolve_group(args) -> tuple[str, FiniteGroup]:
+    if args.family:
         spec = parse_family_spec(args.family)
-        return args.family, build_family(spec, order_cap=config.order_cap)
-    if getattr(args, "gid", None):
-        entries = _load_entries(config)
-        for e in entries:
+        return args.family, build_family(spec, order_cap=args.order_cap)
+    if args.gid:
+        for e in _load_entries(args):
             if e.gid == args.gid:
-                return e.gid, e.build(order_cap=config.order_cap)
+                return e.gid, e.build(order_cap=args.order_cap)
         raise UnknownGroupId(f"group {args.gid} not found in the given inputs")
     raise CaminaError("need --id with --input, or --family")
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.report is not None:
-        config.report.write_text(text)
+def _emit(args, text: str) -> None:
+    if args.report is not None:
+        args.report.write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -159,13 +158,13 @@ def _series_orders(G: FiniteGroup) -> tuple[str, str]:
     return low, up
 
 
-def cmd_analyze(config: RunConfig, args) -> int:
-    gid, G = _resolve_group(config, args)
+def cmd_analyze(args) -> int:
+    gid, G = _resolve_group(args)
     lines = [f"group {gid} (order {G.order})"]
     Z = center(G)
     Gp = derived_subgroup(G)
     lines.append(f"|Z(G)| = {Z.order}; |G'| = {Gp.order}")
-    analysis = analyze_center_pair(G, char_table_cap=config.chartable_cap)
+    analysis = analyze_center_pair(G, char_table_cap=args.chartable_cap)
     exit_code = 0
     if not analysis.applicable:
         why = "G is abelian" if Z.is_whole_group() else "Z(G) is trivial"
@@ -196,7 +195,7 @@ def cmd_analyze(config: RunConfig, args) -> int:
                 lines.append(f"  {c.check_id:<9} {c.status}")
             if r.failures():
                 exit_code = 2
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return exit_code
 
 
@@ -221,26 +220,22 @@ def _row_for_entry(entry: CorpusEntry, order_cap: int, chartable_cap: int) -> tu
     return (entry.order, entry.index, entry.gid, fields)
 
 
-def _worker_row(payload) -> tuple:
-    entry, order_cap, cap = payload
-    return _row_for_entry(entry, order_cap, cap)
-
-
-def cmd_verify(config: RunConfig, args) -> int:
-    entries = _load_entries(config)
-    payloads = [(e, config.order_cap, config.chartable_cap) for e in entries]
-    if config.workers > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_worker_row, payloads, chunksize=4))
+def cmd_verify(args) -> int:
+    entries = _load_entries(args)
+    workers = min(args.workers, len(entries), os.cpu_count() or 1)
+    columns = (entries, repeat(args.order_cap), repeat(args.chartable_cap))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_row_for_entry, *columns, chunksize=4))
     else:
-        rows = [_worker_row(p) for p in payloads]
+        rows = list(map(_row_for_entry, *columns))
     rows.sort(key=lambda r: (r[0], r[1]))
     out = ["\t".join(TSV_HEADER)]
     any_fail = False
     for order, index, gid, fields in rows:
         out.append("\t".join([gid, str(order)] + fields))
         any_fail = any_fail or ("FAIL" in fields)
-    _emit(config, "\n".join(out) + "\n")
+    _emit(args, "\n".join(out) + "\n")
     return 2 if any_fail else 0
 
 
@@ -248,28 +243,31 @@ def cmd_verify(config: RunConfig, args) -> int:
 # census / search / chartable / families
 
 
-def _corpus_items(config: RunConfig):
-    for e in sorted(_load_entries(config), key=lambda e: (e.order, e.index)):
-        yield e.gid, e.build(order_cap=config.order_cap)
+def _corpus_items(args):
+    for e in sorted(_load_entries(args), key=lambda e: (e.order, e.index)):
+        yield e.gid, e.build(order_cap=args.order_cap)
 
 
-def cmd_census(config: RunConfig, args) -> int:
-    report = census(_corpus_items(config), args.order, args.predicate)
+def cmd_census(args) -> int:
+    report = census(_corpus_items(args), args.order, args.predicate)
     text = (
         f"census order={report.order} predicate={report.predicate}\n"
         f"count {report.count}\n"
     )
     if report.hits:
         text += "hits: " + " ".join(report.hits) + "\n"
-    _emit(config, text)
+    _emit(args, text)
     return 0
 
 
-def cmd_search(config: RunConfig, args) -> int:
-    items = list(_corpus_items(config))
+def cmd_search(args) -> int:
+    items = _corpus_items(args)
     if not args.no_families:
-        for gid, spec in default_family_instances(args.max_order):
-            items.append((gid, build_family(spec, order_cap=config.order_cap)))
+        families = default_family_instances(args.max_order)
+        items = chain(
+            items,
+            ((gid, build_family(spec, order_cap=args.order_cap)) for gid, spec in families),
+        )
     report = search_counterexample(items, args.max_order)
     lines = [f"scanned {report.scanned} groups of order <= {args.max_order}"]
     if report.strict:
@@ -281,12 +279,12 @@ def cmd_search(config: RunConfig, args) -> int:
     if report.equality:
         ids = ", ".join(f.gid for f in report.equality)
         lines.append(f"equality cases (|Z|^2 = |G:Z|): {ids}")
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_chartable(config: RunConfig, args) -> int:
-    gid, G = _resolve_group(config, args)
+def cmd_chartable(args) -> int:
+    gid, G = _resolve_group(args)
     table = dixon_character_table(G)
     lines = [
         f"character table of {gid} (order {G.order}, {table.n_classes} classes, "
@@ -296,18 +294,18 @@ def cmd_chartable(config: RunConfig, args) -> int:
     ]
     for deg, row in zip(table.degrees, table.values):
         lines.append(f"deg {deg}: " + "  ".join(format_values(row)))
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_families(config: RunConfig, args) -> int:
+def cmd_families(args) -> int:
     lines = ["family spec syntax: name:params"]
     for fam in FAMILIES.values():
         lines.append(f"  {fam.alias + ':' + fam.syntax:<27} {fam.doc}")
     lines += ["", f"built-in instances up to order {args.max_order}:"]
     for gid, spec in default_family_instances(args.max_order):
         lines.append(f"  {gid}")
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -322,16 +320,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        inputs=list(args.input),
-        order_cap=args.order_cap,
-        workers=max(1, args.workers),
-        report=args.report,
-        chartable_cap=args.chartable_cap,
-    )
     try:
-        return COMMANDS[args.command](config, args)
+        args = _build_parser().parse_args(argv)
+        return COMMANDS[args.command](args)
     except (CaminaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -87,3 +87,7 @@ class UnknownGroupId(CaminaError):
 
 class TableTooLarge(CaminaError):
     """A character table would hold more entries than its fixed budget."""
+
+
+class UsageError(CaminaError):
+    """Unknown option, bad option value or missing subcommand on the CLI."""

@@ -17,7 +17,7 @@ from .groups import (
     _handle,
     center,
     commutator_set,
-    group_exponent,
+    power_map,
     quotient,
     subgroup_generate,
 )
@@ -150,13 +150,18 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 def quotient_exponent_over_center(G: FiniteGroup) -> tuple[int, int] | None:
     """(p, n) with exponent(G/Z(G)) = p^n, or None if not a p-group.
 
-    The trivial quotient (abelian G) has no attached prime and also
-    returns None.
+    n is the least exponent with x^(p^n) in Z(G) for every x, read off
+    iterated p-th power maps, so the quotient is never built.  The
+    trivial quotient (abelian G) has no attached prime and also returns
+    None.
     """
-    Q, _ = quotient(G, center(G))
-    if Q.order == 1:
-        return None
-    pk = is_prime_power(Q.order)
+    Z = center(G)
+    pk = is_prime_power(G.order // Z.order)
     if pk is None:
         return None
-    return pk[0], valuation(group_exponent(Q), pk[0])
+    p = pk[0]
+    pth_power = power_map(G, p)
+    powers, n = np.arange(G.order), 0
+    while not Z.mask[powers].all():
+        powers, n = pth_power[powers], n + 1
+    return p, n

@@ -1,16 +1,23 @@
 """Command-line interface behavior and output determinism."""
 
+import argparse
+import gc
 import os
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from camina import cli
 from camina.cli import main
+from camina.corpus import CorpusEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -265,3 +272,150 @@ def test_chartable_same_bytes_under_optimize():
     plain, optimized = _plain_and_optimized("chartable", "--family", "heisenberg:3")
     assert plain.count(b"\n") == 14  # header, reps, sizes, 11 characters
     assert plain == optimized
+
+
+# ---------------------------------------------------------------------------
+# option surface
+
+
+def _subcommand_options() -> dict[str, list[str]]:
+    """{subcommand: its options in declaration order}, read off the parser."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            a.option_strings[-1]
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_declares_only_what_it_reads():
+    options = _subcommand_options()
+    assert sum(len(opts) for opts in options.values()) == 28
+    assert options["families"] == ["--report", "--max-order"]
+    assert "--workers" in options["verify"]
+
+
+def test_readme_lists_each_subcommands_options():
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M)
+    listed = {name: re.findall(r"`([^`]+)`", opts) for name, opts in rows}
+    assert listed == _subcommand_options()
+
+
+REMOVED_OPTIONS = [
+    ("analyze", "--workers"),
+    ("census", "--workers"),
+    ("search", "--workers"),
+    ("chartable", "--workers"),
+    ("census", "--chartable-cap"),
+    ("search", "--chartable-cap"),
+    ("chartable", "--chartable-cap"),
+    ("families", "--input"),
+    ("families", "--order-cap"),
+    ("families", "--workers"),
+    ("families", "--chartable-cap"),
+]
+BASE_ARGV = {
+    "analyze": ["--family", "quaternion:8"],
+    "census": ["--order", "8"],
+    "search": ["--max-order", "8"],
+    "chartable": ["--family", "quaternion:8"],
+    "families": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([command, *BASE_ARGV[command], option, "2"], f"unrecognized arguments: {option}")
+        for command, option in REMOVED_OPTIONS
+    ]
+    + [
+        (["--bogus"], "required: command"),
+        (["verify", "--workers", "x"], "invalid int value: 'x'"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_error_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: camina" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# resources
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, started",
+    [("64", 8, [5]), ("3", 8, [3]), ("64", 2, [2]), ("64", 1, []), ("1", 8, [])],
+)
+def test_verify_workers_are_capped(monkeypatch, capsys, workers, cpus, started):
+    """At most one worker per entry and per CPU; one worker runs serially."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "created", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["verify", "--workers", workers, "--input", str(FIXTURES / "order8.grp")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == 6  # header + 5 groups
+    assert _RecordingExecutor.created == started
+
+
+def test_search_keeps_at_most_two_corpus_groups_alive(monkeypatch, capsys):
+    refs = []
+    most_alive = 0
+    real_build = CorpusEntry.build
+
+    def build(entry, order_cap=None):
+        nonlocal most_alive
+        G = real_build(entry, order_cap)
+        refs.append(weakref.ref(G))
+        most_alive = max(most_alive, sum(r() is not None for r in refs))
+        return G
+
+    monkeypatch.setattr(CorpusEntry, "build", build)
+    argv = ["search", "--no-families"]
+    for name in ("order16.grp", "order32.grp"):
+        argv += ["--input", str(FIXTURES / name)]
+    gc.disable()
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        gc.enable()
+    assert code == 0
+    assert out.startswith("scanned 65 groups")
+    assert len(refs) == 65 and most_alive == 2

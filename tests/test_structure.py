@@ -5,6 +5,7 @@ import pytest
 
 from camina import (
     Permutation,
+    build_family,
     center,
     centralizer,
     d_subgroup,
@@ -14,9 +15,21 @@ from camina import (
     quotient_exponent_over_center,
     upper_central_series,
 )
+from camina.corpus import default_family_instances
 from camina.errors import CentralElement
-from camina.groups import commutator_set, derived_subgroup, subgroup_generate
-from camina.structure import commutators_land_in, is_prime_power, second_center
+from camina.groups import (
+    commutator_set,
+    derived_subgroup,
+    group_exponent,
+    quotient,
+    subgroup_generate,
+)
+from camina.structure import (
+    commutators_land_in,
+    is_prime_power,
+    second_center,
+    valuation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +148,17 @@ def test_quotient_exponent_over_center(q8, heis27, s3, corpus_groups):
     assert quotient_exponent_over_center(heis27) == (3, 1)
     assert quotient_exponent_over_center(s3) is None
     assert quotient_exponent_over_center(corpus_groups["32:6"]) == (2, 2)
+
+
+def test_quotient_exponent_matches_the_built_quotient(corpus_groups, s3):
+    """The power-map exponent agrees with exponent(G/Z) read off G/Z itself."""
+    groups = list(corpus_groups.values()) + [s3]
+    groups += [build_family(spec) for _, spec in default_family_instances(625)]
+    for G in groups:
+        Q, _ = quotient(G, center(G))
+        pk = is_prime_power(Q.order)
+        want = None if pk is None else (pk[0], valuation(group_exponent(Q), pk[0]))
+        assert quotient_exponent_over_center(G) == want, G.name
 
 
 def test_z2_commutes_with_derived(q8, heis27, t81, wreath81, corpus_groups):
