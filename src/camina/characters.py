@@ -511,9 +511,18 @@ def _gram(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     reduced mod Phi_e by reduction_matrix(e).  The products run in float64,
     which is exact while every partial sum stays below 2^53; the bound
     below covers the sum of the absolute values of all terms of every entry.
+    The float64 arrays hold up to k*k*e entries each; over TABLE_BUDGET
+    that raises TableTooLarge before any of them is allocated.
     """
     ki, kj, phi = X.shape
     km = Y.shape[0]
+    entries = max(ki, kj) * km * e
+    if entries > TABLE_BUDGET:
+        raise TableTooLarge(
+            f"orthogonality check with {max(ki, kj)} classes and exponent {e} "
+            f"needs {entries} Gram entries (k^2 e); "
+            f"the budget is {TABLE_BUDGET} entries"
+        )
     reduce = reduction_matrix(e)
     bound = (
         int(np.abs(X).sum(axis=(1, 2)).max())

@@ -39,6 +39,7 @@ from .groups import (
     derived_subgroup,
     direct_product,
     from_table_unchecked,
+    greedy_generators,
     group_exponent,
     group_from_generators,
     quotient,
@@ -198,19 +199,6 @@ def serialize_corpus(entries: list[CorpusEntry]) -> str:
 def regular_permutation(G: FiniteGroup, g: int) -> Permutation:
     """Right-multiplication by g as a permutation of the elements."""
     return Permutation(tuple(int(v) + 1 for v in G.mul[:, g]))
-
-
-def greedy_generators(G: FiniteGroup) -> list[int]:
-    """Small deterministic generating set (first elements that enlarge)."""
-    gens: list[int] = []
-    have = subgroup_generate(G, ())
-    for x in range(1, G.order):
-        if x not in have:
-            gens.append(x)
-            have = subgroup_generate(G, gens)
-            if have.order == G.order:
-                break
-    return gens
 
 
 def group_to_entry(

@@ -68,23 +68,6 @@ class Permutation:
                 images[pt - 1] = cyc[(i + 1) % len(cyc)]
         return cls(tuple(images))
 
-    def cycle_string(self) -> str:
-        seen = [False] * self.degree
-        parts = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self.images[start - 1]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self.images[nxt - 1]
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) if parts else "()"
-
 
 class FiniteGroup:
     """A finite group on elements 0..order-1 with identity 0."""
@@ -105,11 +88,6 @@ class FiniteGroup:
         tag = self.name or "group"
         return f"<FiniteGroup {tag} of order {self.order}>"
 
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
-
     def product(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
 
@@ -122,18 +100,23 @@ class FiniteGroup:
         """(class_of, classes) with classes listed by smallest member."""
         if "classes" not in self._cache:
             class_of, n_classes = _kernels.conjugacy_partition(self.mul, self.inv)
-            classes = [
-                np.flatnonzero(class_of == c).astype(np.int32)
-                for c in range(n_classes)
-            ]
+            members = np.argsort(class_of, kind="stable").astype(np.int32)
+            sizes = np.bincount(class_of, minlength=n_classes)
+            classes = np.split(members, np.cumsum(sizes)[:-1])
             self._cache["classes"] = (class_of, classes)
         return self._cache["classes"]
 
     def element_orders(self) -> np.ndarray:
         if "orders" not in self._cache:
-            orders = np.array(
-                [element_order(self, x) for x in range(self.order)], dtype=np.int64
-            )
+            # y = x^k for the x not yet known, all at once: exponent-many steps
+            orders = np.empty(self.order, dtype=np.int64)
+            x = np.arange(self.order, dtype=np.int32)
+            y, k = x, 1
+            while x.size:
+                done = y == 0
+                orders[x[done]] = k
+                x, y = x[~done], y[~done]
+                y, k = self.mul[y, x], k + 1
             orders.setflags(write=False)
             self._cache["orders"] = orders
         return self._cache["orders"]
@@ -267,8 +250,7 @@ def group_from_generators(
     for k in range(1, n):
         parent, j = parent_gen[k]
         mul[:, k] = rmaps[j][mul[:, parent]]
-    labels = [Permutation(tuple(int(v) + 1 for v in e)).cycle_string() for e in elems]
-    return from_table_unchecked(mul, labels=labels, name=name)
+    return from_table_unchecked(mul, name=name)
 
 
 def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
@@ -313,13 +295,13 @@ def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
     return from_table_unchecked(mul, name=name)
 
 
-def from_table_unchecked(mul, inv=None, labels=None, name: str = "") -> FiniteGroup:
+def from_table_unchecked(mul, inv=None, name: str = "") -> FiniteGroup:
     """Wrap a table produced by a trusted internal construction."""
     mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
     if inv is None:
         inv = (mul == 0).argmax(axis=1)
     inv = np.ascontiguousarray(np.asarray(inv, dtype=np.int32))
-    return FiniteGroup(mul, inv, labels=labels, name=name)
+    return FiniteGroup(mul, inv, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +344,23 @@ def subgroup_generate(G: FiniteGroup, seeds: Iterable[int]) -> SubgroupHandle:
             mask[new] = True
             frontier = new.astype(np.int32)
     return _handle(G, np.flatnonzero(mask))
+
+
+def greedy_generators(G: FiniteGroup) -> list[int]:
+    """Small deterministic generating set: each generator is the first
+    element outside the subgroup generated by the ones before it, so each
+    at least doubles that subgroup and there are at most log2|G| of them."""
+    gens: list[int] = []
+    mask = np.zeros(G.order, dtype=bool)  # <gens>, extended in place
+    mask[0] = True
+    while not mask.all():
+        gens.append(int(np.argmin(mask)))
+        frontier = np.flatnonzero(mask)
+        while frontier.size:
+            prods = G.mul[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(prods[~mask[prods]])
+            mask[frontier] = True
+    return gens
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:
@@ -426,10 +425,7 @@ def quotient(G: FiniteGroup, N: SubgroupHandle):
     pos[reps] = np.arange(len(reps), dtype=np.int32)
     proj = pos[rep]
     qmul = proj[G.mul[np.ix_(reps, reps)]]
-    labels = None
-    if G.labels is not None:
-        labels = [f"{G.labels[r]}*N" for r in reps]
-    Q = from_table_unchecked(qmul, labels=labels, name=f"{G.name}/N" if G.name else "")
+    Q = from_table_unchecked(qmul, name=f"{G.name}/N" if G.name else "")
     return Q, proj
 
 
@@ -445,11 +441,8 @@ def direct_product(
         A.mul.astype(np.int64)[:, None, :, None] * nB + B.mul[None, :, None, :]
     ).reshape(n, n)
     inv = A.inv.astype(np.int64)[:, None] * nB + B.inv[None, :]
-    labels = None
-    if A.labels is not None and B.labels is not None:
-        labels = [f"({la},{lb})" for la in A.labels for lb in B.labels]
     name = f"{A.name}x{B.name}" if A.name and B.name else ""
-    return from_table_unchecked(mul, inv.reshape(-1), labels=labels, name=name)
+    return from_table_unchecked(mul, inv.reshape(-1), name=name)
 
 
 def materialize_subgroup(G: FiniteGroup, H: SubgroupHandle):
@@ -462,8 +455,7 @@ def materialize_subgroup(G: FiniteGroup, H: SubgroupHandle):
     pos = np.empty(G.order, dtype=np.int32)
     pos[m] = np.arange(len(m), dtype=np.int32)
     sub_mul = pos[G.mul[np.ix_(m, m)]]
-    labels = [G.label(int(x)) for x in m] if G.labels is not None else None
-    return from_table_unchecked(sub_mul, labels=labels), m
+    return from_table_unchecked(sub_mul), m
 
 
 def joined(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:

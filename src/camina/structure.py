@@ -17,8 +17,8 @@ from .groups import (
     _handle,
     center,
     commutator_set,
+    greedy_generators,
     power_map,
-    quotient,
     subgroup_generate,
 )
 
@@ -57,14 +57,21 @@ def lower_central_series(G: FiniteGroup) -> CentralSeries:
 
 
 def upper_central_series(G: FiniteGroup) -> CentralSeries:
-    """Z_0 = 1, Z_{i+1}/Z_i = Z(G/Z_i), until stable."""
+    """Z_0 = 1, Z_{i+1}/Z_i = Z(G/Z_i), until stable.
+
+    Z_{i+1} = {x : [x, g] in Z_i for every g in a generating set of G}: the
+    elements commuting with xZ_i in G/Z_i form a subgroup, so it holds for
+    all of G once it holds for generators.  No quotient is built.
+    """
+    m, inv = G.mul, G.inv
+    gens = np.asarray(greedy_generators(G), dtype=np.int32)
+    comms = m[m[inv[:, None], inv[gens]], m[:, gens]]  # comms[x, j] = [x, g_j]
     terms = [subgroup_generate(G, ())]
     while not terms[-1].is_whole_group():
-        Q, proj = quotient(G, terms[-1])
-        pre = np.flatnonzero(np.isin(proj, Q.center_members()))
-        if len(pre) == terms[-1].order:
+        nxt = np.flatnonzero(terms[-1].mask[comms].all(axis=1))
+        if len(nxt) == terms[-1].order:
             break
-        terms.append(_handle(G, pre))
+        terms.append(_handle(G, nxt))
     class_c = len(terms) - 1 if terms[-1].is_whole_group() else None
     return CentralSeries("upper", terms, class_c)
 

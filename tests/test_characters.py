@@ -27,6 +27,7 @@ from camina import (
 from camina.characters import (
     TABLE_BUDGET,
     _character_rows,
+    _gram,
     _nullspace_mod,
     _root_of_unity,
     _rref_mod,
@@ -478,6 +479,17 @@ def test_table_over_budget_raises_before_building(spec, sizes):
     with pytest.raises(TableTooLarge, match=rf"needs {re.escape(sizes)}"):
         dixon_character_table(G)
     assert "class_consts" not in G._cache and "chartable" not in G._cache
+
+
+def test_gram_over_budget_raises_before_allocating():
+    """k = 257 classes at exponent 256 is k^2 e = 2^24 + 2^17 + 2^8 Gram
+    entries, just over the budget; the inputs are broadcast views, so the
+    test itself allocates nothing of that size."""
+    k, e = 257, 256
+    assert k * k * e > TABLE_BUDGET >= (k - 1) * (k - 1) * e
+    V = np.broadcast_to(np.zeros(1, dtype=np.int64), (k, k, e // 2))
+    with pytest.raises(TableTooLarge, match=rf"needs {k * k * e} Gram entries"):
+        _gram(V, V, e)
 
 
 def test_chartable_over_budget_is_one_error_line(capsys):

@@ -86,6 +86,7 @@ def test_q8_from_regular_generators():
     assert len(oracle) == 8
     G = group_from_generators(8, gens)
     assert G.order == 8
+    assert G.labels is None
     involutions = [x for x in range(8) if brute_order(G, x) == 2]
     assert len(involutions) == 1
 
@@ -166,6 +167,17 @@ def test_element_orders(q8, c4):
     for x in range(q8.order):
         assert element_order(q8, x) == brute_order(q8, x)
         assert q8.order % element_order(q8, x) == 0
+
+
+def test_cached_orders_and_classes_match_per_element_references(corpus_groups, s3):
+    for G in list(corpus_groups.values()) + [s3]:
+        orders = [element_order(G, x) for x in range(G.order)]
+        assert G.element_orders().tolist() == orders, G.name
+        class_of, classes = G.conjugacy_data()
+        want = [np.flatnonzero(class_of == c) for c in range(class_of.max() + 1)]
+        assert len(classes) == len(want)
+        for got, ref in zip(classes, want):
+            assert got.dtype == np.int32 and got.tolist() == ref.tolist()
 
 
 def test_group_exponent(q8, klein, heis27):

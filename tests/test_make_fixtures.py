@@ -153,6 +153,70 @@ def test_burnside_basis_has_the_generator_rank(census_groups):
         assert plan.members[-1].size == G.order
 
 
+def _reference_extensions_of(H, p):
+    """Every pair (a, h0), without the orbit reduction: the enumeration
+    extensions_of replaced, kept as a reference."""
+    inner = mf._inner_maps(H)
+    out = []
+    for alpha in mf.all_automorphisms(H):
+        apow = alpha
+        for _ in range(p - 1):
+            apow = alpha[apow]
+        for h0 in np.flatnonzero((inner == apow[None, :]).all(axis=1)):
+            if alpha[h0] == h0:
+                out.append(mf.cyclic_extension(H.mul, alpha, int(h0), p))
+    return out
+
+
+@pytest.fixture(scope="module")
+def order27():
+    return mf.classify_order(mf.classify_order([mf.cyclic_table(3)], 3), 3)
+
+
+def test_one_table_per_orbit_counts(census_groups, order27):
+    """1388 pairs fall into 345 Aut(H)-orbits over the order-16 parents
+    other than E16, and 3393 into 67 over the five groups of order 27."""
+    parents = [G for G in census_groups[16] if not _is_elementary_abelian(G)]
+    assert len(parents) == 13
+    assert sum(len(mf.extensions_of(H, 2)) for H in parents) == 345
+    assert sum(len(_reference_extensions_of(H, 2)) for H in parents) == 1388
+    assert sum(len(mf.extensions_of(H, 3)) for H in order27) == 67
+    assert sum(len(_reference_extensions_of(H, 3)) for H in order27) == 3393
+
+
+def test_kept_tables_are_a_subsequence_of_the_full_enumeration(census_groups):
+    for H in census_groups[8]:
+        full = [T.tobytes() for T in _reference_extensions_of(H, 2)]
+        kept = iter(full)
+        assert all(T.tobytes() in kept for T in mf.extensions_of(H, 2))
+
+
+def test_classify_order_keeps_the_same_representatives(monkeypatch):
+    """Orders 4, 8, 16 and 27: the same tables, in the same order, from
+    the orbit representatives as from every pair."""
+
+    def chain(p, steps):
+        groups, out = [mf.cyclic_table(p)], []
+        for _ in range(steps):
+            groups = mf.classify_order(groups, p)
+            out.append([G.mul.tobytes() for G in groups])
+        return out
+
+    reduced = chain(2, 3) + chain(3, 2)
+    monkeypatch.setattr(mf, "extensions_of", _reference_extensions_of)
+    full = chain(2, 3) + chain(3, 2)
+    assert [len(reps) for reps in reduced] == [2, 5, 14, 2, 5]
+    assert reduced == full
+
+
+def test_every_pair_is_isomorphic_to_a_kept_one(census_groups):
+    for H in census_groups[8]:
+        kept = [mf.from_table_unchecked(T) for T in mf.extensions_of(H, 2)]
+        for T in _reference_extensions_of(H, 2):
+            G = mf.from_table_unchecked(T)
+            assert any(mf.iso_exists(G, K) for K in kept)
+
+
 def test_regenerated_fixtures_are_byte_identical(tmp_path, capsys):
     assert mf.main(["--out", str(tmp_path)]) == 0
     for order in (8, 16, 27, 32):
@@ -169,6 +233,15 @@ def _run_optimized(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-O", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_regenerated_fixtures_are_byte_identical_under_optimize(tmp_path):
+    proc = _run_optimized(str(ROOT / "tools" / "make_fixtures.py"), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for order in (8, 16, 27, 32):
+        name = f"order{order}.grp"
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+    assert proc.stdout.splitlines()[-1].startswith("all checks passed")
 
 
 def test_generator_checks_survive_optimize():
@@ -195,7 +268,11 @@ print(raised(lambda: mf.classify_checked(order4, 2)))
 """
     proc = _run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr
-    unchanged, no_iso, no_assoc = proc.stdout.splitlines()
+    *progress, unchanged, no_iso, no_assoc = proc.stdout.splitlines()
+    assert progress == [
+        "  order 4: 2 extension tables, 2 classes",
+        "  order 8: 9 extension tables, 5 classes",
+    ]
     assert unchanged == "None"
     assert no_iso.startswith("order 8: ") and no_iso.endswith("expected 5")
     assert no_assoc == "extension table is not associative"

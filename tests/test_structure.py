@@ -65,6 +65,28 @@ def test_upper_central_series(q8, klein, s3):
     assert s.terms[-1].order == 1
 
 
+def _reference_upper_central_series(G):
+    """Z_{i+1} as the preimage of Z(G/Z_i), one quotient per term."""
+    terms = [np.zeros(1, dtype=np.int64)]
+    while len(terms[-1]) < G.order:
+        Q, proj = quotient(G, subgroup_generate(G, terms[-1]))
+        pre = np.flatnonzero(np.isin(proj, Q.center_members()))
+        if len(pre) == len(terms[-1]):
+            break
+        terms.append(pre)
+    return [t.tolist() for t in terms]
+
+
+def test_upper_central_series_matches_quotient_reference(
+    corpus_groups, s3, t81, wreath81
+):
+    groups = list(corpus_groups.values()) + [s3, t81, wreath81]
+    groups += [build_family(spec) for _, spec in default_family_instances(625)]
+    for G in groups:
+        got = [t.members.tolist() for t in upper_central_series(G).terms]
+        assert got == _reference_upper_central_series(G), G.name
+
+
 def test_nilpotency_class(q8, klein, s3, heis27, t81, wreath81):
     assert nilpotency_class(klein) == 1
     assert nilpotency_class(q8) == 2

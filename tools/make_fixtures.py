@@ -7,7 +7,10 @@ it; conjugation by t is an automorphism a of H with a(h0) = h0 and
 a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
 (a, h0) yields a group on H x Zp.  The builder therefore:
 
-  1. enumerates all extensions of the known groups of order n by C_p,
+  1. enumerates the extensions of the known groups H of order n by C_p,
+     one table per Aut(H)-orbit of the pairs: b in Aut(H) sends (a, h0)
+     to (b a b^-1, b(h0)), whose extension is isomorphic (proof in
+     extensions_of),
   2. deduplicates up to isomorphism: invariant fingerprints split the
      tables into buckets, and within a bucket an exact search maps a
      Burnside basis of one group (d(G) elements, each outside the subgroup
@@ -42,6 +45,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -358,36 +362,68 @@ def _assoc_ok(table: np.ndarray) -> bool:
 
 
 def extensions_of(H: FiniteGroup, p: int) -> list[np.ndarray]:
-    """All cyclic-extension tables of H by C_p (with duplicates)."""
+    """Cyclic-extension tables of H by C_p, one per Aut(H)-orbit of (a, h0).
+
+    The pairs (a, h0) are walked with the automorphisms in the order of
+    all_automorphisms and h0 ascending; a pair is kept unless an earlier
+    kept pair lies in its orbit {(b a b^-1, b(h0)) : b in Aut(H)}.  Pairs
+    in one orbit give isomorphic groups: write ext(a, h0) on the elements
+    h t^i with t h t^-1 = a(h) and t^p = h0, so that
+
+        (h t^i)(k t^j) = h a^i(k) t^(i+j),  with t^(i+j) = h0 t^(i+j-p)
+                                            when i + j >= p.
+
+    Take b in Aut(H), a' = b a b^-1, h0' = b(h0), and the bijection
+    f(h t^i) = b(h) t'^i from ext(a, h0) onto ext(a', h0').  As
+    b(a^i(k)) = a'^i(b(k)), f maps the product above to
+
+        b(h) a'^i(b(k)) t'^(i+j),  with t'^(i+j) = h0' t'^(i+j-p) likewise,
+
+    which is f(h t^i) f(k t^j); so f is an isomorphism.  On tables, f is
+    (h, i) -> (b(h), i).  classify_order keeps the first table of each
+    isomorphism class, and that is the table of the first pair of an
+    orbit, so it keeps the same representatives, in the same order, as
+    it would from every pair.
+    """
     inner = _inner_maps(H)
+    auts = np.array(all_automorphisms(H))
+    auts_inv = np.argsort(auts, axis=1)
+    index = {a.tobytes(): i for i, a in enumerate(auts)}
+    seen = np.zeros((len(auts), H.order), dtype=bool)
     out = []
-    for alpha in all_automorphisms(H):
+    for i, alpha in enumerate(auts):
         apow = alpha
         for _ in range(p - 1):
             apow = alpha[apow]
         h0_candidates = np.flatnonzero((inner == apow[None, :]).all(axis=1))
         for h0 in h0_candidates:
-            if alpha[h0] != h0:
+            if alpha[h0] != h0 or seen[i, h0]:
                 continue
             out.append(cyclic_extension(H.mul, alpha, int(h0), p))
+            conj = np.take_along_axis(auts, alpha[auts_inv], axis=1)
+            seen[[index[c.tobytes()] for c in conj], auts[:, h0]] = True
     return out
+
+
+def classify_tables(tables: Iterable[np.ndarray]) -> list[FiniteGroup]:
+    """The first table of each isomorphism class, in the order given."""
+    buckets: dict[tuple, list[FiniteGroup]] = {}
+    reps: list[FiniteGroup] = []
+    for table in tables:
+        _ensure(_assoc_ok(table), "extension table is not associative")
+        G = from_table_unchecked(table)
+        key = fingerprint(G)
+        bucket = buckets.setdefault(key, [])
+        if any(iso_exists(G, R) for R in bucket):
+            continue
+        bucket.append(G)
+        reps.append(G)
+    return reps
 
 
 def classify_order(groups_below: list[FiniteGroup], p: int) -> list[FiniteGroup]:
     """All isomorphism classes of extensions of the given groups by C_p."""
-    buckets: dict[tuple, list[FiniteGroup]] = {}
-    reps: list[FiniteGroup] = []
-    for H in groups_below:
-        for table in extensions_of(H, p):
-            _ensure(_assoc_ok(table), "extension table is not associative")
-            G = from_table_unchecked(table)
-            key = fingerprint(G)
-            bucket = buckets.setdefault(key, [])
-            if any(iso_exists(G, R) for R in bucket):
-                continue
-            bucket.append(G)
-            reps.append(G)
-    return reps
+    return classify_tables(T for H in groups_below for T in extensions_of(H, p))
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +645,16 @@ CENSUS = {4: 2, 8: 5, 16: 14, 32: 51, 9: 2, 27: 5}
 
 
 def classify_checked(groups_below: list[FiniteGroup], p: int) -> list[FiniteGroup]:
-    """classify_order, checked against the classical census count."""
-    reps = classify_order(groups_below, p)
+    """classify_order, checked against the classical census count; prints
+    the number of extension tables and of classes."""
+    tables = [T for H in groups_below for T in extensions_of(H, p)]
+    reps = classify_tables(tables)
     order = groups_below[0].order * p
     _ensure(
         len(reps) == CENSUS[order],
         f"order {order}: {len(reps)} classes, expected {CENSUS[order]}",
     )
+    print(f"  order {order}: {len(tables)} extension tables, {len(reps)} classes")
     return reps
 
 
@@ -629,15 +668,12 @@ def main(argv: list[str] | None = None) -> int:
     print("enumerating 2-groups ...")
     order4 = classify_checked([cyclic_table(2)], 2)
     order8 = classify_checked(order4, 2)
-    print(f"  order 8: {len(order8)} classes")
     order16 = classify_checked(order8, 2)
-    print(f"  order 16: {len(order16)} classes ({time.time() - t0:.1f}s)")
     order32 = classify_checked(order16, 2)
-    print(f"  order 32: {len(order32)} classes ({time.time() - t0:.1f}s)")
 
     print("enumerating 3-groups ...")
     order27 = classify_checked(classify_checked([cyclic_table(3)], 3), 3)
-    print(f"  order 27: {len(order27)} classes")
+    print(f"  enumerated in {time.time() - t0:.1f}s")
 
     print("assigning indices ...")
     a8 = assign_exact(order8, named_groups_8())
