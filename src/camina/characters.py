@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .cyclotomic import reduction_matrix
 from .errors import InternalPrimeSearchFailed, InvariantViolation, TableTooLarge
 from .groups import (
@@ -274,22 +273,26 @@ class CharacterTable:
     exponent: int
 
     @property
-    def classes(self) -> list[tuple[int, int]]:
-        return [(int(r), int(s)) for r, s in zip(self.class_reps, self.class_sizes)]
-
-    @property
     def n_classes(self) -> int:
         return len(self.degrees)
 
 
 def class_mult_coefficients(G: FiniteGroup) -> np.ndarray:
-    """Structure constants a[i][j][k] of the class algebra (cached)."""
+    """Structure constants a[i, j, k] of the class algebra (cached).
+
+    a[i, j, k] counts factorizations z = u * v with u in class i and v in
+    class j, for z the representative of class k; the count does not
+    depend on the choice of z.
+    """
     if "class_consts" not in G._cache:
         class_of, classes = G.conjugacy_data()
-        reps = np.array([int(c[0]) for c in classes], dtype=np.int32)
-        G._cache["class_consts"] = _kernels.class_product_counts(
-            G.mul, G.inv, class_of, reps
-        )
+        k = len(classes)
+        cls = class_of.astype(np.int64)
+        a = np.zeros((k, k, k), dtype=np.int64)
+        for c, members in enumerate(classes):
+            pairs = cls * k + cls[G.mul[G.inv, members[0]]]  # v = u^-1 z
+            a[:, :, c] = np.bincount(pairs, minlength=k * k).reshape(k, k)
+        G._cache["class_consts"] = a
     return G._cache["class_consts"]
 
 

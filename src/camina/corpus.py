@@ -12,6 +12,10 @@ Families cover the recurring constructions: cyclic, dihedral,
 (generalized) quaternion, elementary abelian, the two extraspecial types
 for odd p, the Sylow p-subgroup of SL3 over GF(p^k) (upper unitriangular
 matrices), and its product with C_p.  Each is declared once, in `FAMILIES`.
+Dihedral, quaternion and the extraspecial group of order p^3 and
+exponent p^2 are cyclic extensions of C_k; the SL3 Sylow subgroups and
+the other extraspecial groups are central extensions of a vector space
+by a bilinear cocycle (`camina.groups` holds both formulas).
 """
 
 from __future__ import annotations
@@ -35,15 +39,15 @@ from .groups import (
     FiniteGroup,
     Permutation,
     center,
+    central_extension,
     centralizer,
+    cyclic_extension,
     derived_subgroup,
     direct_product,
     from_table_unchecked,
     greedy_generators,
     group_exponent,
     group_from_generators,
-    quotient,
-    subgroup_generate,
 )
 from .structure import is_prime_power, nilpotency_class
 
@@ -316,26 +320,10 @@ def _cyclic(n: int) -> FiniteGroup:
     return from_table_unchecked((idx[:, None] + idx[None, :]) % n, name=f"C{n}")
 
 
-def _metacyclic(k: int, s: int, name: str = "") -> FiniteGroup:
-    """<a, b | a^k = b^2 = 1, b a b^-1 = a^s> as an explicit table."""
-    i = np.arange(2 * k)
-    rot, flip = i % k, i // k
-    r1, f1 = rot[:, None], flip[:, None]
-    r2, f2 = rot[None, :], flip[None, :]
-    twist = np.where(f1 == 1, s, 1)
-    table = (r1 + twist * r2) % k + k * ((f1 + f2) % 2)
+def _extend_cyclic(k: int, s: int, h0: int, m: int, name: str) -> FiniteGroup:
+    """C_k extended by t with t^m = h0 and t h t^-1 = h^s."""
+    table = cyclic_extension(_cyclic(k).mul, s * np.arange(k) % k, h0, m)
     return from_table_unchecked(table, name=name)
-
-
-def _quaternion(order: int) -> FiniteGroup:
-    t = order // 4
-    i = np.arange(order)
-    a, b = i % (2 * t), i // (2 * t)
-    a1, b1, a2, b2 = a[:, None], b[:, None], a[None, :], b[None, :]
-    sign = np.where(b1 == 1, -1, 1)
-    twist = np.where((b1 == 1) & (b2 == 1), t, 0)
-    table = (a1 + sign * a2 + twist) % (2 * t) + 2 * t * ((b1 + b2) % 2)
-    return from_table_unchecked(table, name=f"Q{order}")
 
 
 def _digit_sum_table(p: int, k: int) -> np.ndarray:
@@ -356,64 +344,44 @@ def _digit_sum_table(p: int, k: int) -> np.ndarray:
     return table
 
 
+def _bilinear_cocycle(form, p: int) -> np.ndarray:
+    """cocycle[v, v'] = v^T form v' mod p on F_p^n, each vector coded in
+    base p with its first coordinate as the most significant digit."""
+    n = len(form)
+    digits = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    return digits @ np.asarray(form, dtype=np.int64) @ digits.T % p
+
+
 def _heisenberg(p: int, k: int) -> FiniteGroup:
-    """Upper unitriangular 3x3 matrices over GF(p^k), order p^(3k)."""
+    """Upper unitriangular 3x3 matrices over GF(p^k), order p^(3k): the
+    central extension of GF(q)^2 by GF(q) with cocycle a b'."""
     q, fadd, fmul = gf_tables(p, k)
-    n = q**3
-    i = np.arange(n)
-    a, rest = i // (q * q), i % (q * q)
-    b, c = rest // q, rest % q
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    ca = fadd[a1, a2]
-    cb = fadd[b1, b2]
-    cc = fadd[fadd[c1, c2], fmul[a1, b2]]
-    table = (ca * q + cb) * q + cc
+    a, b = np.divmod(np.arange(q * q), q)
+    table = central_extension(_digit_sum_table(p, 2 * k), fadd, fmul[a[:, None], b])
     return from_table_unchecked(table, name=f"H({p}^{k})")
 
 
-def _modular_p3(p: int) -> FiniteGroup:
-    """The order-p^3 group of exponent p^2 (odd p): <a, b | a^(p^2), b^p,
-    b a b^-1 = a^(1+p)>."""
-    p2 = p * p
-    n = p2 * p
-    i = np.arange(n)
-    ai, bi = i % p2, i // p2
-    a1, b1, a2, b2 = ai[:, None], bi[:, None], ai[None, :], bi[None, :]
-    factor = np.array([pow(1 + p, int(j), p2) for j in range(p)], dtype=np.int64)
-    table = (a1 + a2 * factor[b1]) % p2 + p2 * ((b1 + b2) % p)
-    return from_table_unchecked(table, name=f"M{p}^3")
-
-
-def _central_product_over_cp(A: FiniteGroup, zA: int, B: FiniteGroup, zB: int):
-    """(A x B) / <(zA, zB^-1)>, identifying the two central order-p elements.
-
-    Returns the quotient group and the index of the image of (zA, 1), a
-    generator of the shared center.
-    """
-    prod = direct_product(A, B, order_cap=A.order * B.order)
-    anti = int(zA) * B.order + int(B.inv[zB])
-    N = subgroup_generate(prod, [anti])
-    Q, proj = quotient(prod, N)
-    return Q, int(proj[zA * B.order])
-
-
 def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
-    parts = [_modular_p3(p)] if exponent_p2 else [_heisenberg(p, 1)]
-    parts += [_heisenberg(p, 1) for _ in range(blocks - 1)]
+    """Order p^(2 blocks + 1): the central extension of F_p^(2 blocks),
+    digits (u_1, w_1, ..., u_b, w_b), by F_p with cocycle sum u_i w'_i.
 
-    def central_gen(G):
-        # both block types have center of order p; take its first non-identity
-        return int(center(G).members[1])
-
-    G = parts[0]
-    zg = central_gen(G)
-    for H in parts[1:]:
-        G, zg = _central_product_over_cp(G, zg, H, central_gen(H))
+    With exponent p^2 the first block is M(p^3) = <a, b | a^(p^2), b^p,
+    b a b^-1 = a^(1+p)>, with u_1 = b and w_1 the low digit of a, so the
+    cocycle gains the carry (w_1 + w'_1) div p.  One block of that type is
+    the cyclic extension of C_(p^2) itself.
+    """
     kind = "p2" if exponent_p2 else "p"
-    return from_table_unchecked(
-        np.asarray(G.mul), name=f"ES{kind}({p},{blocks})"
-    )
+    name = f"ES{kind}({p},{blocks})"
+    if exponent_p2 and blocks == 1:
+        return _extend_cyclic(p * p, 1 + p, 0, p, name)
+    n = 2 * blocks
+    form = np.kron(np.eye(blocks, dtype=np.int64), [[0, 1], [0, 0]])  # sum u_i w'_i
+    cocycle = _bilinear_cocycle(form, p)
+    if exponent_p2:
+        w1 = np.arange(p**n) // p ** (n - 2) % p
+        cocycle = (cocycle + (w1[:, None] + w1) // p) % p
+    table = central_extension(_digit_sum_table(p, n), _digit_sum_table(p, 1), cocycle)
+    return from_table_unchecked(table, name=name)
 
 
 def _heisenberg_times_cyclic(p: int, k: int) -> FiniteGroup:
@@ -467,12 +435,12 @@ FAMILIES = {
         "dihedral", "N", "dihedral group of order N",
         lambda n: _require(n >= 4 and n % 2 == 0,
                            "dihedral order must be an even number >= 4"),
-        lambda n: n, lambda n: _metacyclic(n // 2, -1, name=f"D{n}")),
+        lambda n: n, lambda n: _extend_cyclic(n // 2, -1, 0, 2, f"D{n}")),
     "quaternion": Family(
         "quaternion", "N", "generalized quaternion group of order N",
         lambda n: _require(n >= 8 and n % 4 == 0, "generalized quaternion "
                            "order must be a multiple of 4, at least 8"),
-        lambda n: n, _quaternion),
+        lambda n: n, lambda n: _extend_cyclic(n // 2, -1, n // 4, 2, f"Q{n}")),
     "elementary_abelian": Family(
         "elemab", "p,k", "elementary abelian group of order p^k",
         _check_prime_and_exponent, lambda p, k: p**k,

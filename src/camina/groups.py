@@ -3,13 +3,16 @@
 Every group lives as an order x order int32 table ``mul`` with
 ``mul[a, b] = a*b``, identity at index 0, plus the inverse map.  Groups are
 either closed from permutation generators (breadth-first, so element
-indexing is deterministic) or validated from an explicit table.  All
-operations are exact integer computations over the table.
+indexing is deterministic), validated from an explicit table, or built by
+one of the two extension formulas (`cyclic_extension`,
+`central_extension`).  All operations are exact integer computations over
+the table.
 
-Conventions, fixed once for reproducible witnesses:
+Conventions, fixed once for reproducible witnesses, and read only through
+this module:
   * permutation products compose left to right: ``(x*y)(pt) = y(x(pt))``
-  * commutator ``[x, y] = x^-1 y^-1 x y``
-  * conjugation ``x^g = g^-1 x g``
+  * commutator ``[x, y] = x^-1 y^-1 x y`` (`commutators`)
+  * conjugation ``x^g = g^-1 x g`` (`conjugates`)
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ClosureExceedsCap,
     InvalidPermutation,
@@ -97,9 +99,18 @@ class FiniteGroup:
     # cached whole-group computations, shared by the higher-level modules
 
     def conjugacy_data(self):
-        """(class_of, classes) with classes listed by smallest member."""
+        """(class_of, classes) with classes listed by smallest member.
+
+        class_of[x] numbers the class of x in that order, so the identity's
+        class is 0.
+        """
         if "classes" not in self._cache:
-            class_of, n_classes = _kernels.conjugacy_partition(self.mul, self.inv)
+            class_of = np.full(self.order, -1, np.int32)
+            n_classes = 0
+            for x in range(self.order):
+                if class_of[x] < 0:
+                    class_of[conjugates(self, x, slice(None))] = n_classes
+                    n_classes += 1
             members = np.argsort(class_of, kind="stable").astype(np.int32)
             sizes = np.bincount(class_of, minlength=n_classes)
             classes = np.split(members, np.cumsum(sizes)[:-1])
@@ -178,9 +189,6 @@ class SubgroupHandle:
 
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def closure_holds(self) -> bool:
         """Check closure under multiplication and inversion (witness test)."""
@@ -289,10 +297,20 @@ def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
     if no_inv.size:
         raise NoInverse(f"element {no_inv[0]} has no inverse")
 
-    a, b, c = _kernels.assoc_violation(mul)
-    if a >= 0:
-        raise NotAssociative(int(a), int(b), int(c))
+    bad = assoc_violation(mul)
+    if bad is not None:
+        raise NotAssociative(*bad)
     return from_table_unchecked(mul, name=name)
+
+
+def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
+    """First triple (a, b, c) with (a*b)*c != a*(b*c), or None."""
+    for a in range(mul.shape[0]):
+        bad = mul[mul[a]] != mul[a][mul]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            return a, int(b), int(c)
+    return None
 
 
 def from_table_unchecked(mul, inv=None, name: str = "") -> FiniteGroup:
@@ -302,6 +320,41 @@ def from_table_unchecked(mul, inv=None, name: str = "") -> FiniteGroup:
         inv = (mul == 0).argmax(axis=1)
     inv = np.ascontiguousarray(np.asarray(inv, dtype=np.int32))
     return FiniteGroup(mul, inv, name=name)
+
+
+def cyclic_extension(mulH: np.ndarray, alpha: np.ndarray, h0: int, p: int):
+    """Group on H x Zp from (alpha, h0) with t^p = h0, t h t^-1 = alpha(h)."""
+    nH = mulH.shape[0]
+    n = nH * p
+    apow = [np.arange(nH, dtype=np.int64)]
+    for _ in range(p - 1):
+        apow.append(alpha[apow[-1]])
+    h = np.arange(nH)
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(p):
+        for j in range(p):
+            part = mulH[h[:, None], apow[i][None, :]]
+            if i + j >= p:
+                part = mulH[part, h0]
+            table[i * nH : (i + 1) * nH, j * nH : (j + 1) * nH] = (
+                ((i + j) % p) * nH + part
+            )
+    return table
+
+
+def central_extension(vadd: np.ndarray, wadd: np.ndarray, cocycle: np.ndarray):
+    """Table of (v, w)(v', w') = (v + v', w + w' + cocycle[v, v']).
+
+    vadd and wadd are the tables of the abelian groups V and W, and
+    cocycle is a |V| x |V| array of elements of W; element (v, w) has
+    index v |W| + w.  The table is assembled in place, so nothing larger
+    than it is allocated.
+    """
+    nV, nW = vadd.shape[0], wadd.shape[0]
+    wadd = wadd.astype(np.int32)
+    table = wadd[wadd[None, :, None, :], cocycle[:, None, :, None]]
+    table += (vadd.astype(np.int32) * nW)[:, None, :, None]
+    return table.reshape(nV * nW, nV * nW)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +430,32 @@ def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
     return classes
 
 
-def commutator(G: FiniteGroup, x: int, y: int) -> int:
+def commutators(G: FiniteGroup, x, y):
+    """[x, y] = x^-1 y^-1 x y, broadcast over index arrays.
+
+    One of x and y may be a slice: commutators(G, g, slice(None)) reads
+    row g of the table and commutators(G, slice(None), g) column g.
+    """
+    m, inv = G.mul, G.inv
+    return m[m[inv[x], inv[y]], m[x, y]]
+
+
+def conjugates(G: FiniteGroup, x, g):
+    """x^g = g^-1 (x g), broadcast over index arrays.
+
+    g may also be a slice: conjugates(G, x, slice(None)) reads row x of
+    the table and pairs it with g^-1 for every g, giving the class of x.
+    """
     m = G.mul
-    return int(m[m[m[G.inv[x], G.inv[y]], x], y])
+    return m[G.inv[g], m[x, g]]
+
+
+def commutator(G: FiniteGroup, x: int, y: int) -> int:
+    return int(commutators(G, x, y))
 
 
 def commutator_set(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """All values [a, b] with a in `left`, b in `right` (unique, sorted)."""
-    m, inv = G.mul, G.inv
     left = np.asarray(left, dtype=np.int32)
     right = np.asarray(right, dtype=np.int32)
     if not left.size:
@@ -392,8 +463,7 @@ def commutator_set(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.nd
     hit = np.zeros(G.order, dtype=bool)
     rows = max(1, COMMUTATOR_BLOCK // max(1, right.size))
     for i in range(0, left.size, rows):
-        a = left[i : i + rows, None]
-        hit[m[m[inv[a], inv[right]], m[a, right]]] = True
+        hit[commutators(G, left[i : i + rows, None], right)] = True
     return np.flatnonzero(hit).astype(np.int32)
 
 
@@ -406,8 +476,7 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
 
 
 def is_normal(G: FiniteGroup, H: SubgroupHandle) -> bool:
-    m = H.members
-    conj = G.mul[G.mul[G.inv][:, m], np.arange(G.order)[:, None]]
+    conj = conjugates(G, H.members, slice(None))
     return bool(H.mask[conj].all())
 
 

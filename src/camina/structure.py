@@ -17,6 +17,7 @@ from .groups import (
     _handle,
     center,
     commutator_set,
+    commutators,
     greedy_generators,
     power_map,
     subgroup_generate,
@@ -34,9 +35,6 @@ class CentralSeries:
     kind: str  # "lower" | "upper"
     terms: list[SubgroupHandle]
     class_c: int | None
-
-    def term_orders(self) -> list[int]:
-        return [t.order for t in self.terms]
 
 
 def lower_central_series(G: FiniteGroup) -> CentralSeries:
@@ -63,9 +61,8 @@ def upper_central_series(G: FiniteGroup) -> CentralSeries:
     elements commuting with xZ_i in G/Z_i form a subgroup, so it holds for
     all of G once it holds for generators.  No quotient is built.
     """
-    m, inv = G.mul, G.inv
     gens = np.asarray(greedy_generators(G), dtype=np.int32)
-    comms = m[m[inv[:, None], inv[gens]], m[:, gens]]  # comms[x, j] = [x, g_j]
+    comms = commutators(G, np.arange(G.order)[:, None], gens)  # [x, g_j]
     terms = [subgroup_generate(G, ())]
     while not terms[-1].is_whole_group():
         nxt = np.flatnonzero(terms[-1].mask[comms].all(axis=1))
@@ -103,8 +100,7 @@ def second_center(G: FiniteGroup) -> SubgroupHandle:
 
 def d_members(G: FiniteGroup, g: int, z_mask: np.ndarray) -> np.ndarray:
     """Sorted members of D(g) = {x : [g, x] in Z}, Z given by its mask."""
-    m, inv = G.mul, G.inv
-    comms = m[m[inv[g], inv], m[g, :]]
+    comms = commutators(G, g, slice(None))
     return np.flatnonzero(z_mask[comms]).astype(np.int32)
 
 
@@ -123,11 +119,9 @@ def d_subgroup(G: FiniteGroup, g: int, Z: SubgroupHandle) -> SubgroupHandle:
 
 def commutators_land_in(G: FiniteGroup, members: np.ndarray, target_mask) -> bool:
     """True iff [x, y] lies in the target set for all x, y in members."""
-    m, inv = G.mul, G.inv
     members = np.asarray(members, dtype=np.int32)
     for a in members:
-        comms = m[m[inv[a], inv[members]], m[a, members]]
-        if not target_mask[comms].all():
+        if not target_mask[commutators(G, a, members)].all():
             return False
     return True
 

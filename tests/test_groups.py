@@ -18,6 +18,7 @@ from camina import (
     group_from_cayley_table,
     group_from_generators,
     is_normal,
+    nilpotency_class,
     quotient,
     subgroup_generate,
 )
@@ -30,6 +31,7 @@ from camina.errors import (
     NotNormal,
 )
 from camina import groups
+from camina.corpus import _digit_sum_table
 from camina.groups import commutator_set, materialize_subgroup
 
 # right-regular generators of the quaternion group on {1,-1,i,-i,j,-j,k,-k}
@@ -438,3 +440,61 @@ def test_random_subgroups_satisfy_lagrange(corpus_groups, data):
     assert G.order % H.order == 0
     assert H.closure_holds()
     assert all(int(s) in H for s in seeds)
+
+
+# ---------------------------------------------------------------------------
+# the extension builders
+
+
+# (p, n) with p^(n+1) <= 243
+BILINEAR_SHAPES = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+BILINEAR_SHAPES += [(5, 1), (5, 2)]
+
+
+def _form(shape):
+    """(p, an n x n matrix over F_p)."""
+    p, n = shape
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return st.tuples(st.just(p), st.lists(row, min_size=n, max_size=n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(BILINEAR_SHAPES).flatmap(_form))
+def test_central_extension_by_a_bilinear_cocycle_is_class_two(pform):
+    p, form = pform
+    n = len(form)
+    v = np.arange(p**n)
+    digits = np.stack([v // p**i % p for i in range(n)], axis=1)
+    cocycle = digits @ np.array(form) @ digits.T % p
+    wadd = np.add.outer(np.arange(p), np.arange(p)) % p
+    G = group_from_cayley_table(
+        groups.central_extension(_digit_sum_table(p, n), wadd, cocycle)
+    )
+    assert G.order == p ** (n + 1)
+    W = np.arange(p)  # the elements (0, w)
+    assert center(G).mask[W].all()
+    assert nilpotency_class(G) in (1, 2)
+    # [(v, 0), (v', 0)] = (0, B(v, v') - B(v', v))
+    lifts = v * p
+    comms = groups.commutators(G, lifts[:, None], lifts[None, :])
+    assert np.array_equal(comms, (cocycle - cocycle.T) % p)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.one_of(
+        st.integers(2, 121).map(lambda k: (k, k - 1, 0, 2)),  # dihedral
+        st.integers(2, 60).map(lambda t: (2 * t, 2 * t - 1, t, 2)),  # quaternion
+        st.sampled_from([2, 3, 5]).map(lambda p: (p * p, 1 + p, 0, p)),  # M(p^3)
+    )
+)
+def test_cyclic_extension_of_a_cyclic_group(params):
+    k, s, h0, m = params
+    alpha = s * np.arange(k) % k
+    Ck = np.add.outer(np.arange(k), np.arange(k)) % k
+    G = group_from_cayley_table(groups.cyclic_extension(Ck, alpha, h0, m))
+    assert G.order == k * m
+    t = k  # the element (h, i) = (0, 1)
+    assert groups.power_map(G, m)[t] == h0
+    h = np.arange(k)
+    assert np.array_equal(groups.conjugates(G, h, G.inv[t]), alpha)  # t h t^-1

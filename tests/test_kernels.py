@@ -1,10 +1,18 @@
-"""The vectorized kernels against plain loops over the table."""
+"""The vectorized table loops against plain loops over the table.
+
+Each loop lives in the function that owns it: the conjugacy partition in
+FiniteGroup.conjugacy_data, the two pair checks in camina_by_classes and
+camina_by_commutators, the associativity scan in groups.assoc_violation
+and the class-algebra counts in class_mult_coefficients.  The references
+return (-1, -1) or (-1, -1, -1) where those functions return None.
+"""
 
 import numpy as np
 import pytest
 
-from camina import _kernels
-from camina.groups import center, derived_subgroup, subgroup_generate
+from camina.characters import class_mult_coefficients
+from camina.groups import assoc_violation, center, derived_subgroup, subgroup_generate
+from camina.pairs import camina_by_classes, camina_by_commutators
 
 # ---------------------------------------------------------------------------
 # reference loops: one element at a time, straight from the definitions
@@ -77,6 +85,13 @@ def groups(q8, s3, heis27, corpus_groups):
 GROUP_NAMES = ["q8", "s3", "heis27", "32:6", "32:43", "32:49"]
 
 
+def _as_witness(result):
+    """(holds, witness) from a pair criterion, in the reference's terms."""
+    holds, witness = result
+    assert holds == (witness is None)
+    return (-1, -1) if witness is None else witness
+
+
 def _targets(G):
     """Center, derived subgroup and <1>, where proper and nontrivial.
 
@@ -90,9 +105,9 @@ def _targets(G):
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_conjugacy_partition(groups, name):
     G = groups[name]
-    class_of, n_classes = _kernels.conjugacy_partition(G.mul, G.inv)
+    class_of, classes = G.conjugacy_data()
     ref_class_of, ref_n = ref_conjugacy_partition(G.mul, G.inv)
-    assert n_classes == ref_n
+    assert len(classes) == ref_n
     assert np.array_equal(class_of, ref_class_of)
 
 
@@ -103,22 +118,23 @@ def test_pair_checks(groups, name):
     for H in _targets(G):
         members = H.members
         outside = np.flatnonzero(~H.mask).astype(np.int32)
-        assert _kernels.coset_class_check(
+        assert _as_witness(camina_by_classes(G, H)) == ref_coset_class_check(
             G.mul, class_of, members, outside
-        ) == ref_coset_class_check(G.mul, class_of, members, outside)
-        assert _kernels.commutator_cover_check(
+        )
+        assert _as_witness(camina_by_commutators(G, H)) == ref_commutator_cover_check(
             G.mul, G.inv, members, outside
-        ) == ref_commutator_cover_check(G.mul, G.inv, members, outside)
+        )
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_assoc_and_class_products(groups, name):
     G = groups[name]
-    assert _kernels.assoc_violation(G.mul) == ref_assoc_violation(G.mul) == (-1, -1, -1)
+    assert assoc_violation(G.mul) is None
+    assert ref_assoc_violation(G.mul) == (-1, -1, -1)
     class_of, classes = G.conjugacy_data()
     reps = np.array([int(c[0]) for c in classes], dtype=np.int32)
     assert np.array_equal(
-        _kernels.class_product_counts(G.mul, G.inv, class_of, reps),
+        class_mult_coefficients(G),
         ref_class_product_counts(G.mul, G.inv, class_of, reps),
     )
 
@@ -135,4 +151,4 @@ def test_assoc_kernel_reports_first_violation():
         dtype=np.int32,
     )
     # (1*1)*2 = 0*2 = 2, but 1*(1*2) = 1*3 = 4
-    assert _kernels.assoc_violation(bad) == ref_assoc_violation(bad) == (1, 1, 2)
+    assert assoc_violation(bad) == ref_assoc_violation(bad) == (1, 1, 2)

@@ -8,8 +8,9 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
 (a, h0) yields a group on H x Zp.  The builder therefore:
 
   1. enumerates the extensions of the known groups H of order n by C_p,
-     one table per Aut(H)-orbit of the pairs: b in Aut(H) sends (a, h0)
-     to (b a b^-1, b(h0)), whose extension is isomorphic (proof in
+     each table built by camina.groups.cyclic_extension, one table per
+     Aut(H)-orbit of the pairs: b in Aut(H) sends (a, h0) to
+     (b a b^-1, b(h0)), whose extension is isomorphic (proof in
      extensions_of),
   2. deduplicates up to isomorphism: invariant fingerprints split the
      tables into buckets, and within a bucket an exact search maps a
@@ -29,7 +30,7 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
      (5 groups of order 8, 14 of order 16, 5 of order 27, 51 of order 32),
   4. assigns catalogue indices: isomorphism-anchored indices where the
      standard small-groups numbering is attested (all of orders 8/16/27,
-     and for order 32 the structural anchors listed in ANCHORS_32 plus
+     and for order 32 the structural anchors listed in anchors_32 plus
      the five center-pair groups at 6, 7, 8, 43, 44), remaining order-32
      indices filled deterministically by (generator rank, fingerprint),
   5. writes tests/fixtures/order{8,16,27,32}.grp and re-parses them as a
@@ -51,11 +52,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from camina._kernels import assoc_violation  # noqa: E402
 from camina.corpus import (  # noqa: E402
     FamilySpec,
-    _central_product_over_cp,
-    _metacyclic as metacyclic,
+    _bilinear_cocycle,
+    _digit_sum_table,
     build_family,
     group_to_entry,
     parse_corpus,
@@ -65,7 +65,12 @@ from camina.errors import CaminaError, InvariantViolation  # noqa: E402
 from camina.groups import (  # noqa: E402
     FiniteGroup,
     SubgroupHandle,
+    assoc_violation,
     center,
+    central_extension,
+    commutators,
+    conjugates,
+    cyclic_extension,
     derived_subgroup,
     direct_product,
     from_table_unchecked,
@@ -179,8 +184,7 @@ def _kinds(invariants: np.ndarray):
 
 def _products_and_commutators(G: FiniteGroup, a, b) -> np.ndarray:
     """Stacked arrays of the products ab and the commutators [a, b]."""
-    ab = G.mul[a, b]
-    return np.stack([ab, G.mul[G.mul[G.inv[a], G.inv[b]], ab]])
+    return np.stack([G.mul[a, b], commutators(G, a, b)])
 
 
 class _SearchPlan:
@@ -329,36 +333,17 @@ def all_automorphisms(G: FiniteGroup) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# cyclic extensions
-
-
-def cyclic_extension(mulH: np.ndarray, alpha: np.ndarray, h0: int, p: int):
-    """Group on H x Zp from (alpha, h0) with t^p = h0, t h t^-1 = alpha(h)."""
-    nH = mulH.shape[0]
-    n = nH * p
-    apow = [np.arange(nH, dtype=np.int64)]
-    for _ in range(p - 1):
-        apow.append(alpha[apow[-1]])
-    h = np.arange(nH)
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(p):
-        for j in range(p):
-            part = mulH[h[:, None], apow[i][None, :]]
-            if i + j >= p:
-                part = mulH[part, h0]
-            table[i * nH : (i + 1) * nH, j * nH : (j + 1) * nH] = (
-                ((i + j) % p) * nH + part
-            )
-    return table
+# cyclic extensions: the table of ext(a, h0) is camina.groups.cyclic_extension,
+# on the elements h t^i at index i |H| + h
 
 
 def _inner_maps(G: FiniteGroup) -> np.ndarray:
     """inner[a][h] = a h a^-1."""
-    return G.mul[G.mul, G.inv[:, None]]
+    return conjugates(G, np.arange(G.order)[None, :], G.inv[:, None])
 
 
 def _assoc_ok(table: np.ndarray) -> bool:
-    return assoc_violation(table)[0] < 0
+    return assoc_violation(table) is None
 
 
 def extensions_of(H: FiniteGroup, p: int) -> list[np.ndarray]:
@@ -445,8 +430,25 @@ def semidirect_by_cyclic(H: FiniteGroup, alpha: np.ndarray, m: int) -> FiniteGro
     return from_table_unchecked(cyclic_extension(H.mul, alpha, 0, m))
 
 
-def central_product(A: FiniteGroup, zA: int, B: FiniteGroup, zB: int) -> FiniteGroup:
-    return _central_product_over_cp(A, zA, B, zB)[0]
+def metacyclic(k: int, s: int) -> FiniteGroup:
+    """<a, b | a^k = b^2 = 1, b a b^-1 = a^s>."""
+    return semidirect_by_cyclic(cyclic_table(k), s * np.arange(k) % k, 2)
+
+
+def bilinear_2group(form) -> FiniteGroup:
+    """The central extension of F_2^n by F_2 with cocycle v^T form v'."""
+    n = len(form)
+    table = central_extension(
+        _digit_sum_table(2, n), _digit_sum_table(2, 1), _bilinear_cocycle(form, 2)
+    )
+    return from_table_unchecked(table)
+
+
+# D8 o C4 and the two extraspecial groups of order 32, as bilinear forms: a
+# pair with form[i][j] = 1 for i < j has commutator z, a diagonal 1 squares to z.
+D8_C4 = [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
+D8_D8 = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+D8_Q8 = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
 
 
 def named_groups_8() -> list[tuple[int, str, FiniteGroup]]:
@@ -478,7 +480,7 @@ def named_groups_16() -> list[tuple[int, str, FiniteGroup]]:
         (10, "C4xC2^2", abelian_product(4, 2, 2)),
         (11, "D8xC2", direct_product(d8, cyclic_table(2))),
         (12, "Q8xC2", direct_product(q8, cyclic_table(2))),
-        (13, "D8oC4", central_product(d8, int(center(d8).members[1]), c4, 2)),
+        (13, "D8oC4", bilinear_2group(D8_C4)),
         (14, "C2^4", abelian_product(2, 2, 2, 2)),
     ]
 
@@ -497,9 +499,6 @@ def anchors_32() -> list[tuple[int, str, FiniteGroup]]:
     d8 = build_family(FamilySpec("dihedral", (8,)))
     q8 = build_family(FamilySpec("quaternion", (8,)))
     c2 = cyclic_table(2)
-    zd8 = int(center(d8).members[1])
-    zq8 = int(center(q8).members[1])
-    pauli = central_product(d8, zd8, cyclic_table(4), 2)
     return [
         (1, "C32", cyclic_table(32)),
         (16, "C16xC2", abelian_product(16, 2)),
@@ -510,9 +509,9 @@ def anchors_32() -> list[tuple[int, str, FiniteGroup]]:
         (45, "C4xC2^3", abelian_product(4, 2, 2, 2)),
         (46, "D8xC2^2", direct_product(direct_product(d8, c2), c2)),
         (47, "Q8xC2^2", direct_product(direct_product(q8, c2), c2)),
-        (48, "D8oC4xC2", direct_product(pauli, c2)),
-        (49, "ES32+", central_product(d8, zd8, d8, zd8)),
-        (50, "ES32-", central_product(d8, zd8, q8, zq8)),
+        (48, "D8oC4xC2", direct_product(bilinear_2group(D8_C4), c2)),
+        (49, "ES32+", bilinear_2group(D8_D8)),
+        (50, "ES32-", bilinear_2group(D8_Q8)),
         (51, "C2^5", abelian_product(2, 2, 2, 2, 2)),
     ]
 
