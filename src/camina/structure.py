@@ -117,15 +117,6 @@ def d_subgroup(G: FiniteGroup, g: int, Z: SubgroupHandle) -> SubgroupHandle:
     return handle
 
 
-def commutators_land_in(G: FiniteGroup, members: np.ndarray, target_mask) -> bool:
-    """True iff [x, y] lies in the target set for all x, y in members."""
-    members = np.asarray(members, dtype=np.int32)
-    for a in members:
-        if not target_mask[commutators(G, a, members)].all():
-            return False
-    return True
-
-
 def valuation(x: int, p: int) -> int:
     """The largest k with p^k dividing x (x >= 1)."""
     k = 0

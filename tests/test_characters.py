@@ -421,7 +421,7 @@ except InvariantViolation as exc:
     [
         ("consts[:, 1, 2] += 1", "class matrix failed to diagonalize"),
         ("consts[...] = 0", "joint eigenbasis incomplete"),
-        ("consts[1, 1, 1] += 1", "11 is not a quadratic residue mod 13"),
+        ("consts[1, 1, 1] += 1", "11 is not the square of a divisor of 27 mod 13"),
     ],
 )
 def test_corrupted_class_constants_raise_under_optimize(corruption, message):

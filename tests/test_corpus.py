@@ -25,6 +25,7 @@ from camina.corpus import (
     FAMILIES,
     _digit_sum_table,
     default_family_instances,
+    gf_tables,
     group_to_entry,
 )
 from camina.errors import (
@@ -217,7 +218,7 @@ def test_family_heisenberg_prime_power_field():
 
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (2, 6)])
 def test_digit_sum_table_matches_broadcast_formula(p, k):
-    """The plane-at-a-time table equals the all-digits-at-once formula."""
+    """The k-fold direct product of C_p equals the all-digits-at-once formula."""
     q = p**k
     v = np.arange(q)
     digits = np.stack([v // p**d % p for d in range(k)], axis=1)
@@ -226,7 +227,7 @@ def test_digit_sum_table_matches_broadcast_formula(p, k):
     for d in range(k - 1, -1, -1):
         want = want * p + summed[:, :, d]
     got = _digit_sum_table(p, k)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     assert np.array_equal(got, want)
 
 
@@ -498,6 +499,59 @@ def test_extraspecial_at_the_cap_forms_no_larger_table(spec, mul_sha, inv_sha):
     assert peak < 250 * 2**20
     assert hashlib.sha256(G.mul.tobytes()).hexdigest() == mul_sha
     assert hashlib.sha256(G.inv.tobytes()).hexdigest() == inv_sha
+
+
+@pytest.mark.parametrize(
+    "spec", ["elemab:2,11", "cyclic:2048", "dihedral:2048", "quaternion:1024", "T:2,3"]
+)
+def test_builder_peak_stays_below_twice_the_table(spec):
+    """Each family table is built as int32 in the array that is returned,
+    so what is allocated on the way stays below the size of the result."""
+    tracemalloc.start()
+    try:
+        G = build_family(parse_family_spec(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * G.mul.nbytes
+
+
+# sha256 of gf_tables(p, k)[2] as int64, keyed by (p, k)
+GF_MUL_SHA256 = {
+    (2, 1): "013f21dd7052786e2c338b57f23ec2c7feb0c12f7b3b28fbb5affaca27103f51",
+    (2, 2): "474cf06ceecdd9b03e3393a168cc7647d618e70ce2198a12bd3fc725fbf43a97",
+    (2, 3): "b4c2ddaec51f537d05ddb97b8c98d34fd459015c2542bd52d75be6cb17333385",
+    (2, 4): "b046715b8028e85995ded1d0c46fda22cb437f4139bac09ae950c835e1cb211b",
+    (2, 5): "9db49a981e72f1d950c2f4f07c8e5d12eea08444efbe3c13db3e8bcb3ebc05f8",
+    (2, 6): "9acd8acc8ab7fd85c547e23b9434dd56ad81d7f96083dffa48ae285f9825df49",
+    (2, 7): "444486fa0d49191478d3be48ac8e9cf12842e556848216def6b87a8a7bcd92ba",
+    (3, 1): "700c6daf40792c6cfe05bb5f47b8baf925f68a582bcb1213ee0f6ccfab6ed101",
+    (3, 2): "570c990a2f2314c268389c708e4b5a936a9c166f15e7c8db6ce137e164484d5c",
+    (3, 3): "a1a7d8805ba20f94455139e4ce0c8eae5129d81e53dc63ad07519f93f453e8d5",
+    (3, 4): "f8000f30008553d902f651b4941ebb1591f25ea2784d5644cda135a6d2ca5c34",
+    (5, 1): "ffb2bb9fe974ea5c79f3679f44d9714a10e5103c6d39c07135a3c9f09dcc7ec3",
+    (5, 2): "03a46c7d186459b4981712bea635462d13264c82cd039ae7555e6563dff7ca11",
+    (5, 3): "029cc52717d4f67d7052f78d73a32fed86d58ad2ad11ab4a51411175bd84bdf8",
+    (7, 1): "9152747bdc6c526df8d068505ea79c2955e9708df163c7fe29d304334a5cbb22",
+    (7, 2): "c3ebe1de5a2aecf044d49b418f9ff3ad39e11d94097a66d02496f751ddc5f5da",
+    (11, 1): "974bba06bdd3d707356a50fc136986db73333828f56d4533c18e10a01f1c7bf5",
+    (11, 2): "98efd4110564fec6910ced1e1a1932fe96a40e0e220c68191a32dccdee3b228d",
+    (13, 1): "2e949bc4fccbfb950c86be1110adcdd8838bc2ec1a337ea8d3b1f52eae4c3437",
+    (13, 2): "579a9f692d72f87e78ac44505eecf31add02da582eb7a79f84631a350896742c",
+    (17, 1): "1c7e38a33850e88c85a0f12fcdd41657e86258c9c30a4f83e12828e889772580",
+    (19, 1): "468f70d9f0d611f6091dbfca4957e22d3624f2526e18e37181301fc60942577b",
+}
+
+
+@pytest.mark.parametrize("p, k", list(GF_MUL_SHA256))
+def test_gf_tables_are_pinned_fields(p, k):
+    q, add, mul = gf_tables(p, k)
+    digest = hashlib.sha256(mul.astype(np.int64).tobytes()).hexdigest()
+    assert digest == GF_MUL_SHA256[p, k]
+    nonzero = np.arange(1, q)
+    assert (np.sort(mul[1:, 1:], axis=1) == nonzero).all()
+    for a in range(q):  # a (b + c) = a b + a c
+        assert np.array_equal(mul[a][add], add[np.ix_(mul[a], mul[a])])
 
 
 # ---------------------------------------------------------------------------

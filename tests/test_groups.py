@@ -32,7 +32,7 @@ from camina.errors import (
 )
 from camina import groups
 from camina.corpus import _digit_sum_table
-from camina.groups import commutator_set, materialize_subgroup
+from camina.groups import commutator_set
 
 # right-regular generators of the quaternion group on {1,-1,i,-i,j,-j,k,-k}
 Q8_MUL_BY_I = Permutation((3, 4, 2, 1, 8, 7, 5, 6))
@@ -350,15 +350,6 @@ def test_quotient_projection_is_homomorphism(q8, s3, heis27):
         Q, proj = quotient(G, N)
         for x in range(G.order):
             assert (proj[G.mul[x, :]] == Q.mul[proj[x], proj]).all()
-
-
-def test_materialize_subgroup(q8):
-    H = subgroup_generate(q8, (1,))
-    S, members = materialize_subgroup(q8, H)
-    assert S.order == 4
-    for a in range(4):
-        for b in range(4):
-            assert members[S.mul[a, b]] == q8.mul[members[a], members[b]]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from camina.groups import (
     subgroup_generate,
 )
 from camina.structure import (
-    commutators_land_in,
     is_prime_power,
     second_center,
     valuation,
@@ -190,14 +189,6 @@ def test_z2_commutes_with_derived(q8, heis27, t81, wreath81, corpus_groups):
         Gp = derived_subgroup(G)
         comms = commutator_set(G, Z2.members, Gp.members)
         assert comms.tolist() == [0]
-
-
-def test_commutators_land_in(q8):
-    Z = center(q8)
-    everything = np.arange(8, dtype=np.int32)
-    assert commutators_land_in(q8, everything, Z.mask)
-    triv = subgroup_generate(q8, ())
-    assert not commutators_land_in(q8, everything, triv.mask)
 
 
 def test_is_prime_power():

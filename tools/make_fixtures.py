@@ -54,8 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from camina.corpus import (  # noqa: E402
     FamilySpec,
-    _bilinear_cocycle,
-    _digit_sum_table,
+    bilinear,
     build_family,
     group_to_entry,
     parse_corpus,
@@ -67,7 +66,6 @@ from camina.groups import (  # noqa: E402
     SubgroupHandle,
     assoc_violation,
     center,
-    central_extension,
     commutators,
     conjugates,
     cyclic_extension,
@@ -435,15 +433,6 @@ def metacyclic(k: int, s: int) -> FiniteGroup:
     return semidirect_by_cyclic(cyclic_table(k), s * np.arange(k) % k, 2)
 
 
-def bilinear_2group(form) -> FiniteGroup:
-    """The central extension of F_2^n by F_2 with cocycle v^T form v'."""
-    n = len(form)
-    table = central_extension(
-        _digit_sum_table(2, n), _digit_sum_table(2, 1), _bilinear_cocycle(form, 2)
-    )
-    return from_table_unchecked(table)
-
-
 # D8 o C4 and the two extraspecial groups of order 32, as bilinear forms: a
 # pair with form[i][j] = 1 for i < j has commutator z, a diagonal 1 squares to z.
 D8_C4 = [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
@@ -480,7 +469,7 @@ def named_groups_16() -> list[tuple[int, str, FiniteGroup]]:
         (10, "C4xC2^2", abelian_product(4, 2, 2)),
         (11, "D8xC2", direct_product(d8, cyclic_table(2))),
         (12, "Q8xC2", direct_product(q8, cyclic_table(2))),
-        (13, "D8oC4", bilinear_2group(D8_C4)),
+        (13, "D8oC4", bilinear(2, D8_C4)),
         (14, "C2^4", abelian_product(2, 2, 2, 2)),
     ]
 
@@ -509,9 +498,9 @@ def anchors_32() -> list[tuple[int, str, FiniteGroup]]:
         (45, "C4xC2^3", abelian_product(4, 2, 2, 2)),
         (46, "D8xC2^2", direct_product(direct_product(d8, c2), c2)),
         (47, "Q8xC2^2", direct_product(direct_product(q8, c2), c2)),
-        (48, "D8oC4xC2", direct_product(bilinear_2group(D8_C4), c2)),
-        (49, "ES32+", bilinear_2group(D8_D8)),
-        (50, "ES32-", bilinear_2group(D8_Q8)),
+        (48, "D8oC4xC2", direct_product(bilinear(2, D8_C4), c2)),
+        (49, "ES32+", bilinear(2, D8_D8)),
+        (50, "ES32-", bilinear(2, D8_Q8)),
         (51, "C2^5", abelian_product(2, 2, 2, 2, 2)),
     ]
 
