@@ -96,15 +96,20 @@ class FiniteGroup:
         """(class_of, classes) with classes listed by smallest member.
 
         class_of[x] numbers the class of x in that order, so the identity's
-        class is 0.
+        class is 0.  In an abelian group every class is a singleton, so
+        class_of is the identity map and no orbit is traced.
         """
         if "classes" not in self._cache:
-            class_of = np.full(self.order, -1, np.int32)
-            n_classes = 0
-            for x in range(self.order):
-                if class_of[x] < 0:
-                    class_of[conjugates(self, x, slice(None))] = n_classes
-                    n_classes += 1
+            if self.is_abelian():
+                class_of = np.arange(self.order, dtype=np.int32)
+                n_classes = self.order
+            else:
+                class_of = np.full(self.order, -1, np.int32)
+                n_classes = 0
+                for x in range(self.order):
+                    if class_of[x] < 0:
+                        class_of[conjugates(self, x, slice(None))] = n_classes
+                        n_classes += 1
             members = np.argsort(class_of, kind="stable").astype(np.int32)
             sizes = np.bincount(class_of, minlength=n_classes)
             classes = np.split(members, np.cumsum(sizes)[:-1])
@@ -134,9 +139,15 @@ class FiniteGroup:
         return self.mul.T == self.mul
 
     def center_members(self) -> np.ndarray:
+        """Z(G) = {x : xs = sx for every s in S}, S = `greedy_generators`.
+
+        C(x) is a subgroup, so it is all of G once it contains S: an
+        order x |S| comparison instead of the whole centralizer matrix.
+        """
         if "center" not in self._cache:
-            members = np.flatnonzero(self.centralizer_matrix().all(axis=1))
-            self._cache["center"] = members.astype(np.int32)
+            gens = greedy_generators(self)
+            commute = self.mul[:, gens] == self.mul[gens].T
+            self._cache["center"] = np.flatnonzero(commute.all(axis=1)).astype(np.int32)
         return self._cache["center"]
 
     def is_abelian(self) -> bool:
@@ -393,20 +404,30 @@ def subgroup_generate(G: FiniteGroup, seeds: Iterable[int]) -> SubgroupHandle:
 
 
 def greedy_generators(G: FiniteGroup) -> list[int]:
-    """Small deterministic generating set: each generator is the first
-    element outside the subgroup generated by the ones before it, so each
-    at least doubles that subgroup and there are at most log2|G| of them."""
-    gens: list[int] = []
-    mask = np.zeros(G.order, dtype=bool)  # <gens>, extended in place
-    mask[0] = True
-    while not mask.all():
-        gens.append(int(np.argmin(mask)))
-        frontier = np.flatnonzero(mask)
-        while frontier.size:
-            prods = G.mul[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(prods[~mask[prods]])
-            mask[frontier] = True
-    return gens
+    """Small deterministic generating set S, cached on G: each generator is
+    the first element outside the subgroup H generated by the ones before
+    it, so each at least doubles H and there are at most log2|G| of them.
+
+    <H, g> is closed from H<g> (one |H| x ord(g) product) by right
+    multiplication by the generators; only elements new in H<g> need it,
+    since H is already closed under the earlier generators.
+    """
+    if "generators" not in G._cache:
+        gens: list[int] = []
+        mask = np.zeros(G.order, dtype=bool)  # <gens>, extended in place
+        mask[0] = True
+        while not mask.all():
+            g = int(np.argmin(mask))
+            gens.append(g)
+            powers = [0]  # <g>
+            while (x := int(G.mul[powers[-1], g])) != 0:
+                powers.append(x)
+            prods = G.mul[np.flatnonzero(mask)[:, None], powers]  # H<g>
+            while (new := np.unique(prods[~mask[prods]])).size:
+                mask[new] = True
+                prods = G.mul[new[:, None], gens]
+        G._cache["generators"] = tuple(gens)
+    return list(G._cache["generators"])
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:
@@ -460,16 +481,36 @@ def commutator_set(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.nd
     return np.flatnonzero(hit).astype(np.int32)
 
 
+def commutator_subgroup(G: FiniteGroup, T: np.ndarray) -> SubgroupHandle:
+    """[N, G] for N the normal closure of T: <[t, x] : t in T, x in G>.
+
+    The subgroup generated is normal, since [t, x]^y = [t, y]^-1 [t, xy];
+    modulo it every t is central, so N/it is central and [N, G] <= it.
+    |T| x |G| commutators.
+    """
+    every = np.arange(G.order, dtype=np.int32)
+    return subgroup_generate(G, commutator_set(G, T, every))
+
+
 def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
+    """G' = <[s, x] : s in S, x in G> for S = `greedy_generators`.
+
+    That subgroup is normal ([s, x]^y = [s, y]^-1 [s, xy]) and G modulo it
+    is generated by the central images of S, so it is abelian and the
+    subgroup is all of G'.
+    """
     if "derived" not in G._cache:
-        every = np.arange(G.order, dtype=np.int32)
-        comms = commutator_set(G, every, every)
-        G._cache["derived"] = subgroup_generate(G, comms).members
+        G._cache["derived"] = commutator_subgroup(G, greedy_generators(G)).members
     return _handle(G, G._cache["derived"])
 
 
 def is_normal(G: FiniteGroup, H: SubgroupHandle) -> bool:
-    conj = conjugates(G, H.members, slice(None))
+    """H^s <= H for every s in S = `greedy_generators`.
+
+    The g with H^g <= H are closed under products (H^gh = (H^g)^h), so in a
+    finite group they form a subgroup, which is G once it contains S.
+    """
+    conj = conjugates(G, H.members[:, None], greedy_generators(G))
     return bool(H.mask[conj].all())
 
 

@@ -348,7 +348,13 @@ def verify_bounds(
 
 
 def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
-    """The invariants of a p-group G with a positive verdict on Z = Z(G)."""
+    """The invariants of a p-group G with a positive verdict on Z = Z(G).
+
+    The flags over noncentral elements are read on one representative per
+    conjugacy class: each is constant on a class, since D(g^y) = D(g)^y and
+    C(g^y) = C(g)^y while Z, G' and the p-th power map are fixed by, or
+    commute with, conjugation.
+    """
     order = G.order
     class_c = upper.class_c
     m = valuation(Z.order, p)
@@ -364,7 +370,8 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
 
     Z2 = second_center_of(upper)
     pw = power_map(G, p)
-    noncentral = np.flatnonzero(~Z.mask).astype(np.int32)
+    _, classes = G.conjugacy_data()
+    noncentral_reps = [c[0] for c in classes if not Z.mask[c[0]]]
 
     p_group = all(
         is_prime_power(int(o)) == (p, valuation(int(o), p))
@@ -372,7 +379,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         if o > 1
     )
 
-    # one pass over noncentral elements: D(g), centralizers, derived sets
+    # one pass over noncentral classes: D(g), centralizers, derived sets
     cent_matrix = G.centralizer_matrix()
     dprime_cache: dict[bytes, np.ndarray] = {}
     lcents_ok = True
@@ -381,7 +388,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     lidxp_qualifier = False
     z_elementary = bool((pw[Z.members] == 0).all())
 
-    for g in noncentral:
+    for g in noncentral_reps:
         d = d_members(G, g, Z.mask)
         key = d.tobytes()
         dprime_mask = dprime_cache.get(key)

@@ -17,7 +17,9 @@ from .groups import (
     _handle,
     center,
     commutator_set,
+    commutator_subgroup,
     commutators,
+    derived_subgroup,
     greedy_generators,
     power_map,
     subgroup_generate,
@@ -38,18 +40,23 @@ class CentralSeries:
 
 
 def lower_central_series(G: FiniteGroup) -> CentralSeries:
-    """G_1 = G, G_{i+1} = [G_i, G], until stable."""
-    everything = np.arange(G.order, dtype=np.int32)
-    terms = [_handle(G, everything)]
-    while True:
-        cur = terms[-1]
-        comms = commutator_set(G, cur.members, everything)
-        nxt = subgroup_generate(G, comms)
-        if nxt.order == cur.order:
-            break
+    """G_1 = G, G_{i+1} = [G_i, G], until stable.
+
+    T_i normally generates G_i, for T_1 = S = `greedy_generators` and
+    T_{i+1} = {[t, s] : t in T_i, s in S}: modulo the normal closure of
+    T_{i+1} each t commutes with S, so is central, and [G_i, G] lies in it.
+    Hence G_{i+1} = <[t, x] : t in T_i, x in G> (`commutator_subgroup`).
+    """
+    gens = greedy_generators(G)
+    terms = [_handle(G, np.arange(G.order))]
+    T, nxt = gens, derived_subgroup(G)  # [G_1, G] from T_1, cached
+    while nxt.order < terms[-1].order:
         terms.append(nxt)
         if nxt.order == 1:
             break
+        T = commutator_set(G, T, gens)
+        T = T[T != 0]
+        nxt = commutator_subgroup(G, T)
     class_c = len(terms) - 1 if terms[-1].order == 1 else None
     return CentralSeries("lower", terms, class_c)
 
@@ -61,7 +68,7 @@ def upper_central_series(G: FiniteGroup) -> CentralSeries:
     elements commuting with xZ_i in G/Z_i form a subgroup, so it holds for
     all of G once it holds for generators.  No quotient is built.
     """
-    gens = np.asarray(greedy_generators(G), dtype=np.int32)
+    gens = greedy_generators(G)
     comms = commutators(G, np.arange(G.order)[:, None], gens)  # [x, g_j]
     terms = [subgroup_generate(G, ())]
     while not terms[-1].is_whole_group():

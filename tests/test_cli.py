@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import os
 import re
 import subprocess
@@ -109,6 +110,46 @@ def test_verify_deterministic_across_workers(tmp_path, capsys):
         assert code == 0
         paths.append(p.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+# sha256 of the stdout of `camina analyze --family SPEC` and of `camina
+# verify --workers 1` over the four fixture files, as printed when the
+# invariants walked every noncentral element; walking one representative
+# per conjugacy class must not change a byte.
+ANALYZE_SHA256 = {
+    "heisenberg:7": "efc47ab630166fe8858c4927506ddfb65e05ed3611208dc7a6a7d0bfe50c5515",
+    "heisenberg:2,3": (
+        "b8d68fa2251891dd8016b2721928e9ef5322220d39745623c51587812f7b7f4b"
+    ),
+    "heisenberg:3,2": (
+        "11f3a79f17153b9f66ebbfdd2d4159d6accdfb32a24ab21e0fe0a2406e5e5093"
+    ),
+    "heisenberg:11,1": (
+        "08050aac4f4941e2e0e113c5105ce395eacd6c55fa6eeb0d2ca074c99b09a56a"
+    ),
+    "extraspecial_p:3,2": (
+        "e12667d7aa057142ddbf9d390a2c8136b7325da07b6e645e374697ccc04bbb32"
+    ),
+}
+VERIFY_FIXTURES_SHA256 = (
+    "62394d8a4d1267bb6a3dff8674375b9a3b2c022349b23bf87ed3ec5059524e94"
+)
+
+
+@pytest.mark.parametrize("spec", sorted(ANALYZE_SHA256))
+def test_analyze_output_is_pinned(capsys, spec):
+    code, out, _ = run(capsys, "analyze", "--family", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec]
+
+
+def test_verify_fixture_output_is_pinned(capsys):
+    argv = ["verify", "--workers", "1"]
+    for name in ("order8.grp", "order16.grp", "order27.grp", "order32.grp"):
+        argv += ["--input", str(FIXTURES / name)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIXTURES_SHA256
 
 
 def test_census_cli(capsys):
