@@ -403,31 +403,38 @@ def subgroup_generate(G: FiniteGroup, seeds: Iterable[int]) -> SubgroupHandle:
     return _handle(G, np.flatnonzero(mask))
 
 
-def greedy_generators(G: FiniteGroup) -> list[int]:
-    """Small deterministic generating set S, cached on G: each generator is
-    the first element outside the subgroup H generated by the ones before
-    it, so each at least doubles H and there are at most log2|G| of them.
+def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
+    """Small deterministic generating set S of the subgroup with the given
+    sorted members (default, and cached on G: the whole group): each
+    generator is the least member outside the subgroup H generated by the
+    ones before it, so each at least doubles H and there are at most
+    log2|H| of them.
 
     <H, g> is closed from H<g> (one |H| x ord(g) product) by right
     multiplication by the generators; only elements new in H<g> need it,
-    since H is already closed under the earlier generators.
+    since H is already closed under the earlier generators.  All of these
+    products stay inside the subgroup.
     """
-    if "generators" not in G._cache:
-        gens: list[int] = []
-        mask = np.zeros(G.order, dtype=bool)  # <gens>, extended in place
-        mask[0] = True
-        while not mask.all():
-            g = int(np.argmin(mask))
-            gens.append(g)
-            powers = [0]  # <g>
-            while (x := int(G.mul[powers[-1], g])) != 0:
-                powers.append(x)
-            prods = G.mul[np.flatnonzero(mask)[:, None], powers]  # H<g>
-            while (new := np.unique(prods[~mask[prods]])).size:
-                mask[new] = True
-                prods = G.mul[new[:, None], gens]
+    whole = members is None or len(members) == G.order
+    if whole and "generators" in G._cache:
+        return list(G._cache["generators"])
+    members = np.arange(G.order) if members is None else np.asarray(members)
+    gens: list[int] = []
+    mask = np.zeros(G.order, dtype=bool)  # <gens>, extended in place
+    mask[0] = True
+    while (left := members[~mask[members]]).size:
+        g = int(left[0])
+        gens.append(g)
+        powers = [0]  # <g>
+        while (x := int(G.mul[powers[-1], g])) != 0:
+            powers.append(x)
+        prods = G.mul[np.flatnonzero(mask)[:, None], powers]  # H<g>
+        while (new := np.unique(prods[~mask[prods]])).size:
+            mask[new] = True
+            prods = G.mul[new[:, None], gens]
+    if whole:
         G._cache["generators"] = tuple(gens)
-    return list(G._cache["generators"])
+    return gens
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:
@@ -514,6 +521,11 @@ def is_normal(G: FiniteGroup, H: SubgroupHandle) -> bool:
     return bool(H.mask[conj].all())
 
 
+def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
+    """rep[x] = the least element of the coset xN, from the table alone."""
+    return G.mul[:, N.members].min(axis=1)
+
+
 def quotient(G: FiniteGroup, N: SubgroupHandle):
     """Quotient group on cosets plus the projection map (as an array).
 
@@ -522,7 +534,7 @@ def quotient(G: FiniteGroup, N: SubgroupHandle):
     """
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    rep = G.mul[:, N.members].min(axis=1)
+    rep = coset_minima(G, N)
     reps = np.unique(rep)
     pos = np.empty(G.order, dtype=np.int32)
     pos[reps] = np.arange(len(reps), dtype=np.int32)
@@ -545,7 +557,3 @@ def direct_product(
     name = f"{A.name}x{B.name}" if A.name and B.name else ""
     return from_table_unchecked(mul, inv, name=name)
 
-
-def joined(A: SubgroupHandle, B: SubgroupHandle) -> SubgroupHandle:
-    """Subgroup generated by the union of two subgroups."""
-    return subgroup_generate(A.parent, np.union1d(A.members, B.members))

@@ -30,9 +30,10 @@ from .groups import (
     center,
     commutator_set,
     commutators,
+    coset_minima,
     derived_subgroup,
+    greedy_generators,
     is_normal,
-    joined,
     power_map,
     quotient,
 )
@@ -245,9 +246,17 @@ def camina_by_classes(G: FiniteGroup, N: SubgroupHandle):
 
 
 def camina_by_commutators(G: FiniteGroup, N: SubgroupHandle):
-    """True iff {[y, g] : y in G} covers N for every g outside N."""
+    """True iff {[y, g] : y in G} covers N for every g outside N.
+
+    Only the g that are least in their coset gN are scanned, in ascending
+    order: g^y = g [g, y] and [y, g] = [g, y]^-1, so the condition says
+    gN <= g^G, which holds for g exactly when it holds for every g' in gN
+    (each is then conjugate to g, and g'N = gN).  The least failing coset
+    minimum is therefore the least failing element, and the witness is the
+    one an element-by-element scan returns.  Reads no conjugacy data.
+    """
     _validate_pair_target(G, N)
-    for g in _outside(G, N):
+    for g in np.flatnonzero((coset_minima(G, N) == np.arange(G.order)) & ~N.mask):
         hit = np.zeros(G.order, dtype=bool)
         hit[commutators(G, slice(None), g)] = True
         missing = N.members[~hit[N.members]]
@@ -354,6 +363,12 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     conjugacy class: each is constant on a class, since D(g^y) = D(g)^y and
     C(g^y) = C(g)^y while Z, G' and the p-th power map are fixed by, or
     commute with, conjugation.
+
+    D(g)' is never formed: it is generated by [s, x] for s in a generating
+    set S_D of D = D(g) and x in D (the identity of `derived_subgroup`,
+    applied inside D), and the flags only ask whether it lies in C(g) or
+    in Z, both subgroups, so testing those |S_D| |D| generators suffices.
+    G' is normal, so G'Z_2 is a subgroup of order |G'| |Z_2| / |G' n Z_2|.
     """
     order = G.order
     class_c = upper.class_c
@@ -375,13 +390,13 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
 
     p_group = all(
         is_prime_power(int(o)) == (p, valuation(int(o), p))
-        for o in G.element_orders()
+        for o in np.unique(G.element_orders())
         if o > 1
     )
 
-    # one pass over noncentral classes: D(g), centralizers, derived sets
+    # one pass over noncentral classes: D(g), centralizers, generators of D(g)'
     cent_matrix = G.centralizer_matrix()
-    dprime_cache: dict[bytes, np.ndarray] = {}
+    dprime_gens_cache: dict[bytes, np.ndarray] = {}
     lcents_ok = True
     ldquo_qualifier = False
     ldquo_ok = True
@@ -391,12 +406,11 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     for g in noncentral_reps:
         d = d_members(G, g, Z.mask)
         key = d.tobytes()
-        dprime_mask = dprime_cache.get(key)
-        if dprime_mask is None:
-            dset = commutator_set(G, d, d)
-            dprime_mask = np.zeros(order, dtype=bool)
-            dprime_mask[dset] = True
-            dprime_cache[key] = dprime_mask
+        dprime_gens = dprime_gens_cache.get(key)
+        if dprime_gens is None:
+            dprime_gens = np.zeros(order, dtype=bool)
+            dprime_gens[commutator_set(G, greedy_generators(G, d), d)] = True
+            dprime_gens_cache[key] = dprime_gens
         c_mask = cent_matrix[g]
         c_size = int(c_mask.sum())
 
@@ -404,7 +418,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         if lcents_ok:
             lcents_ok = (
                 len(d) == c_size * Z.order
-                and not (dprime_mask & ~c_mask).any()
+                and not (dprime_gens & ~c_mask).any()
                 and c_mask[pw[d]].all()
                 and z_elementary
             )
@@ -412,11 +426,11 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         # LDquo: a with C(a) n G' = Z must have D(a)/Z abelian
         if int((c_mask & Gp.mask).sum()) == Z.order:
             ldquo_qualifier = True
-            if (dprime_mask & ~Z.mask).any():
+            if (dprime_gens & ~Z.mask).any():
                 ldquo_ok = False
 
         # Lidxp qualifier: D(a)/Z abelian and |G:D(a)| = p
-        if order == len(d) * p and not (dprime_mask & ~Z.mask).any():
+        if order == len(d) * p and not (dprime_gens & ~Z.mask).any():
             lidxp_qualifier = True
 
     # L2.2: upper central factors have exponent p
@@ -426,6 +440,8 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     )
     # L2.3: Z(G) = last nontrivial lower central term
     l23_ok = class_c is not None and class_c >= 1 and lower.terms[class_c - 1] == Z
+
+    n_meet = int((Gp.mask & Z2.mask).sum())  # |G' n Z_2|
 
     # L2.4, character half: only on a square index, and at desk scale
     ramified_ok = True
@@ -439,7 +455,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         m=m,
         l=l,
         n_exp=n_exp,
-        n_z2=valuation(order // joined(Gp, Z2).order, p),
+        n_z2=valuation(order * n_meet // (Gp.order * Z2.order), p),
         class_c=class_c,
         p_group=p_group,
         upper_factors_exp_p=l22_ok,

@@ -32,6 +32,22 @@ def s3():
     return group_from_generators(3, [Permutation((2, 3, 1)), Permutation((2, 1, 3))])
 
 
+def _perm_group(degree, *cycle_lists):
+    gens = [Permutation.from_cycles(degree, cycles) for cycles in cycle_lists]
+    return group_from_generators(degree, gens)
+
+
+@pytest.fixture(scope="session")
+def non_nilpotent(s3):
+    return {
+        "S3": s3,
+        "D10": _perm_group(5, [(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]),
+        "A4": _perm_group(4, [(1, 2, 3)], [(1, 2), (3, 4)]),
+        "F21": _perm_group(7, [(1, 2, 3, 4, 5, 6, 7)], [(1, 2, 4), (3, 6, 5)]),
+        "S4": _perm_group(4, [(1, 2, 3, 4)], [(1, 2)]),
+    }
+
+
 @pytest.fixture(scope="session")
 def c4():
     return build_family(FamilySpec("cyclic", (4,)))

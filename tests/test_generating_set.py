@@ -8,12 +8,7 @@ definitions themselves, one operation per pair of elements.
 import numpy as np
 import pytest
 
-from camina import (
-    Permutation,
-    build_family,
-    group_from_generators,
-    parse_family_spec,
-)
+from camina import build_family, parse_family_spec
 from camina import groups
 from camina.corpus import default_family_instances
 from camina.groups import (
@@ -54,22 +49,6 @@ def ref_lower_terms(G):
 def ref_is_normal(G, H):
     """H^g <= H for every g in G."""
     return bool(H.mask[conjugates(G, H.members[:, None], np.arange(G.order))].all())
-
-
-def _perm_group(degree, *cycle_lists):
-    gens = [Permutation.from_cycles(degree, cycles) for cycles in cycle_lists]
-    return group_from_generators(degree, gens)
-
-
-@pytest.fixture(scope="module")
-def non_nilpotent(s3):
-    return {
-        "S3": s3,
-        "D10": _perm_group(5, [(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]),
-        "A4": _perm_group(4, [(1, 2, 3)], [(1, 2), (3, 4)]),
-        "F21": _perm_group(7, [(1, 2, 3, 4, 5, 6, 7)], [(1, 2, 4), (3, 6, 5)]),
-        "S4": _perm_group(4, [(1, 2, 3, 4)], [(1, 2)]),
-    }
 
 
 @pytest.fixture(scope="module")

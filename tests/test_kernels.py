@@ -5,14 +5,30 @@ FiniteGroup.conjugacy_data, the two pair checks in camina_by_classes and
 camina_by_commutators, the associativity scan in groups.assoc_violation
 and the class-algebra counts in class_mult_coefficients.  The references
 return (-1, -1) or (-1, -1, -1) where those functions return None.
+camina_by_commutators scans one element per coset of N; its reference
+scans every element outside N.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from camina import build_family
 from camina.characters import class_mult_coefficients
-from camina.groups import assoc_violation, center, derived_subgroup, subgroup_generate
-from camina.pairs import camina_by_classes, camina_by_commutators
+from camina.corpus import bilinear, default_family_instances
+from camina.groups import (
+    assoc_violation,
+    center,
+    derived_subgroup,
+    is_normal,
+    subgroup_generate,
+)
+from camina.pairs import (
+    camina_by_centralizers,
+    camina_by_classes,
+    camina_by_commutators,
+)
 
 # ---------------------------------------------------------------------------
 # reference loops: one element at a time, straight from the definitions
@@ -152,3 +168,55 @@ def test_assoc_kernel_reports_first_violation():
     )
     # (1*1)*2 = 0*2 = 2, but 1*(1*2) = 1*3 = 4
     assert assoc_violation(bad) == ref_assoc_violation(bad) == (1, 1, 2)
+
+
+def _cover_reference(G, N):
+    outside = np.flatnonzero(~N.mask).astype(np.int32)
+    return ref_commutator_cover_check(G.mul, G.inv, N.members, outside)
+
+
+def _normal_targets(G):
+    """Z(G), G' and every normal <x>, each once, where proper and nontrivial."""
+    found = {}
+    candidates = [center(G), derived_subgroup(G)]
+    candidates += [subgroup_generate(G, [x]) for x in range(1, G.order)]
+    for H in candidates:
+        if 1 < H.order < G.order and H.members.tobytes() not in found:
+            if is_normal(G, H):
+                found[H.members.tobytes()] = H
+    return list(found.values())
+
+
+def test_commutator_criterion_matches_element_scan(corpus_groups, non_nilpotent):
+    named = dict(corpus_groups)
+    for gid, spec in default_family_instances(256):
+        named[gid] = build_family(spec)
+    for name, G in named.items():
+        for N in _normal_targets(G):
+            got = _as_witness(camina_by_commutators(G, N))
+            assert got == _cover_reference(G, N), (name, N.order)
+    for name, G in non_nilpotent.items():
+        N = derived_subgroup(G)
+        assert _as_witness(camina_by_commutators(G, N)) == _cover_reference(G, N)
+
+
+@st.composite
+def bilinear_groups(draw):
+    """corpus.bilinear(p, form) for p in {2, 3, 5}, order p^(n+1) <= 243."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 2}[p]))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    return bilinear(p, np.array(entries, dtype=np.int64).reshape(n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bilinear_groups())
+def test_criteria_agree_on_random_bilinear_groups(G):
+    Z = center(G)
+    if Z.order == G.order:  # an abelian G has no pair target
+        return
+    b1, w1 = camina_by_classes(G, Z)
+    b2, w2 = camina_by_commutators(G, Z)
+    b3, w3 = camina_by_centralizers(G, Z)
+    assert b1 == b2 == b3
+    assert _as_witness((b2, w2)) == _cover_reference(G, Z)
