@@ -98,18 +98,38 @@ class FiniteGroup:
         class_of[x] numbers the class of x in that order, so the identity's
         class is 0.  In an abelian group every class is a singleton, so
         class_of is the identity map and no orbit is traced.
+
+        Otherwise the classes are the orbits of the conjugations
+        pi_s(x) = x^s for s in S = `greedy_generators`, and each x is
+        labelled by the least member of its orbit.  Starting from
+        lab = identity, a round sets lab = min(lab, lab[pi_s]) for each s
+        and then jumps pointers, lab = lab[lab]; rounds repeat until lab
+        stops changing.  Throughout, lab[x] lies in the class of x and is
+        at most x, and each round only lowers labels.  So at the fixed
+        point every step of the last round left lab alone:
+        lab[x] <= lab[x^s] for every x, hence lab is constant along each
+        cycle of pi_s.  S generates G, so lab is constant on each class,
+        and lab[x] is the class minimum.  Every round before the last
+        lowers some label, so the loop ends.
         """
         if "classes" not in self._cache:
             if self.is_abelian():
                 class_of = np.arange(self.order, dtype=np.int32)
                 n_classes = self.order
             else:
-                class_of = np.full(self.order, -1, np.int32)
-                n_classes = 0
-                for x in range(self.order):
-                    if class_of[x] < 0:
-                        class_of[conjugates(self, x, slice(None))] = n_classes
-                        n_classes += 1
+                lab = np.arange(self.order, dtype=np.int32)
+                perms = [conjugates(self, lab, s) for s in greedy_generators(self)]
+                while True:
+                    new = lab
+                    for pi in perms:
+                        new = np.minimum(new, new[pi])
+                    new = new[new]
+                    if np.array_equal(new, lab):
+                        break
+                    lab = new
+                minima, class_of = np.unique(lab, return_inverse=True)
+                class_of = class_of.astype(np.int32)
+                n_classes = len(minima)
             members = np.argsort(class_of, kind="stable").astype(np.int32)
             sizes = np.bincount(class_of, minlength=n_classes)
             classes = np.split(members, np.cumsum(sizes)[:-1])
@@ -118,25 +138,21 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if "orders" not in self._cache:
-            # y = x^k for the x not yet known, all at once: exponent-many steps
-            orders = np.empty(self.order, dtype=np.int64)
-            x = np.arange(self.order, dtype=np.int32)
-            y, k = x, 1
-            while x.size:
-                done = y == 0
-                orders[x[done]] = k
-                x, y = x[~done], y[~done]
-                y, k = self.mul[y, x], k + 1
+            orders = orders_modulo(self, np.arange(self.order) == 0)
             orders.setflags(write=False)
             self._cache["orders"] = orders
         return self._cache["orders"]
 
-    def centralizer_matrix(self) -> np.ndarray:
-        """Boolean order x order matrix whose row x is the centralizer of x.
+    def centralizer_matrix(self, rows=None) -> np.ndarray:
+        """Boolean matrix whose row i is the centralizer of rows[i].
 
-        Not cached: at order 2048 it takes 4 MB.
+        rows defaults to every element, giving the order x order matrix;
+        each row read costs one comparison of |G|.  Not cached: at order
+        2048 the whole matrix takes 4 MB.
         """
-        return self.mul.T == self.mul
+        if rows is None:
+            return self.mul.T == self.mul
+        return self.mul[:, rows].T == self.mul[rows]
 
     def center_members(self) -> np.ndarray:
         """Z(G) = {x : xs = sx for every s in S}, S = `greedy_generators`.
@@ -372,6 +388,24 @@ def element_order(G: FiniteGroup, x: int) -> int:
         y = int(G.mul[y, x])
         k += 1
     return k
+
+
+def orders_modulo(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
+    """k[x] = the least k >= 1 with x^k in the set given by its mask.
+
+    For the set {1} that is the order of x, and for a normal subgroup N
+    the order of xN in G/N.  y = x^k for the x not yet done, all at once:
+    exponent-many steps.
+    """
+    orders = np.empty(G.order, dtype=np.int64)
+    x = np.arange(G.order, dtype=np.int32)
+    y, k = x, 1
+    while x.size:
+        done = mask[y]
+        orders[x[done]] = k
+        x, y = x[~done], y[~done]
+        y, k = G.mul[y, x], k + 1
+    return orders
 
 
 def power_map(G: FiniteGroup, k: int) -> np.ndarray:

@@ -39,7 +39,6 @@ from .groups import (
 )
 from .structure import (
     central_series,
-    d_members,
     is_prime_power,
     quotient_exponent_over_center,
     second_center_of,
@@ -229,34 +228,42 @@ def _validate_pair_target(G: FiniteGroup, N: SubgroupHandle) -> None:
         raise InvalidPairTarget("pair target must be normal")
 
 
-def _outside(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
-    return np.flatnonzero(~N.mask).astype(np.int32)
+def _least_in_coset_outside(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
+    """The g outside N that are least in gN, ascending.
+
+    Both pair criteria scan only these.  Each tests gN <= g^G, which holds
+    for g exactly when it holds for every g' in gN (each is then conjugate
+    to g, and g'N = gN).  So the failing elements form whole cosets, the
+    least failing element is a coset minimum, and the witness is the one
+    an element-by-element scan returns.
+    """
+    return np.flatnonzero((coset_minima(G, N) == np.arange(G.order)) & ~N.mask)
 
 
 def camina_by_classes(G: FiniteGroup, N: SubgroupHandle):
-    """True iff the class of every g outside N contains the coset gN."""
+    """True iff the class of every g outside N contains the coset gN.
+
+    One g per coset is scanned (`_least_in_coset_outside`).
+    """
     _validate_pair_target(G, N)
     class_of, _ = G.conjugacy_data()
-    outside = _outside(G, N)
-    bad = class_of[G.mul[np.ix_(outside, N.members)]] != class_of[outside][:, None]
+    scanned = _least_in_coset_outside(G, N)
+    bad = class_of[G.mul[np.ix_(scanned, N.members)]] != class_of[scanned][:, None]
     if not bad.any():
         return True, None
     i, j = np.argwhere(bad)[0]
-    return False, (int(outside[i]), int(N.members[j]))
+    return False, (int(scanned[i]), int(N.members[j]))
 
 
 def camina_by_commutators(G: FiniteGroup, N: SubgroupHandle):
     """True iff {[y, g] : y in G} covers N for every g outside N.
 
-    Only the g that are least in their coset gN are scanned, in ascending
-    order: g^y = g [g, y] and [y, g] = [g, y]^-1, so the condition says
-    gN <= g^G, which holds for g exactly when it holds for every g' in gN
-    (each is then conjugate to g, and g'N = gN).  The least failing coset
-    minimum is therefore the least failing element, and the witness is the
-    one an element-by-element scan returns.  Reads no conjugacy data.
+    g^y = g [g, y] and [y, g] = [g, y]^-1, so the condition says
+    gN <= g^G, and one g per coset is scanned (`_least_in_coset_outside`),
+    in ascending order.  Reads no conjugacy data.
     """
     _validate_pair_target(G, N)
-    for g in np.flatnonzero((coset_minima(G, N) == np.arange(G.order)) & ~N.mask):
+    for g in _least_in_coset_outside(G, N):
         hit = np.zeros(G.order, dtype=bool)
         hit[commutators(G, slice(None), g)] = True
         missing = N.members[~hit[N.members]]
@@ -275,7 +282,7 @@ def camina_by_centralizers(G: FiniteGroup, N: SubgroupHandle):
     qsizes = np.array([len(c) for c in qclasses], dtype=np.int64)
     cent_g = G.order // sizes[class_of]
     cent_q = Q.order // qsizes[qclass_of[proj]]
-    outside = _outside(G, N)
+    outside = np.flatnonzero(~N.mask)
     bad = np.flatnonzero(cent_g[outside] != cent_q[outside])
     if bad.size == 0:
         return True, None
@@ -362,13 +369,16 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     The flags over noncentral elements are read on one representative per
     conjugacy class: each is constant on a class, since D(g^y) = D(g)^y and
     C(g^y) = C(g)^y while Z, G' and the p-th power map are fixed by, or
-    commute with, conjugation.
+    commute with, conjugation.  Only the centralizer rows read are built.
 
-    D(g)' is never formed: it is generated by [s, x] for s in a generating
-    set S_D of D = D(g) and x in D (the identity of `derived_subgroup`,
-    applied inside D), and the flags only ask whether it lies in C(g) or
-    in Z, both subgroups, so testing those |S_D| |D| generators suffices.
-    G' is normal, so G'Z_2 is a subgroup of order |G'| |Z_2| / |G' n Z_2|.
+    x in D(g) depends only on xZ ([g, xz] = [g, x] for z central), so every
+    D(g) is read off one block of commutators [g, x] over the least member
+    x of each coset of Z.  D(g)' is never formed: it is generated by [s, x]
+    for s in a generating set S_D of D = D(g) and x in D (the identity of
+    `derived_subgroup`, applied inside D), and the flags only ask whether
+    it lies in C(g) or in Z, both subgroups, so testing those |S_D| |D|
+    generators suffices.  G' is normal, so G'Z_2 is a subgroup of order
+    |G'| |Z_2| / |G' n Z_2|.
     """
     order = G.order
     class_c = upper.class_c
@@ -386,7 +396,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     Z2 = second_center_of(upper)
     pw = power_map(G, p)
     _, classes = G.conjugacy_data()
-    noncentral_reps = [c[0] for c in classes if not Z.mask[c[0]]]
+    reps = np.array([c[0] for c in classes if not Z.mask[c[0]]], dtype=np.int32)
 
     p_group = all(
         is_prime_power(int(o)) == (p, valuation(int(o), p))
@@ -395,7 +405,11 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     )
 
     # one pass over noncentral classes: D(g), centralizers, generators of D(g)'
-    cent_matrix = G.centralizer_matrix()
+    zrep = coset_minima(G, Z)
+    zmin = np.flatnonzero(zrep == np.arange(order))
+    coset_of = np.searchsorted(zmin, zrep)  # x -> the index of xZ in zmin
+    in_d = Z.mask[commutators(G, reps[:, None], zmin[None, :])][:, coset_of]
+    cent_rows = G.centralizer_matrix(reps)
     dprime_gens_cache: dict[bytes, np.ndarray] = {}
     lcents_ok = True
     ldquo_qualifier = False
@@ -403,15 +417,14 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     lidxp_qualifier = False
     z_elementary = bool((pw[Z.members] == 0).all())
 
-    for g in noncentral_reps:
-        d = d_members(G, g, Z.mask)
+    for d_mask, c_mask in zip(in_d, cent_rows):
+        d = np.flatnonzero(d_mask).astype(np.int32)
         key = d.tobytes()
         dprime_gens = dprime_gens_cache.get(key)
         if dprime_gens is None:
             dprime_gens = np.zeros(order, dtype=bool)
             dprime_gens[commutator_set(G, greedy_generators(G, d), d)] = True
             dprime_gens_cache[key] = dprime_gens
-        c_mask = cent_matrix[g]
         c_size = int(c_mask.sum())
 
         # Lcents: |D:C| = |Z| and D/C elementary abelian of exponent p
@@ -465,20 +478,22 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         some_c_meets_gp_in_z=ldquo_qualifier,
         their_d_over_z_abelian=ldquo_ok,
         some_d_abelian_index_p=lidxp_qualifier,
-        some_csmall_a=_some_csmall_a(Z, Gp, Z2, cent_matrix),
+        some_csmall_a=_some_csmall_a(G, Z, Gp, Z2),
     )
 
 
-def _some_csmall_a(Z, Gp, Z2, cent_matrix) -> bool:
-    """Some a in (G' n Z_2) - Z has C(b) <= C(a) for every b in G' - Z."""
+def _some_csmall_a(G, Z, Gp, Z2) -> bool:
+    """Some a in (G' n Z_2) - Z has C(b) <= C(a) for every b in G' - Z.
+
+    That is, C(a) contains the union of the C(b), formed once.
+    """
     candidates = np.intersect1d(Gp.members, Z2.members)
     candidates = candidates[~Z.mask[candidates]]
+    if not candidates.size:
+        return False
     derived_outside = Gp.members[~Z.mask[Gp.members]]
-    for a in candidates:
-        ca = cent_matrix[a]
-        if all(not (cent_matrix[b] & ~ca).any() for b in derived_outside):
-            return True
-    return False
+    covered = G.centralizer_matrix(derived_outside).any(axis=0)
+    return bool((G.centralizer_matrix(candidates) | ~covered).all(axis=1).any())
 
 
 # ---------------------------------------------------------------------------

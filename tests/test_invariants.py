@@ -1,9 +1,11 @@
 """The invariants walk against the all-pairs definitions it replaced.
 
-`pairs._invariants` tests generators of D(g)' instead of forming D(g)'
-and reads |G'Z_2| off the product formula; the references below form
-every commutator of D(g) x D(g), close G' u Z_2 and test every element
-order.  The work-counting guard pins that neither the commutator
+`pairs._invariants` reads every D(g) off one commutator per coset of Z,
+builds only the centralizer rows it reads, tests generators of D(g)'
+instead of forming D(g)' and reads |G'Z_2| off the product formula; the
+references below form D(g) over every element, the whole centralizer
+matrix and every commutator of D(g) x D(g), close G' u Z_2 and test every
+element order.  The work-counting guard pins that neither the commutator
 criterion nor the invariants form a |G|^2 set of commutators.
 """
 
@@ -141,17 +143,22 @@ def test_pair_scans_are_not_quadratic(monkeypatch):
     """On heisenberg:11,1 no |G|^2 or |D|^2 set of commutators is formed.
 
     The commutator criterion forms one column of |G| commutators per coset
-    of Z.  Beyond the central series, the invariants form one row of |G|
-    per class representative (its D(g)) and |S_D| |D| <= d |G| per
-    distinct D(g); no single call forms more than (d + 1) |G|.
+    of Z.  Beyond the central series, the invariants form one block of
+    |G:Z| commutators per class representative (every D(g) at once, over
+    the coset minima of Z) and the |S_D| |D| generators of each distinct
+    D(g)'.
     """
     G = build_family(parse_family_spec("heisenberg:11,1"))
     Z = center(G)
-    n, d = G.order, len(greedy_generators(G))
+    n, index = G.order, G.order // Z.order
     derived_subgroup(G)  # cached, as in analyze_center_pair
     _, classes = G.conjugacy_data()
     reps = [c[0] for c in classes if not Z.mask[c[0]]]
-    n_distinct = len({d_members(G, g, Z.mask).tobytes() for g in reps})
+    distinct = {d_members(G, g, Z.mask).tobytes(): g for g in reps}
+    dprime_gens = sum(
+        len(greedy_generators(G, d)) * len(d)
+        for d in (d_members(G, g, Z.mask) for g in distinct.values())
+    )
 
     calls = []
 
@@ -168,11 +175,11 @@ def test_pair_scans_are_not_quadratic(monkeypatch):
         return f(*args), sum(calls), max(calls, default=0)
 
     (holds, _), k, _ = work(camina_by_commutators, G, Z)
-    assert holds and 0 < k <= (n // Z.order) * n
+    assert holds and 0 < k <= index * n
 
     _, series_work, _ = work(central_series, G)
     verdict = analyze_center_pair(G, with_bounds=False).verdict
     report, k, largest = work(verify_bounds, G, verdict)
     assert not report.failures()
-    assert largest <= (d + 1) * n
-    assert 0 < k - series_work <= len(reps) * n + (d + 1) * n * n_distinct
+    assert largest <= len(reps) * index
+    assert 0 < k - series_work <= len(reps) * index + dprime_gens

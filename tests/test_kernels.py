@@ -5,8 +5,11 @@ FiniteGroup.conjugacy_data, the two pair checks in camina_by_classes and
 camina_by_commutators, the associativity scan in groups.assoc_violation
 and the class-algebra counts in class_mult_coefficients.  The references
 return (-1, -1) or (-1, -1, -1) where those functions return None.
-camina_by_commutators scans one element per coset of N; its reference
-scans every element outside N.
+conjugacy_data labels each element by the least member of its orbit under
+conjugation by a generating set; its reference conjugates by every
+element.  Both pair criteria scan one element per coset of N; their
+references scan every element outside N.  The work guards pin those
+savings on dihedral:2048.
 """
 
 import numpy as np
@@ -14,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camina import build_family
+from camina import build_family, groups, parse_family_spec
 from camina.characters import class_mult_coefficients
 from camina.corpus import bilinear, default_family_instances
 from camina.groups import (
     assoc_violation,
     center,
     derived_subgroup,
+    greedy_generators,
     is_normal,
     subgroup_generate,
 )
@@ -89,7 +93,7 @@ def ref_class_product_counts(mul, inv, class_of, reps):
 
 
 @pytest.fixture(scope="module")
-def groups(q8, s3, heis27, corpus_groups):
+def small_groups(q8, s3, heis27, corpus_groups):
     return {
         "q8": q8,
         "s3": s3,
@@ -119,8 +123,8 @@ def _targets(G):
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_conjugacy_partition(groups, name):
-    G = groups[name]
+def test_conjugacy_partition(small_groups, name):
+    G = small_groups[name]
     class_of, classes = G.conjugacy_data()
     ref_class_of, ref_n = ref_conjugacy_partition(G.mul, G.inv)
     assert len(classes) == ref_n
@@ -128,8 +132,8 @@ def test_conjugacy_partition(groups, name):
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_pair_checks(groups, name):
-    G = groups[name]
+def test_pair_checks(small_groups, name):
+    G = small_groups[name]
     class_of, _ = G.conjugacy_data()
     for H in _targets(G):
         members = H.members
@@ -143,8 +147,8 @@ def test_pair_checks(groups, name):
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_assoc_and_class_products(groups, name):
-    G = groups[name]
+def test_assoc_and_class_products(small_groups, name):
+    G = small_groups[name]
     assert assoc_violation(G.mul) is None
     assert ref_assoc_violation(G.mul) == (-1, -1, -1)
     class_of, classes = G.conjugacy_data()
@@ -187,17 +191,73 @@ def _normal_targets(G):
     return list(found.values())
 
 
-def test_commutator_criterion_matches_element_scan(corpus_groups, non_nilpotent):
+@pytest.fixture(scope="module")
+def named_targets(corpus_groups, non_nilpotent):
+    """{name: (G, reference class_of, normal targets)} for every fixture
+    group, every family instance of order <= 256 and the five non-nilpotent
+    groups."""
     named = dict(corpus_groups)
     for gid, spec in default_family_instances(256):
         named[gid] = build_family(spec)
-    for name, G in named.items():
-        for N in _normal_targets(G):
+    named.update(non_nilpotent)
+    return {
+        name: (G, ref_conjugacy_partition(G.mul, G.inv)[0], _normal_targets(G))
+        for name, G in named.items()
+    }
+
+
+def test_conjugacy_partition_matches_reference_everywhere(named_targets):
+    for name, (G, ref_class_of, _) in named_targets.items():
+        class_of, classes = G.conjugacy_data()
+        assert np.array_equal(class_of, ref_class_of), name
+        assert len(classes) == ref_class_of.max() + 1, name
+
+
+def test_class_criterion_matches_element_scan(named_targets):
+    for name, (G, ref_class_of, targets) in named_targets.items():
+        for N in targets:
+            outside = np.flatnonzero(~N.mask).astype(np.int32)
+            got = _as_witness(camina_by_classes(G, N))
+            want = ref_coset_class_check(G.mul, ref_class_of, N.members, outside)
+            assert got == want, (name, N.order)
+
+
+def test_commutator_criterion_matches_element_scan(named_targets):
+    for name, (G, _, targets) in named_targets.items():
+        for N in targets:
             got = _as_witness(camina_by_commutators(G, N))
             assert got == _cover_reference(G, N), (name, N.order)
-    for name, G in non_nilpotent.items():
-        N = derived_subgroup(G)
-        assert _as_witness(camina_by_commutators(G, N)) == _cover_reference(G, N)
+
+
+def test_class_scans_are_generator_sized_on_dihedral_2048(monkeypatch):
+    """conjugacy_data builds one conjugation map per generator, and the
+    class criterion on (G, G') reads one class label per product g n it
+    gathers, g a coset minimum, plus one per g: at most |G:G'| |G'|."""
+    G = build_family(parse_family_spec("dihedral:2048"))
+    gens = greedy_generators(G)
+    calls = []
+
+    def counting(G, x, g, _op=groups.conjugates):
+        calls.append(np.size(g))
+        return _op(G, x, g)
+
+    monkeypatch.setattr(groups, "conjugates", counting)
+    class_of, classes = G.conjugacy_data()
+    assert len(classes) == 1024 // 2 + 3 and 0 < len(calls) <= len(gens)
+
+    reads = []
+
+    class Counted(np.ndarray):
+        def __getitem__(self, key):
+            out = np.asarray(super().__getitem__(key))
+            reads.append(out.size)
+            return out
+
+    G._cache["classes"] = (class_of.view(Counted), classes)
+    Gp = derived_subgroup(G)
+    holds, witness = camina_by_classes(G, Gp)
+    assert not holds and witness == (1, 2)
+    assert 0 < sum(reads) <= (G.order // Gp.order) * Gp.order
 
 
 @st.composite
@@ -215,8 +275,14 @@ def test_criteria_agree_on_random_bilinear_groups(G):
     Z = center(G)
     if Z.order == G.order:  # an abelian G has no pair target
         return
+    ref_class_of, _ = ref_conjugacy_partition(G.mul, G.inv)
+    assert np.array_equal(G.conjugacy_data()[0], ref_class_of)
     b1, w1 = camina_by_classes(G, Z)
     b2, w2 = camina_by_commutators(G, Z)
     b3, w3 = camina_by_centralizers(G, Z)
     assert b1 == b2 == b3
+    outside = np.flatnonzero(~Z.mask).astype(np.int32)
+    assert _as_witness((b1, w1)) == ref_coset_class_check(
+        G.mul, ref_class_of, Z.members, outside
+    )
     assert _as_witness((b2, w2)) == _cover_reference(G, Z)

@@ -72,8 +72,8 @@ from camina.groups import (  # noqa: E402
     derived_subgroup,
     direct_product,
     from_table_unchecked,
+    orders_modulo,
     power_map,
-    quotient,
     subgroup_generate,
 )
 from camina.pairs import census  # noqa: E402
@@ -99,10 +99,11 @@ def order_histogram(G: FiniteGroup, members=None) -> tuple:
 
 def fingerprint(G: FiniteGroup) -> tuple:
     orders = G.element_orders()
-    class_of, classes = G.conjugacy_data()
+    _, classes = G.conjugacy_data()
     Z = center(G)
     Gp = derived_subgroup(G)
-    Q, _ = quotient(G, Gp)
+    # xG' has order k in G/G' for each of its |G'| members
+    abelianized = Counter(orders_modulo(G, Gp.mask).tolist())
     lower, upper = central_series(G)
     idx = np.arange(G.order)
     squares = np.unique(G.mul[idx, idx])
@@ -124,7 +125,7 @@ def fingerprint(G: FiniteGroup) -> tuple:
         Gp.order,
         order_histogram(G, Gp.members),
         int(squares.size),
-        order_histogram(Q),
+        tuple(sorted((k, count // Gp.order) for k, count in abelianized.items())),
         tuple(t.order for t in upper.terms),
         lower.class_c,
         profile,
