@@ -4,7 +4,7 @@ The table is computed over F_l for the least prime l with l = 1 (mod
 exponent(G)) and l > 2*sqrt(|G|): the structure constants of the class
 algebra give commuting matrices whose joint eigenvectors are the rows
 (|C_j| chi(g_j) / chi(1))_j reduced mod l.  The |G:G'| linear rows are
-read off the abelianization G/G', built one cyclic extension at a time.
+read off G/G' through the coset labels of G', one cyclic step at a time.
 The nonlinear rows span the vectors whose entries sum to zero over the
 classes in each coset of G'; following Dixon (1967) as refined by
 Schneider (1990), that span alone is split by random F_l-combinations of
@@ -33,10 +33,10 @@ from .errors import InternalPrimeSearchFailed, InvariantViolation, TableTooLarge
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
+    cosets,
     derived_subgroup,
     group_exponent,
     is_normal,
-    quotient,
 )
 from .structure import is_prime_power
 
@@ -281,32 +281,32 @@ def _power_classes(G: FiniteGroup, class_of: np.ndarray, rep: int, o: int) -> np
 def _linear_characters(G: FiniteGroup, e: int) -> tuple[np.ndarray, np.ndarray]:
     """The characters of G/G' as exponents mod e.
 
-    Returns (A, proj): proj maps each element of G to its coset of G', and
-    the i-th linear character is lambda_i(g) = zeta_e^A[i, proj[g]].  The
+    Returns (A, coset_of) with coset_of from `groups.cosets`, and the i-th
+    linear character is lambda_i(g) = zeta_e^A[i, coset_of[g]].  The
     table grows one cyclic step at a time: if x has order r modulo the
     subgroup H built so far and lambda(x^r) = zeta_e^a, then r divides a
     and lambda extends to <H, x> in r ways, by lambda(x) = zeta_e^b with
     b = a/r + t e/r for t = 0, ..., r - 1.
     """
-    Q, proj = quotient(G, derived_subgroup(G))
+    reps, coset_of = cosets(G, derived_subgroup(G))
     members = np.zeros(1, dtype=np.int64)  # H, in the column order of A
-    pos = np.full(Q.order, -1, dtype=np.int64)  # column of each element of H
+    pos = np.full(len(reps), -1, dtype=np.int64)  # column of each element of H
     pos[0] = 0
     A = np.zeros((1, 1), dtype=np.int64)
-    while members.size < Q.order:
+    while members.size < len(reps):
         x = int(np.flatnonzero(pos < 0)[0])
-        cosets, y = [members], x  # H, Hx, Hx^2, ...; y runs over x^i
+        layers, y = [members], x  # H, Hx, Hx^2, ...; y runs over x^i
         while pos[y] < 0:
-            cosets.append(Q.mul[members, y])
-            y = int(Q.mul[y, x])
-        r = len(cosets)
+            layers.append(coset_of[G.mul[reps[members], reps[y]]])
+            y = int(coset_of[G.mul[reps[y], reps[x]]])
+        r = len(layers)
         b = A[:, pos[y]][:, None] // r + np.arange(r)[None, :] * (e // r)
         i = np.arange(r)[None, None, :, None]
         A = (A[:, None, None, :] + i * b[:, :, None, None]) % e
         A = A.reshape(b.size, b.size)
-        members = np.concatenate(cosets)
+        members = np.concatenate(layers)
         pos[members] = np.arange(members.size)
-    return A[:, pos], proj
+    return A[:, pos], coset_of
 
 
 def _nonlinear_basis(coset_of_class: np.ndarray, m: int, l: int):
@@ -340,8 +340,8 @@ def _character_rows(G: FiniteGroup, reps, e: int, l: int):
     split, so the class-constant tensor is built only when that span has
     dimension at least 2 (never for an abelian group).
     """
-    A, proj = _linear_characters(G, e)
-    coset_of_class = proj[reps]
+    A, coset_of = _linear_characters(G, e)
+    coset_of_class = coset_of[reps]
     B, piv = _nonlinear_basis(coset_of_class, A.shape[0], l)
     A = A[:, coset_of_class]
     if B.shape[0] < 2:

@@ -33,10 +33,6 @@ class NotAssociative(CaminaError):
         super().__init__(f"(x*y)*z != x*(y*z) at (x, y, z) = ({a}, {b}, {c})")
 
 
-class NotNormal(CaminaError):
-    """Quotient requested by a non-normal subgroup."""
-
-
 class CentralElement(CaminaError):
     """D(g) requested for central g, where it degenerates to the whole group."""
 

@@ -30,7 +30,6 @@ from .errors import (
     NoInverse,
     NotAssociative,
     NotLatinSquare,
-    NotNormal,
 )
 
 DEFAULT_ORDER_CAP = 2048
@@ -555,27 +554,16 @@ def is_normal(G: FiniteGroup, H: SubgroupHandle) -> bool:
     return bool(H.mask[conj].all())
 
 
-def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
-    """rep[x] = the least element of the coset xN, from the table alone."""
-    return G.mul[:, N.members].min(axis=1)
-
-
-def quotient(G: FiniteGroup, N: SubgroupHandle):
-    """Quotient group on cosets plus the projection map (as an array).
-
-    The identity coset is index 0; remaining cosets are ordered by their
-    smallest member, so the quotient table is deterministic.
+def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
+    """G/N as (reps, coset_of), from |G| |N| products: reps are the least
+    members of the cosets xN, ascending (reps[0] = 0, N itself), and
+    coset_of[x], the index in reps of the coset of x, counts the reps
+    below the least member of xN.  For normal N, cosets a and b multiply
+    to coset_of[mul[reps[a], reps[b]]].
     """
-    if not is_normal(G, N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal")
-    rep = coset_minima(G, N)
-    reps = np.unique(rep)
-    pos = np.empty(G.order, dtype=np.int32)
-    pos[reps] = np.arange(len(reps), dtype=np.int32)
-    proj = pos[rep]
-    qmul = proj[G.mul[np.ix_(reps, reps)]]
-    Q = from_table_unchecked(qmul, name=f"{G.name}/N" if G.name else "")
-    return Q, proj
+    least = G.mul[:, N.members].min(axis=1)
+    is_rep = least == np.arange(G.order)
+    return np.flatnonzero(is_rep), np.cumsum(is_rep)[least] - 1
 
 
 def direct_product(

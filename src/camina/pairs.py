@@ -2,12 +2,14 @@
 
 A pair (G, N) with 1 < N < G normal is a Camina pair when every g outside
 N is conjugate to the whole coset gN.  Three equivalent criteria are
-implemented independently (conjugacy classes, commutator coverage,
-centralizer orders) and always cross-asserted.  For a positive verdict on
-N = Z(G) the full report of named inequality checks is evaluated in exact
-integer arithmetic; every check records its hypothesis and conclusion
-separately so vacuous passes stay visible.  The checks are declared once,
-in `CHECKS`, over one `Invariants` record.
+implemented (conjugacy classes, commutator coverage, centralizer orders)
+and always cross-asserted; the class and centralizer criteria share G's
+class partition, the commutator criterion reads none, and all three read
+G/N only through `groups.cosets`.  For a positive verdict on N = Z(G) the
+full report of named inequality checks is evaluated in exact integer
+arithmetic; every check records its hypothesis and conclusion separately
+so vacuous passes stay visible.  The checks are declared once, in
+`CHECKS`, over one `Invariants` record.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from .groups import (
     center,
     commutator_set,
     commutators,
-    coset_minima,
+    cosets,
     derived_subgroup,
     greedy_generators,
     is_normal,
     power_map,
-    quotient,
 )
 from .structure import (
     central_series,
@@ -237,7 +238,7 @@ def _least_in_coset_outside(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
     least failing element is a coset minimum, and the witness is the one
     an element-by-element scan returns.
     """
-    return np.flatnonzero((coset_minima(G, N) == np.arange(G.order)) & ~N.mask)
+    return cosets(G, N)[0][1:]
 
 
 def camina_by_classes(G: FiniteGroup, N: SubgroupHandle):
@@ -273,20 +274,23 @@ def camina_by_commutators(G: FiniteGroup, N: SubgroupHandle):
 
 
 def camina_by_centralizers(G: FiniteGroup, N: SubgroupHandle):
-    """True iff |C_G(g)| = |C_{G/N}(gN)| for every g outside N."""
+    """True iff |C_G(g)| = |C_{G/N}(gN)| for every g outside N.
+
+    The orders are |G| / |g^G| and |G:N| / |(gN)^(G/N)|, equal exactly
+    when |g^G| = |N| |(gN)^(G/N)|.  (gN)^(G/N) = {g^x N : x in G} is the
+    set of cosets of N that g^G meets, counted over the distinct (coset,
+    class) pairs, so G/N is neither built nor partitioned again.  The test
+    is per element; the witness (g, -1) is the least g where it fails.
+    """
     _validate_pair_target(G, N)
-    Q, proj = quotient(G, N)
-    class_of, classes = G.conjugacy_data()
-    qclass_of, qclasses = Q.conjugacy_data()
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    qsizes = np.array([len(c) for c in qclasses], dtype=np.int64)
-    cent_g = G.order // sizes[class_of]
-    cent_q = Q.order // qsizes[qclass_of[proj]]
-    outside = np.flatnonzero(~N.mask)
-    bad = np.flatnonzero(cent_g[outside] != cent_q[outside])
+    class_of, _ = G.conjugacy_data()
+    _, coset_of = cosets(G, N)
+    sizes = np.bincount(class_of)
+    met = np.bincount(np.unique(coset_of * len(sizes) + class_of) % len(sizes))
+    bad = np.flatnonzero((sizes != N.order * met)[class_of] & ~N.mask)
     if bad.size == 0:
         return True, None
-    return False, (int(outside[bad[0]]), -1)
+    return False, (int(bad[0]), -1)
 
 
 def is_camina_group(G: FiniteGroup) -> bool:
@@ -405,9 +409,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     )
 
     # one pass over noncentral classes: D(g), centralizers, generators of D(g)'
-    zrep = coset_minima(G, Z)
-    zmin = np.flatnonzero(zrep == np.arange(order))
-    coset_of = np.searchsorted(zmin, zrep)  # x -> the index of xZ in zmin
+    zmin, coset_of = cosets(G, Z)
     in_d = Z.mask[commutators(G, reps[:, None], zmin[None, :])][:, coset_of]
     cent_rows = G.centralizer_matrix(reps)
     dprime_gens_cache: dict[bytes, np.ndarray] = {}

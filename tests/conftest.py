@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from camina import (
@@ -12,9 +13,31 @@ from camina import (
     parse_corpus,
     t_witness_spec,
 )
+from camina.groups import from_table_unchecked
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_FILES = ["order8.grp", "order16.grp", "order27.grp", "order32.grp"]
+
+
+def ref_quotient(G, N):
+    """G/N from the definition, as (Q, proj) for a normal subgroup N.
+
+    The cosets xN = {xn : n in N} are numbered by their least members in
+    ascending order, proj[x] is the number of the coset of x, and Q
+    multiplies cosets through any members: (xN)(yN) = xyN.  That product
+    is checked to be well defined on every pair of elements.
+    """
+    proj = np.full(G.order, -1, dtype=np.int64)
+    reps = []
+    for x in range(G.order):
+        if proj[x] < 0:
+            for n in N.members:
+                proj[G.mul[x, n]] = len(reps)
+            reps.append(x)
+    table = proj[G.mul[np.ix_(reps, reps)]]
+    if not (proj[G.mul] == table[np.ix_(proj, proj)]).all():
+        raise ValueError(f"subgroup of order {N.order} is not normal")
+    return from_table_unchecked(table), proj
 
 
 @pytest.fixture(scope="session")

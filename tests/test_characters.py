@@ -24,6 +24,7 @@ from camina import (
     irr_over,
     verify_fully_ramified,
 )
+from camina import groups
 from camina.characters import (
     TABLE_BUDGET,
     _character_rows,
@@ -378,8 +379,10 @@ def test_column_check_reads_the_irrational_part():
 
 # sha256 of `camina chartable --family SPEC`, as printed by the lambda-scan
 # implementation (cyclic:256 and dihedral:256 by the per-value object
-# tables); neither the splitter's random draws nor the array layout of
-# the values may reach the output.
+# tables; elemab:3,3, quaternion:64 and extraspecial_p2:3,2, whose
+# abelianizations take 3, 2 and 2 cyclic steps, by the linear characters
+# walked on a quotient group G/G'); neither the splitter's random draws
+# nor the array layout of the values may reach the output.
 CHARTABLE_SHA256 = {
     "heisenberg:3": "b9f554420bc77c3191d17df006b4b190564a9dad73cdf37c2df86bdb408840d1",
     "extraspecial_p:3,2": (
@@ -389,6 +392,13 @@ CHARTABLE_SHA256 = {
     "cyclic:64": "76ea7c344da99f8491d97b176dae17392e2623420286a63e704916cbbbd08374",
     "cyclic:256": "a023567ca26688d3f658ceb8fc488398855e6e61818dbf729958798bcb10ce1f",
     "dihedral:256": "e0aed8fbc758d4fd3872ff86072d939ea33cd1efb905f1df0ce3788796f8e5a2",
+    "elemab:3,3": "3c1debd2ea1ed9e90c01aeab4fcb28c490d1161172d8f6fc8d606656d24f3294",
+    "quaternion:64": (
+        "2c3674c094f7806a9d31f10161b656c2c572cd3ea8afb41f3af06e36f08ce9f5"
+    ),
+    "extraspecial_p2:3,2": (
+        "8e7243c9a41cfd35e0c2efc0237574be3e821f63014bf454990f23352129726a"
+    ),
 }
 
 
@@ -397,6 +407,21 @@ def test_chartable_output_is_pinned(capsys, spec):
     assert main(["chartable", "--family", spec]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[spec]
+
+
+def test_table_builds_no_group_on_dihedral_64(monkeypatch):
+    """G/G' is read as coset labels: no quotient group is constructed."""
+    G = build_family(parse_family_spec("dihedral:64"))
+    built = []
+    init = groups.FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counting)
+    assert dixon_character_table(G).n_classes == 32 // 2 + 3
+    assert built == []
 
 
 # heis27 has a 2-dimensional nonlinear span, so the splitter reads the

@@ -14,7 +14,7 @@ import pytest
 
 from camina import cli
 from camina.cli import main
-from camina.corpus import CorpusEntry
+from camina.corpus import CorpusEntry, default_family_instances
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +141,24 @@ def test_analyze_output_is_pinned(capsys, spec):
     code, out, _ = run(capsys, "analyze", "--family", spec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec]
+
+
+# sha256 of the stdout of `camina analyze --family SPEC`, concatenated
+# over every default_family_instances(2048) spec in order, as printed when
+# the centralizer criterion built the quotient group G/Z: the negative
+# verdicts and their witnesses included.
+ANALYZE_FAMILIES_SHA256 = (
+    "3d1c76bed5252b66d9b4b85b04d5ff10dee22346e2c6ae02e57f82203ea30207"
+)
+
+
+def test_analyze_family_instances_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for spec, _ in default_family_instances(2048):
+        code, out, _ = run(capsys, "analyze", "--family", spec)
+        assert code == 0, spec
+        digest.update(out.encode())
+    assert digest.hexdigest() == ANALYZE_FAMILIES_SHA256
 
 
 def test_verify_fixture_output_is_pinned(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import ref_quotient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from camina import (
     group_from_generators,
     is_normal,
     nilpotency_class,
-    quotient,
     subgroup_generate,
 )
 from camina.errors import (
@@ -28,11 +28,10 @@ from camina.errors import (
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
-    NotNormal,
 )
 from camina import groups
 from camina.corpus import _digit_sum_table
-from camina.groups import commutator_set
+from camina.groups import commutator_set, cosets
 
 # right-regular generators of the quaternion group on {1,-1,i,-i,j,-j,k,-k}
 Q8_MUL_BY_I = Permutation((3, 4, 2, 1, 8, 7, 5, 6))
@@ -303,27 +302,54 @@ def test_is_normal(q8, s3):
     assert not is_normal(s3, subgroup_generate(s3, (s,)))
 
 
+def test_cosets(q8, s3, heis27):
+    """reps are the ascending coset minima, coset_of labels each element
+    as the definition does, and for normal N the coset labels multiply
+    through their reps."""
+    for G in (q8, s3, heis27):
+        targets = (
+            subgroup_generate(G, ()),
+            center(G),
+            derived_subgroup(G),
+            subgroup_generate(G, range(G.order)),
+        )
+        for N in targets:
+            reps, coset_of = cosets(G, N)
+            assert reps[0] == 0 and (np.diff(reps) > 0).all()
+            assert len(reps) == G.order // N.order
+            for x in range(G.order):
+                assert reps[coset_of[x]] == min(int(G.mul[x, n]) for n in N.members)
+            assert np.array_equal(coset_of, ref_quotient(G, N)[1])
+            assert is_normal(G, N)
+            prod = coset_of[G.mul[np.ix_(reps, reps)]]
+            assert (coset_of[G.mul] == prod[np.ix_(coset_of, coset_of)]).all()
+
+
 def test_quotient(q8):
-    whole = subgroup_generate(q8, tuple(range(8)))
-    Q, proj = quotient(q8, whole)
-    assert Q.order == 1
-    triv = subgroup_generate(q8, ())
-    Q, proj = quotient(q8, triv)
-    assert Q.order == 8
-    assert len(set(proj.tolist())) == 8
-    Q, proj = quotient(q8, center(q8))
-    assert Q.order == 4
-    assert group_exponent(Q) == 2
-    # oracle: brute-force coset multiplication must match the projection
+    """q8 over the whole group, the trivial subgroup and the centre: the
+    cosets number |G:N|, G/Z has exponent 2, and the coset product through
+    reps matches brute-force multiplication of members."""
+    reps, coset_of = cosets(q8, subgroup_generate(q8, tuple(range(8))))
+    assert len(reps) == 1 and (coset_of == 0).all()
+    reps, coset_of = cosets(q8, subgroup_generate(q8, ()))
+    assert len(reps) == 8
+    assert len(set(coset_of.tolist())) == 8
+    reps, coset_of = cosets(q8, center(q8))
+    assert len(reps) == 4
+    assert all(coset_of[q8.mul[r, r]] == 0 for r in reps)
+    assert any(coset_of[r] != 0 for r in reps)
+    prod = coset_of[q8.mul[np.ix_(reps, reps)]]
     for x in range(8):
         for y in range(8):
-            assert proj[q8.mul[x, y]] == Q.mul[proj[x], proj[y]]
+            assert coset_of[q8.mul[x, y]] == prod[coset_of[x], coset_of[y]]
 
 
-def test_quotient_requires_normal(s3):
-    s = next(x for x in range(6) if element_order(s3, x) == 2)
-    with pytest.raises(NotNormal):
-        quotient(s3, subgroup_generate(s3, (s,)))
+def test_quotient_projection_is_homomorphism(q8, s3, heis27):
+    for G in (q8, s3, heis27):
+        reps, coset_of = cosets(G, derived_subgroup(G))
+        prod = coset_of[G.mul[np.ix_(reps, reps)]]
+        for x in range(G.order):
+            assert (coset_of[G.mul[x, :]] == prod[coset_of[x], coset_of]).all()
 
 
 def test_direct_product(q8, heis27):
@@ -342,14 +368,6 @@ def test_direct_product(q8, heis27):
 def test_direct_product_order_cap(q8):
     with pytest.raises(ClosureExceedsCap):
         direct_product(q8, q8, order_cap=63)
-
-
-def test_quotient_projection_is_homomorphism(q8, s3, heis27):
-    for G in (q8, s3, heis27):
-        N = derived_subgroup(G)
-        Q, proj = quotient(G, N)
-        for x in range(G.order):
-            assert (proj[G.mul[x, :]] == Q.mul[proj[x], proj]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +402,9 @@ def test_derived_subgroup_normal_with_abelian_quotient(q8, s3, heis27):
     for G in (q8, s3, heis27):
         Gp = derived_subgroup(G)
         assert is_normal(G, Gp)
-        Q, _ = quotient(G, Gp)
-        assert (Q.mul == Q.mul.T).all()
+        reps, coset_of = cosets(G, Gp)
+        prod = coset_of[G.mul[np.ix_(reps, reps)]]
+        assert (prod == prod.T).all()
 
 
 def test_subgroup_handle_invariants(q8):

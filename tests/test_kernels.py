@@ -8,8 +8,9 @@ return (-1, -1) or (-1, -1, -1) where those functions return None.
 conjugacy_data labels each element by the least member of its orbit under
 conjugation by a generating set; its reference conjugates by every
 element.  Both pair criteria scan one element per coset of N; their
-references scan every element outside N.  The work guards pin those
-savings on dihedral:2048.
+references scan every element outside N.  camina_by_centralizers reads
+G/N only as coset labels; its reference counts both centralizers from
+their definitions.  The work guards pin those savings on dihedral:2048.
 """
 
 import numpy as np
@@ -66,6 +67,22 @@ def ref_commutator_cover_check(mul, inv, members, outside):
         for x in members:
             if int(x) not in hit:
                 return int(g), int(x)
+    return -1, -1
+
+
+def ref_centralizer_check(mul, inv, members, outside):
+    """First g with |C_G(g)| != |C_{G/N}(gN)|, as (g, -1).
+
+    |C_G(g)| = #{x : gx = xg}, and xN commutes with gN exactly when
+    [g, x] lies in N, so |C_{G/N}(gN)| = #{x : [g, x] in N} / |N|.
+    """
+    in_n = np.zeros(mul.shape[0], dtype=bool)
+    in_n[members] = True
+    for g in outside:
+        c_g = int((mul[g, :] == mul[:, g]).sum())
+        c_q = int(in_n[mul[mul[inv[g], inv], mul[g, :]]].sum()) // len(members)
+        if c_g != c_q:
+            return int(g), -1
     return -1, -1
 
 
@@ -229,6 +246,31 @@ def test_commutator_criterion_matches_element_scan(named_targets):
             assert got == _cover_reference(G, N), (name, N.order)
 
 
+def test_centralizer_criterion_matches_element_scan(named_targets):
+    for name, (G, _, targets) in named_targets.items():
+        for N in targets:
+            outside = np.flatnonzero(~N.mask).astype(np.int32)
+            got = _as_witness(camina_by_centralizers(G, N))
+            want = ref_centralizer_check(G.mul, G.inv, N.members, outside)
+            assert got == want, (name, N.order)
+
+
+def test_centralizer_criterion_builds_no_group_on_dihedral_2048(monkeypatch):
+    """G/Z is read as coset labels: no quotient group is constructed."""
+    G = build_family(parse_family_spec("dihedral:2048"))
+    Z = center(G)
+    built = []
+    init = groups.FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counting)
+    assert camina_by_centralizers(G, Z) == (False, (1, -1))
+    assert built == []
+
+
 def test_class_scans_are_generator_sized_on_dihedral_2048(monkeypatch):
     """conjugacy_data builds one conjugation map per generator, and the
     class criterion on (G, G') reads one class label per product g n it
@@ -286,3 +328,6 @@ def test_criteria_agree_on_random_bilinear_groups(G):
         G.mul, ref_class_of, Z.members, outside
     )
     assert _as_witness((b2, w2)) == _cover_reference(G, Z)
+    assert _as_witness((b3, w3)) == ref_centralizer_check(
+        G.mul, G.inv, Z.members, outside
+    )
