@@ -8,17 +8,20 @@ read off G/G' through the coset labels of G', one cyclic step at a time.
 The nonlinear rows span the vectors whose entries sum to zero over the
 classes in each coset of G'; following Dixon (1967) as refined by
 Schneider (1990), that span alone is split by random F_l-combinations of
-all class matrices: the eigenvalues of each combination, restricted to an
-unsplit subspace, are the roots in F_l of its characteristic polynomial
-(through a Hessenberg reduction mod l), and each eigenspace is one
-nullspace.  The values form one (k, k, phi(e)) array of canonical
-coefficients in Z[zeta_e]: the linear rows are rows of the reduction
-matrix picked by their exponents, and only the nonlinear rows are lifted,
-through the discrete Fourier transform over powers of a primitive root
-of F_l, one matrix product mod l per class.  A fixed entry budget is
-checked before anything is built.  The orthogonality checks form whole
-Gram matrices over Z[x]/(x^e - 1) and reduce them mod the cyclotomic
-polynomial, exactly.
+all class matrices.  Each combination is read straight off the group, as
+Schneider and Hulpke (1993) form class matrices, through one k x |G|
+array of class labels: O(k |G|) work a round, and the k^3 structure
+constants are never stored.  The eigenvalues of each combination,
+restricted to an unsplit subspace, are the roots in F_l of its
+characteristic polynomial (through a Hessenberg reduction mod l), and
+each eigenspace is one nullspace.  The values form one (k, k, phi(e))
+array of canonical coefficients in Z[zeta_e]: the linear rows are rows of
+the reduction matrix picked by their exponents, and only the nonlinear
+rows are lifted, through the discrete Fourier transform over powers of a
+primitive root of F_l, one matrix product mod l per class.  A fixed entry
+budget on the values is checked before anything is built.  The
+orthogonality checks form whole Gram matrices over Z[x]/(x^e - 1) and
+reduce them mod the cyclotomic polynomial, exactly.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from .structure import is_prime_power
 
 PRIME_SEARCH_CAP = 10**6
 
-# The most int64 entries a table may hold, checked before anything is built:
-# k^2 phi(e) values, and the k^3 class constants when the nonlinear span is
-# split (128 MB each).
+# The most int64 entries a table's values may hold (k^2 phi(e), 128 MB),
+# checked before anything is built.  The splitter's class labels hold
+# k |G| <= |G|^2 int32 entries, as many as the group table, so the order
+# cap bounds them.
 TABLE_BUDGET = 2**24
 
 
@@ -176,29 +180,54 @@ def _roots_mod(poly: np.ndarray, l: int) -> np.ndarray:
 SPLIT_ROUNDS = 64
 
 
+def _class_labels(G: FiniteGroup, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, starts): U[c, v] = class of z_c v^-1 for the class representative
+    z_c, with the columns v running over G class by class; class j fills
+    the columns starts[j] up to starts[j + 1].  U holds k |G| int32 labels.
+    """
+    class_of, classes = G.conjugacy_data()
+    starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
+    U = class_of[G.mul[np.ix_(reps, G.inv[np.concatenate(classes)])]]
+    return U, starts
+
+
+def _class_combination(
+    U: np.ndarray, starts: np.ndarray, r: np.ndarray, l: int
+) -> np.ndarray:
+    """Ct[c, j] = sum_i r_i a[i, j, c] mod l: the transpose of the
+    combination sum_i r_i M_i of the class matrices M_i[j, c] = a[i, j, c].
+
+    z_c = u v with u in class i and v in class j exactly when u = z_c v^-1,
+    so the sum is that of r[class of z_c v^-1] over v in class j: one
+    gather of r through U and one sum per class.  Each sum has at most |G|
+    terms below l, so it is exact in int64.
+    """
+    return np.add.reduceat(r[U], starts, axis=1) % l
+
+
 def _joint_eigenrows(
-    consts: np.ndarray, B: np.ndarray, piv: np.ndarray, l: int
+    U: np.ndarray, starts: np.ndarray, B: np.ndarray, piv: np.ndarray, l: int
 ) -> list[np.ndarray]:
     """Common eigenvectors (as rows, k-vectors) of the class matrices mod l
     inside the row space of B.
 
-    consts[i] is the i-th class matrix, reduced mod l.  The rows of B span
-    a sum of joint eigenspaces, and B[:, piv] is the identity, so a vector
-    v of the space is sum_i v[piv[i]] B[i].  Each
-    round draws one random F_l-combination C of all class matrices (seeded
-    from l, so the draws depend only on the input), restricts C to each
-    unsplit subspace and splits the subspace into the eigenspaces of C:
-    the eigenvalues are the roots of the characteristic polynomial, and
-    each eigenspace is one nullspace.  The class algebra mod l is split
-    semisimple, so the joint eigenspaces are lines.
+    (U, starts) are the class labels of `_class_labels`.  The rows of B
+    span a sum of joint eigenspaces, and B[:, piv] is the identity, so a
+    vector v of the space is sum_i v[piv[i]] B[i].  Each round draws one
+    random F_l-combination C of all class matrices (seeded from l, so the
+    draws depend only on the input), reads it off the labels, restricts C
+    to each unsplit subspace and splits the subspace into the eigenspaces
+    of C: the eigenvalues are the roots of the characteristic polynomial,
+    and each eigenspace is one nullspace.  The class algebra mod l is
+    split semisimple, so the joint eigenspaces are lines.
     """
-    k = consts.shape[0]
+    k = starts.size
     rng = np.random.default_rng(l)
     spaces = [(B, piv)]
     for _ in range(SPLIT_ROUNDS):
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
-        Ct = np.tensordot(rng.integers(0, l, size=k), consts, axes=1).T % l
+        Ct = _class_combination(U, starts, rng.integers(0, l, size=k), l)
         refined = []
         for B, piv in spaces:
             d = B.shape[0]
@@ -337,8 +366,10 @@ def _character_rows(G: FiniteGroup, reps, e: int, l: int):
 
     reps are the class representatives; the i-th linear character takes
     the value zeta_e^A[i, j] on class j.  Only the nonlinear span is
-    split, so the class-constant tensor is built only when that span has
-    dimension at least 2 (never for an abelian group).
+    split, and only when it has dimension at least 2 (never for an abelian
+    group); then each random combination of the class matrices is read off
+    the k |G| class labels of `_class_labels`, and no class constant is
+    stored.
     """
     A, coset_of = _linear_characters(G, e)
     coset_of_class = coset_of[reps]
@@ -346,7 +377,7 @@ def _character_rows(G: FiniteGroup, reps, e: int, l: int):
     A = A[:, coset_of_class]
     if B.shape[0] < 2:
         return A, list(B)
-    return A, _joint_eigenrows(class_mult_coefficients(G) % l, B, piv, l)
+    return A, _joint_eigenrows(*_class_labels(G, reps), B, piv, l)
 
 
 def _root_of_unity(e: int, l: int) -> int:
@@ -354,17 +385,15 @@ def _root_of_unity(e: int, l: int) -> int:
     return pow(_primitive_root(l), (l - 1) // e, l)
 
 
-def _check_budget(k: int, e: int, span: int) -> None:
-    """Refuse a table whose value array or class-constant tensor would hold
-    more than TABLE_BUDGET int64 entries; span is the dimension of the
-    nonlinear span, and the k^3 tensor is built only when it is 2 or more."""
+def _check_budget(k: int, e: int) -> None:
+    """Refuse a table whose value array would hold more than TABLE_BUDGET
+    int64 entries."""
     values = k * k * sum(math.gcd(u, e) == 1 for u in range(e))
-    consts = k**3 if span >= 2 else 0
-    if max(values, consts) > TABLE_BUDGET:
+    if values > TABLE_BUDGET:
         raise TableTooLarge(
             f"character table with {k} classes and exponent {e} needs "
-            f"{values} values (k^2 phi(e)) and {consts} class constants (k^3); "
-            f"the budget is {TABLE_BUDGET} int64 entries each"
+            f"{values} values (k^2 phi(e)); "
+            f"the budget is {TABLE_BUDGET} int64 entries"
         )
 
 
@@ -398,7 +427,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     inverse_class = np.array([class_of[G.inv[r]] for r in reps], dtype=np.int64)
     e = group_exponent(G)
     order = G.order
-    _check_budget(k, e, k - order // derived_subgroup(G).order)
+    _check_budget(k, e)
     l = least_dixon_prime(order, e)
 
     A, nonlinear = _character_rows(G, reps, e, l)

@@ -292,8 +292,10 @@ def cmd_chartable(args) -> int:
         "class reps:  " + " ".join(str(int(r)) for r in table.class_reps),
         "class sizes: " + " ".join(str(int(s)) for s in table.class_sizes),
     ]
-    for deg, row in zip(table.degrees, table.values):
-        lines.append(f"deg {deg}: " + "  ".join(format_values(row)))
+    k = table.n_classes
+    cells = format_values(table.values)
+    for i, deg in enumerate(table.degrees):
+        lines.append(f"deg {deg}: " + "  ".join(cells[i * k : (i + 1) * k]))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

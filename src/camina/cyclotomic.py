@@ -90,17 +90,43 @@ def _format_terms(powers: list[int], coeffs: list[int]) -> str:
     return "+".join(parts).replace("+-", "-") or "0"
 
 
+def _sort_keys(flat: np.ndarray) -> np.ndarray:
+    """One weighted sum (mod 2^64) of the coefficients of each row of the
+    int64 array flat, with fixed pseudo-random weights: equal rows get equal
+    keys, and distinct rows almost never do."""
+    weights = np.random.default_rng(0).integers(
+        0, 2**64, size=flat.shape[1], dtype=np.uint64
+    )
+    return flat.view(np.uint64) @ weights
+
+
 def format_values(V: np.ndarray) -> list[str]:
-    """format_value of every vector along the last axis of V, in C order,
-    from one np.nonzero pass over the whole array."""
+    """format_value of every vector along the last axis of V, in C order.
+
+    Table values repeat heavily, so each run of equal vectors is written
+    once.  Sorting by `_sort_keys` brings equal vectors together, and
+    neighbours are then compared exactly, so two vectors share a text only
+    if they are equal; distinct vectors with equal keys merely cost an
+    extra text.  One np.nonzero pass reads the terms of the runs, and the
+    texts are gathered back.
+    """
     flat = V.reshape(-1, V.shape[-1])
-    which, powers = np.nonzero(flat)
-    coeffs = flat[which, powers].tolist()
+    order = np.argsort(_sort_keys(flat))
+    ranked = flat[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    runs = ranked[starts]
+    which, powers = np.nonzero(runs)
+    coeffs = runs[which, powers].tolist()
     powers = powers.tolist()
-    ends = np.searchsorted(which, np.arange(flat.shape[0] + 1)).tolist()
-    return [
-        _format_terms(powers[a:b], coeffs[a:b]) for a, b in zip(ends, ends[1:])
-    ]
+    ends = np.searchsorted(which, np.arange(runs.shape[0] + 1)).tolist()
+    texts = np.array(
+        [_format_terms(powers[a:b], coeffs[a:b]) for a, b in zip(ends, ends[1:])],
+        dtype=object,
+    )
+    run_of = np.empty(order.size, dtype=np.intp)
+    run_of[order] = np.cumsum(starts) - 1
+    return texts[run_of].tolist()
 
 
 def format_value(coeffs) -> str:

@@ -46,7 +46,7 @@ from .structure import (
     valuation,
 )
 
-DEFAULT_CHAR_TABLE_CAP = 256
+DEFAULT_CHAR_TABLE_CAP = 2048
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@ from camina import (
     irr_over,
     verify_fully_ramified,
 )
-from camina import groups
+from camina import characters, groups
 from camina.characters import (
     TABLE_BUDGET,
     _character_rows,
+    _class_combination,
+    _class_labels,
     _gram,
     _nullspace_mod,
     _root_of_unity,
@@ -38,10 +40,11 @@ from camina.characters import (
     least_dixon_prime,
 )
 from camina.cli import main
-from camina.corpus import parse_family_spec
+from camina.corpus import default_family_instances, parse_family_spec
 from camina.cyclotomic import reduction_matrix
 from camina.errors import InvariantViolation, TableTooLarge
 from camina.groups import group_from_cayley_table, subgroup_generate
+from camina.pairs import analyze_center_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -272,6 +275,79 @@ def test_abelian_table_builds_no_class_constants(spec):
     assert check_row_orthogonality(t) and check_column_orthogonality(t)
 
 
+WIDE_SPECS = ["heisenberg:2,3", "heisenberg:3,2", "T:5,1"]
+
+
+def _table_groups(corpus_groups):
+    """Every fixture group, every family instance of order <= 256 and the
+    wide tables, in a fixed order."""
+    yield from corpus_groups.values()
+    for _, spec in default_family_instances(256):
+        yield build_family(spec)
+    for spec in WIDE_SPECS:
+        yield build_family(parse_family_spec(spec))
+
+
+def test_class_combination_matches_the_structure_constants(corpus_groups):
+    """The combination read off the class labels is the contraction of the
+    k^3 structure constants with the same random coefficients."""
+    rng = np.random.default_rng(0)
+    for G in _table_groups(corpus_groups):
+        reps = np.array([c[0] for c in G.conjugacy_data()[1]], dtype=np.int32)
+        k = reps.size
+        l = least_dixon_prime(G.order, groups.group_exponent(G))
+        r = rng.integers(0, l, size=k)
+        want = np.tensordot(r, class_mult_coefficients(G), axes=1).T % l
+        got = _class_combination(*_class_labels(G, reps), r, l)
+        assert np.array_equal(got, want)
+
+
+# sha256 of (degrees, modulus, values) over the tables of _table_groups plus
+# heisenberg:11,1, as computed from the k^3 structure-constant tensor.
+TABLES_SHA256 = "24e9be3059412715377e5c7144f6a2f3a63cb7f02132f3ef7c63d9502228a1a6"
+
+
+def test_tables_are_pinned(corpus_groups):
+    h = hashlib.sha256()
+    heis11 = build_family(parse_family_spec("heisenberg:11,1"))
+    for G in [*_table_groups(corpus_groups), heis11]:
+        t = dixon_character_table(G)
+        h.update(np.asarray(t.degrees, dtype=np.int64).tobytes())
+        h.update(np.int64(t.modulus).tobytes())
+        h.update(np.ascontiguousarray(t.values).tobytes())
+    assert h.hexdigest() == TABLES_SHA256
+
+
+def test_splitter_stores_no_class_constants(monkeypatch):
+    def refuse(G):
+        raise AssertionError("class_mult_coefficients called")
+
+    monkeypatch.setattr(characters, "class_mult_coefficients", refuse)
+    G = build_family(parse_family_spec("heisenberg:3,2"))
+    assert dixon_character_table(G).n_classes == 89
+    assert "class_consts" not in G._cache
+
+
+def test_table_past_the_old_class_constant_budget():
+    """297^3 structure constants would be over TABLE_BUDGET; the class
+    labels are 297 x 729."""
+    G = direct_product(
+        build_family(parse_family_spec("heisenberg:3,1")),
+        build_family(parse_family_spec("elemab:3,3")),
+    )
+    t = dixon_character_table(G)
+    assert (G.order, t.n_classes) == (729, 297)
+    assert t.n_classes**3 > TABLE_BUDGET
+    assert check_row_orthogonality(t) and check_column_orthogonality(t)
+
+
+def test_default_cap_builds_the_table_of_heisenberg_7():
+    G = build_family(parse_family_spec("heisenberg:7"))
+    assert G.order == 343
+    analyze_center_pair(G)
+    assert "chartable" in G._cache
+
+
 # ---------------------------------------------------------------------------
 # the Gram-product orthogonality checks against the per-entry folds
 
@@ -424,18 +500,25 @@ def test_table_builds_no_group_on_dihedral_64(monkeypatch):
     assert built == []
 
 
-# heis27 has a 2-dimensional nonlinear span, so the splitter reads the
-# constants (for q8 the span is one line and they are never read).
+# heis27 has a 2-dimensional nonlinear span, so the splitter reads
+# combinations of its class matrices (for q8 the span is one line and
+# none is formed).  Ct[c, j] = sum_i r_i a[i, j, c], so each edit of Ct
+# below is exactly the corruption of the class constants a[i, j, c]
+# named in its id.
 CORRUPTED_TABLE = """
-from camina import FamilySpec, build_family, class_mult_coefficients
-from camina import dixon_character_table
+from camina import FamilySpec, build_family, characters
 from camina.errors import InvariantViolation
+combination = characters._class_combination
+
+def corrupted(U, starts, r, l):
+    Ct = combination(U, starts, r, l)
+    {corruption}
+    return Ct
+
+characters._class_combination = corrupted
 G = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
-consts = class_mult_coefficients(G).copy()
-{corruption}
-G._cache["class_consts"] = consts
 try:
-    dixon_character_table(G)
+    characters.dixon_character_table(G)
 except InvariantViolation as exc:
     print("InvariantViolation:", exc)
 """
@@ -444,9 +527,15 @@ except InvariantViolation as exc:
 @pytest.mark.parametrize(
     "corruption, message",
     [
-        ("consts[:, 1, 2] += 1", "class matrix failed to diagonalize"),
-        ("consts[...] = 0", "joint eigenbasis incomplete"),
-        ("consts[1, 1, 1] += 1", "11 is not the square of a divisor of 27 mod 13"),
+        ("Ct[2, 1] += r.sum()", "class matrix failed to diagonalize"),
+        ("Ct[:] = 0", "joint eigenbasis incomplete"),
+        ("Ct[1, 1] += r[1]", "11 is not the square of a divisor of 27 mod 13"),
+    ],
+    # each id names the corruption of the class constants that the edit equals
+    ids=[
+        "consts[:, 1, 2] += 1-class matrix failed to diagonalize",
+        "consts[...] = 0-joint eigenbasis incomplete",
+        "consts[1, 1, 1] += 1-11 is not the square of a divisor of 27 mod 13",
     ],
 )
 def test_corrupted_class_constants_raise_under_optimize(corruption, message):
@@ -495,8 +584,8 @@ def test_cached_values_are_read_only(q8):
 @pytest.mark.parametrize(
     "spec, sizes",
     [
-        ("cyclic:512", "67108864 values (k^2 phi(e)) and 0 class constants"),
-        ("dihedral:1024", "17172736 values (k^2 phi(e)) and 17373979 class constants"),
+        ("cyclic:512", "67108864 values (k^2 phi(e)); the budget"),
+        ("dihedral:1024", "17172736 values (k^2 phi(e)); the budget"),
     ],
 )
 def test_table_over_budget_raises_before_building(spec, sizes):

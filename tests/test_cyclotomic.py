@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camina.cyclotomic import (
+    _sort_keys,
     cyclotomic_polynomial,
     format_value,
     format_values,
@@ -164,6 +165,19 @@ def test_format_value_of_zero_and_units():
     assert format_value([0, 0, 0, 0]) == "0"
     assert format_value([-1, 0, 1, 0]) == "-1+z2"
     assert format_value([0, -1, 0, 3]) == "-z+3*z3"
+
+
+def test_format_values_writes_repeated_vectors_one_by_one():
+    """A repeated vector gets its own text at every position, and two
+    distinct vectors with equal sort keys get different texts."""
+    w = _sort_keys(np.eye(2, dtype=np.int64)).view(np.int64)  # the weights
+    x, y = [w[1], 0], [0, w[0]]  # keys w1 w0 and w0 w1 (mod 2^64)
+    keys = _sort_keys(np.array([x, y]))
+    assert keys[0] == keys[1]
+    V = np.array([[x, [1, 0], y], [[0, -1], x, y], [y, [1, 0], x]])
+    want = [format_value(v) for v in V.reshape(-1, 2)]
+    assert want[:3] == [str(w[1]), "1", f"{w[0]}*z"]
+    assert format_values(V) == want
 
 
 def test_known_cyclotomic_polynomials():
