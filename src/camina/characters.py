@@ -508,10 +508,6 @@ def _is_integer(V: np.ndarray, n) -> bool:
     return bool((V[..., 0] == n).all() and not V[..., 1:].any())
 
 
-def check_degree_column(table: CharacterTable) -> bool:
-    return _is_integer(table.values[:, 0], table.degrees)
-
-
 def _gram(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     """Canonical coefficients of sum_j X[i, j] Y[m, j] in Z[zeta_e], as (i, m, u).
 

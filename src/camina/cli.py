@@ -47,6 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="camina",
@@ -65,14 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=Path,
                 help="corpus file (repeatable)",
             )
-            p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+            p.add_argument("--order-cap", type=_at_least(1), default=DEFAULT_ORDER_CAP)
         p.add_argument("--report", type=Path, default=None, help="write output here")
         return p
 
     def chartable_cap(p):
         p.add_argument(
             "--chartable-cap",
-            type=int,
+            type=_at_least(0),
             default=DEFAULT_CHAR_TABLE_CAP,
             help="largest order for which character tables are computed",
         )
@@ -92,14 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify", "run the full check suite over a corpus")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(1),
         default=os.cpu_count() or 1,
         help="parallel workers, at most one per entry and CPU (default: %(default)s)",
     )
     chartable_cap(p)
 
     p = command("census", "count groups matching a predicate")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(1), required=True)
     p.add_argument(
         "--predicate",
         default="center-pair",
@@ -107,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("search", "scan for |Z|^2 > |G:Z| center pairs")
-    p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--max-order", type=_at_least(1), default=DEFAULT_ORDER_CAP)
     p.add_argument(
         "--no-families",
         action="store_true",
@@ -117,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     one_group(command("chartable", "print an exact character table"))
 
     p = command("families", "list built-in families and instances", corpus=False)
-    p.add_argument("--max-order", type=int, default=625)
+    p.add_argument("--max-order", type=_at_least(1), default=625)
     return parser
 
 
@@ -243,13 +255,17 @@ def cmd_verify(args) -> int:
 # census / search / chartable / families
 
 
-def _corpus_items(args):
+def _corpus_items(args, wanted):
+    """(gid, group) for the entries whose declared order passes `wanted`;
+    the others are never built, so never validated."""
     for e in sorted(_load_entries(args), key=lambda e: (e.order, e.index)):
-        yield e.gid, e.build(order_cap=args.order_cap)
+        if wanted(e.order):
+            yield e.gid, e.build(order_cap=args.order_cap)
 
 
 def cmd_census(args) -> int:
-    report = census(_corpus_items(args), args.order, args.predicate)
+    items = _corpus_items(args, lambda order: order == args.order)
+    report = census(items, args.order, args.predicate)
     text = (
         f"census order={report.order} predicate={report.predicate}\n"
         f"count {report.count}\n"
@@ -261,7 +277,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_search(args) -> int:
-    items = _corpus_items(args)
+    items = _corpus_items(args, lambda order: order <= args.max_order)
     if not args.no_families:
         families = default_family_instances(args.max_order)
         items = chain(

@@ -20,7 +20,7 @@ by a bilinear cocycle (`camina.groups` holds both formulas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,18 +38,14 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     Permutation,
-    center,
     central_extension,
-    centralizer,
     cyclic_extension,
-    derived_subgroup,
     direct_product,
     from_table_unchecked,
     greedy_generators,
-    group_exponent,
     group_from_generators,
 )
-from .structure import is_prime_power, nilpotency_class
+from .structure import is_prime_power
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +196,15 @@ def serialize_corpus(entries: list[CorpusEntry]) -> str:
     return "\n".join(lines)
 
 
-def regular_permutation(G: FiniteGroup, g: int) -> Permutation:
-    """Right-multiplication by g as a permutation of the elements."""
-    return Permutation(tuple(int(v) + 1 for v in G.mul[:, g]))
-
-
-def group_to_entry(
-    G: FiniteGroup, order: int, index: int, name: str, minimal: bool = False
-) -> CorpusEntry:
+def group_to_entry(G: FiniteGroup, order: int, index: int, name: str) -> CorpusEntry:
     """Serialize a group via its regular permutation representation.
 
-    With minimal=False the generator list is every non-identity element, so
-    re-parsing rebuilds the identical Cayley table (breadth-first discovery
-    then matches the original element order).  With minimal=True a greedy
-    generating set is used instead; the rebuilt table is the same group
-    with a possibly different element order.
+    The generators are right multiplication by each element of
+    `greedy_generators`, as 1-based permutations of the elements; the
+    rebuilt table is the same group with a possibly different element order.
     """
-    if minimal:
-        gen_ids = greedy_generators(G)
-    else:
-        gen_ids = list(range(1, G.order))
-    gens = [regular_permutation(G, g) for g in gen_ids]
+    images = G.mul[:, greedy_generators(G)].T + 1
+    gens = [Permutation(tuple(row.tolist())) for row in images]
     return CorpusEntry(
         order=order, index=index, name=name, degree=G.order, generators=gens
     )
@@ -455,11 +439,6 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
     return fam.build(*params)
 
 
-def t_witness_spec(p: int, k: int) -> FamilySpec:
-    """T = (Sylow p-subgroup of SL3(p^k)) x C_p."""
-    return FamilySpec("heisenberg_times_cyclic", (p, k))
-
-
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse CLI syntax like 'quaternion:8', 'heisenberg:3,2' or 'T:3,1'."""
     alias, _, rest = text.partition(":")
@@ -496,63 +475,3 @@ def default_family_instances(max_order: int) -> list[tuple[str, FamilySpec]]:
         if fam.order(*params) <= max_order:
             out.append((gid, spec))
     return out
-
-
-# ---------------------------------------------------------------------------
-# witness-family property report
-
-
-@dataclass
-class WitnessReport:
-    """Structural profile of T = (SL3 Sylow) x C_p against its contract."""
-
-    p: int
-    k: int
-    order_ok: bool
-    center_order_ok: bool
-    center_index_ok: bool
-    centralizer_order_ok: bool
-    centralizer_abelian_ok: bool
-    derived_inside_center_ok: bool
-    center_over_derived_ok: bool
-    class_two_ok: bool
-    exponent_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        flags = [f.name for f in fields(self) if f.name.endswith("_ok")]
-        return all(getattr(self, name) for name in flags)
-
-
-def verify_witness_properties(T: FiniteGroup, p: int, k: int) -> WitnessReport:
-    """Check the witness profile: center p^(k+1) of index p^(2k), abelian
-    noncentral centralizers of order p^(2k+1), |Z:T'| = p, class 2, and
-    exponent p for odd p."""
-    Z = center(T)
-    Tp = derived_subgroup(T)
-    cents_ok = True
-    cents_abelian = True
-    for g in range(T.order):
-        if g in Z:
-            continue
-        C = centralizer(T, g)
-        if C.order != p ** (2 * k + 1):
-            cents_ok = False
-            break
-        sub = T.mul[np.ix_(C.members, C.members)]
-        if not (sub == sub.T).all():
-            cents_abelian = False
-            break
-    return WitnessReport(
-        p=p,
-        k=k,
-        order_ok=T.order == p ** (3 * k + 1),
-        center_order_ok=Z.order == p ** (k + 1),
-        center_index_ok=T.order // Z.order == p ** (2 * k),
-        centralizer_order_ok=cents_ok,
-        centralizer_abelian_ok=cents_abelian,
-        derived_inside_center_ok=bool(Z.mask[Tp.members].all()),
-        center_over_derived_ok=Z.order == Tp.order * p,
-        class_two_ok=nilpotency_class(T) == 2,
-        exponent_ok=(p == 2) or group_exponent(T) == p,
-    )

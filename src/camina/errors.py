@@ -33,10 +33,6 @@ class NotAssociative(CaminaError):
         super().__init__(f"(x*y)*z != x*(y*z) at (x, y, z) = ({a}, {b}, {c})")
 
 
-class CentralElement(CaminaError):
-    """D(g) requested for central g, where it degenerates to the whole group."""
-
-
 class InvalidPairTarget(CaminaError):
     """Pair test target N is trivial, the whole group, or not normal."""
 
@@ -47,10 +43,6 @@ class EquivalenceViolation(CaminaError):
 
 class InvariantViolation(CaminaError):
     """An internal invariant failed to hold; indicates a bug."""
-
-
-class NotApplicable(CaminaError):
-    """Operation has no content for this input (e.g. script-C when Z = G')."""
 
 
 class UnsupportedParameters(CaminaError):

@@ -380,15 +380,6 @@ def central_extension(vadd: np.ndarray, wadd: np.ndarray, cocycle: np.ndarray):
 # element and subgroup operations
 
 
-def element_order(G: FiniteGroup, x: int) -> int:
-    """Smallest k >= 1 with x^k = identity."""
-    k, y = 1, int(x)
-    while y != 0:
-        y = int(G.mul[y, x])
-        k += 1
-    return k
-
-
 def orders_modulo(G: FiniteGroup, mask: np.ndarray) -> np.ndarray:
     """k[x] = the least k >= 1 with x^k in the set given by its mask.
 
@@ -478,12 +469,6 @@ def centralizer(G: FiniteGroup, x: int) -> SubgroupHandle:
     return _handle(G, np.flatnonzero(G.mul[:, x] == G.mul[x, :]))
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[np.ndarray]:
-    """Partition of the elements into conjugation orbits (sorted members)."""
-    _, classes = G.conjugacy_data()
-    return classes
-
-
 def commutators(G: FiniteGroup, x, y):
     """[x, y] = x^-1 y^-1 x y, broadcast over index arrays.
 
@@ -502,10 +487,6 @@ def conjugates(G: FiniteGroup, x, g):
     """
     m = G.mul
     return m[G.inv[g], m[x, g]]
-
-
-def commutator(G: FiniteGroup, x: int, y: int) -> int:
-    return int(commutators(G, x, y))
 
 
 def commutator_set(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -20,12 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import dixon_character_table, verify_fully_ramified
-from .errors import (
-    EquivalenceViolation,
-    InvalidPairTarget,
-    InvariantViolation,
-    NotApplicable,
-)
+from .errors import EquivalenceViolation, InvalidPairTarget, InvariantViolation
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -110,10 +105,14 @@ def _is_p_group(v: Invariants) -> bool:
     return v.p_group
 
 
+def _cube_bound(v: Invariants) -> bool:
+    return v.m < 3 * v.l  # |Z| < |G':Z|^3
+
+
 # fmt: off
 CHECKS = (
     Check("T1.1", "|Z| <= |G:G'|", _always, lambda v: v.m <= v.n - v.l),
-    Check("T1.2", "if Z < G':  |Z| < |G':Z|^3", _z_below_gp, lambda v: v.m < 3 * v.l),
+    Check("T1.2", "if Z < G':  |Z| < |G':Z|^3", _z_below_gp, _cube_bound),
     Check("T1.3", "4m + 1 <= 3n", _always, lambda v: 4 * v.m + 1 <= 3 * v.n),
     Check("T1.4", "if Z < G':  |Z|^2 <= |G:Z|  or  |Z| p^4 <= |G:Z|",
           _z_below_gp, lambda v: 2 * v.m <= v.n or v.m + 4 <= v.n),
@@ -137,7 +136,8 @@ CHECKS = (
     Check("Cm2", "|Z|^2 <= |G:Z|  or  |Z| p^3 <= |G:Z|",
           _always, lambda v: 2 * v.m <= v.n or v.m + 3 <= v.n),
     Check("CGpZ", "if |G':Z| = p:  |Z|^2 <= |G:Z|", lambda v: v.l == 1, _square_bound),
-    Check("T5.1", "if Z < G':  m <= 3l - 1", _z_below_gp, lambda v: v.m < 3 * v.l),
+    # the paper states T1.2 a second time as Theorem 5.1; both ids are reported
+    Check("T5.1", "if Z < G':  m <= 3l - 1", _z_below_gp, _cube_bound),
     Check("LDquo", "every a with C(a) and G' meeting exactly in Z has D(a)/Z abelian",
           lambda v: v.some_c_meets_gp_in_z, lambda v: v.their_d_over_z_abelian),
     Check("Lidxp", "if some a has D(a)/Z abelian and |G:D(a)| = p:  |Z|^2 <= |G:Z|",
@@ -174,10 +174,6 @@ class BoundCheck:
     check_id: str
     hypothesis_held: bool
     conclusion_held: bool
-
-    @property
-    def passed(self) -> bool:
-        return (not self.hypothesis_held) or self.conclusion_held
 
     @property
     def status(self) -> str:
@@ -375,14 +371,12 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     C(g^y) = C(g)^y while Z, G' and the p-th power map are fixed by, or
     commute with, conjugation.  Only the centralizer rows read are built.
 
-    x in D(g) depends only on xZ ([g, xz] = [g, x] for z central), so every
-    D(g) is read off one block of commutators [g, x] over the least member
-    x of each coset of Z.  D(g)' is never formed: it is generated by [s, x]
-    for s in a generating set S_D of D = D(g) and x in D (the identity of
-    `derived_subgroup`, applied inside D), and the flags only ask whether
-    it lies in C(g) or in Z, both subgroups, so testing those |S_D| |D|
-    generators suffices.  G' is normal, so G'Z_2 is a subgroup of order
-    |G'| |Z_2| / |G' n Z_2|.
+    Every D(g) comes from one block of commutators (`_d_masks`).  D(g)' is
+    never formed: it is generated by [s, x] for s in a generating set S_D
+    of D = D(g) and x in D (the identity of `derived_subgroup`, applied
+    inside D), and the flags only ask whether it lies in C(g) or in Z, both
+    subgroups, so testing those |S_D| |D| generators suffices.  G' is
+    normal, so G'Z_2 is a subgroup of order |G'| |Z_2| / |G' n Z_2|.
     """
     order = G.order
     class_c = upper.class_c
@@ -409,8 +403,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     )
 
     # one pass over noncentral classes: D(g), centralizers, generators of D(g)'
-    zmin, coset_of = cosets(G, Z)
-    in_d = Z.mask[commutators(G, reps[:, None], zmin[None, :])][:, coset_of]
+    in_d = _d_masks(G, Z, reps)
     cent_rows = G.centralizer_matrix(reps)
     dprime_gens_cache: dict[bytes, np.ndarray] = {}
     lcents_ok = True
@@ -484,42 +477,34 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     )
 
 
+def _d_masks(G: FiniteGroup, Z: SubgroupHandle, reps: np.ndarray) -> np.ndarray:
+    """Row i is the mask of D(g) = {x : [g, x] in Z}, for g = reps[i].
+
+    x in D(g) depends only on xZ ([g, xz] = [g, x] for z central), so the
+    rows are read off one block of commutators [g, x] over the least member
+    x of each coset of Z.
+    """
+    zmin, coset_of = cosets(G, Z)
+    return Z.mask[commutators(G, reps[:, None], zmin[None, :])][:, coset_of]
+
+
+def _script_c_mask(G: FiniteGroup, Z: SubgroupHandle, Gp: SubgroupHandle) -> np.ndarray:
+    """Script-C, the union of C(b) over b in G' - Z, as a mask over G."""
+    derived_outside = Gp.members[~Z.mask[Gp.members]]
+    return G.centralizer_matrix(derived_outside).any(axis=0)
+
+
 def _some_csmall_a(G, Z, Gp, Z2) -> bool:
     """Some a in (G' n Z_2) - Z has C(b) <= C(a) for every b in G' - Z.
 
-    That is, C(a) contains the union of the C(b), formed once.
+    That is, C(a) contains script-C, formed once.
     """
     candidates = np.intersect1d(Gp.members, Z2.members)
     candidates = candidates[~Z.mask[candidates]]
     if not candidates.size:
         return False
-    derived_outside = Gp.members[~Z.mask[Gp.members]]
-    covered = G.centralizer_matrix(derived_outside).any(axis=0)
+    covered = _script_c_mask(G, Z, Gp)
     return bool((G.centralizer_matrix(candidates) | ~covered).all(axis=1).any())
-
-
-# ---------------------------------------------------------------------------
-# script C
-
-
-def script_c(G: FiniteGroup, Z: SubgroupHandle, Gprime: SubgroupHandle) -> np.ndarray:
-    """The set {x : C(x) meets G' beyond Z}, cross-checked two ways.
-
-    Also verified to equal the union of C(a) over a in G' - Z; raises
-    NotApplicable when Z = G' (the set is empty by convention).
-    """
-    if Z.order == Gprime.order:
-        raise NotApplicable("script-C is empty when Z(G) = G'")
-    if not Gprime.mask[Z.members].all():
-        raise ValueError("expected Z <= G'")
-    cent_matrix = G.centralizer_matrix()
-    counts = (cent_matrix & Gprime.mask[None, :]).sum(axis=1)
-    direct = np.flatnonzero(counts > Z.order)
-    a_list = Gprime.members[~Z.mask[Gprime.members]]
-    union = np.flatnonzero(cent_matrix[a_list].any(axis=0))
-    if not np.array_equal(direct, union):
-        raise EquivalenceViolation("script-C characterizations disagree")
-    return direct.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

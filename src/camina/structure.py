@@ -1,8 +1,5 @@
-"""Central series, nilpotency class, and the subgroups D(g).
-
-D(g) = {x : [g, x] in Z(G)} is the preimage of the centralizer of gZ(G)
-in G/Z(G); it drives most of the inequality checks in `pairs`.
-"""
+"""Central series, nilpotency class, the exponent of G/Z(G), and
+prime-power arithmetic."""
 
 from __future__ import annotations
 
@@ -10,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CentralElement, EquivalenceViolation, InvariantViolation
+from .errors import EquivalenceViolation
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -99,29 +96,6 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
 def second_center_of(upper: CentralSeries) -> SubgroupHandle:
     """Z_2(G) read off an upper central series (its last term if shorter)."""
     return upper.terms[min(2, len(upper.terms) - 1)]
-
-
-def second_center(G: FiniteGroup) -> SubgroupHandle:
-    return second_center_of(upper_central_series(G))
-
-
-def d_members(G: FiniteGroup, g: int, z_mask: np.ndarray) -> np.ndarray:
-    """Sorted members of D(g) = {x : [g, x] in Z}, Z given by its mask."""
-    comms = commutators(G, g, slice(None))
-    return np.flatnonzero(z_mask[comms]).astype(np.int32)
-
-
-def d_subgroup(G: FiniteGroup, g: int, Z: SubgroupHandle) -> SubgroupHandle:
-    """D(g) = {x : [g, x] central}; requires Z = center(G) and g noncentral."""
-    zc = center(G)
-    if not (Z == zc):
-        raise ValueError("Z must be the center of G")
-    if g in Z:
-        raise CentralElement(f"element {g} is central; D(g) would be all of G")
-    handle = _handle(G, d_members(G, g, Z.mask))
-    if not handle.closure_holds():
-        raise InvariantViolation(f"D({g}) is not closed under the group operations")
-    return handle
 
 
 def valuation(x: int, p: int) -> int:

@@ -11,7 +11,7 @@ from camina import (
     build_family,
     group_from_generators,
     parse_corpus,
-    t_witness_spec,
+    parse_family_spec,
 )
 from camina.groups import from_table_unchecked
 
@@ -93,7 +93,7 @@ def mod27():
 
 @pytest.fixture(scope="session")
 def t81():
-    return build_family(t_witness_spec(3, 1))
+    return build_family(parse_family_spec("T:3,1"))
 
 
 @pytest.fixture(scope="session")

@@ -397,6 +397,20 @@ BASE_ARGV = {
         (["--bogus"], "required: command"),
         (["verify", "--workers", "x"], "invalid int value: 'x'"),
         ([], "required: command"),
+    ]
+    + [
+        (argv, f"argument {argv[-2]}: must be at least {low}, got {argv[-1]}")
+        for argv, low in [
+            (["analyze", "--family", "quaternion:8", "--chartable-cap", "-3"], 0),
+            (["verify", "--chartable-cap", "-1"], 0),
+            (["analyze", "--family", "quaternion:8", "--order-cap", "0"], 1),
+            (["verify", "--order-cap", "-8"], 1),
+            (["verify", "--workers", "0"], 1),
+            (["census", "--order", "0"], 1),
+            (["search", "--max-order", "-5"], 1),
+            (["search", "--max-order", "0"], 1),
+            (["families", "--max-order", "0"], 1),
+        ]
     ],
 )
 def test_usage_error_is_one_error_line(capsys, argv, message):
@@ -478,3 +492,41 @@ def test_search_keeps_at_most_two_corpus_groups_alive(monkeypatch, capsys):
     assert code == 0
     assert out.startswith("scanned 65 groups")
     assert len(refs) == 65 and most_alive == 2
+
+
+def test_zero_chartable_cap_is_accepted(capsys):
+    code, out, _ = run(
+        capsys, "analyze", "--family", "heisenberg:7", "--chartable-cap", "0"
+    )
+    assert code == 0
+    assert "center pair verdict: true" in out
+
+
+@pytest.mark.parametrize(
+    "argv, files, built",
+    [
+        (["census", "--order", "8"], ("order8.grp", "order32.grp"), 5),
+        (
+            ["search", "--no-families", "--max-order", "8"],
+            ("order16.grp", "order32.grp"),
+            0,
+        ),
+    ],
+)
+def test_corpus_entries_outside_the_order_filter_are_not_built(
+    monkeypatch, capsys, argv, files, built
+):
+    gids = []
+    real_build = CorpusEntry.build
+
+    def build(entry, order_cap=None):
+        gids.append(entry.gid)
+        return real_build(entry, order_cap)
+
+    monkeypatch.setattr(CorpusEntry, "build", build)
+    for name in files:
+        argv = argv + ["--input", str(FIXTURES / name)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(gids) == built
+    assert all(gid.startswith("8:") for gid in gids)

@@ -18,8 +18,6 @@ from camina import (
     parse_corpus,
     parse_family_spec,
     serialize_corpus,
-    t_witness_spec,
-    verify_witness_properties,
 )
 from camina.corpus import (
     FAMILIES,
@@ -104,16 +102,8 @@ def test_corpus_groups_are_associative(corpus_groups):
             assert np.array_equal(m[m[a, :], :], m[a][m])
 
 
-def test_round_trip_identical_table(q8, heis27):
-    for G, order in ((q8, 8), (heis27, 27)):
-        entry = group_to_entry(G, order, 1, "roundtrip")
-        text = serialize_corpus([entry])
-        back = parse_corpus(text)[0].build()
-        assert np.array_equal(back.mul, G.mul)
-
-
 def test_minimal_round_trip_same_group(q8):
-    entry = group_to_entry(q8, 8, 1, "minimal", minimal=True)
+    entry = group_to_entry(q8, 8, 1, "minimal")
     assert len(entry.generators) <= 3
     back = parse_corpus(serialize_corpus([entry]))[0].build()
     assert back.order == 8
@@ -269,7 +259,7 @@ def test_parse_family_spec():
     assert parse_family_spec("heisenberg:3") == FamilySpec(
         "heisenberg_sl3_sylow", (3,)
     )
-    assert parse_family_spec("T:3,1") == t_witness_spec(3, 1)
+    assert parse_family_spec("T:3,1") == FamilySpec("heisenberg_times_cyclic", (3, 1))
     with pytest.raises(UnsupportedParameters):
         parse_family_spec("nosuch:3")
     with pytest.raises(UnsupportedParameters):
@@ -555,22 +545,18 @@ def test_gf_tables_are_pinned_fields(p, k):
 
 
 # ---------------------------------------------------------------------------
-# witness-family property report
+# the witness family's profile
 
 
 def test_witness_profile_p3(t81):
-    rep = verify_witness_properties(t81, 3, 1)
-    assert rep.passed
-
-
-def test_witness_control_fails(heis27):
-    rep = verify_witness_properties(heis27, 3, 1)
-    assert not rep.passed
-    assert not rep.order_ok
-    assert not rep.center_order_ok  # center has order 3, not p^(k+1) = 9
-    assert not rep.centralizer_order_ok
-
-
-def test_witness_wrong_parameters(t81):
-    rep = verify_witness_properties(t81, 3, 2)
-    assert not rep.passed
+    """T:3,1: order 3^4, center of order 3^2 and index 3^2, abelian
+    noncentral centralizers of order 3^3, |Z:T'| = 3, class 2, exponent 3."""
+    Z, Tp = center(t81), derived_subgroup(t81)
+    cent = t81.centralizer_matrix()
+    assert (t81.order, Z.order) == (81, 9)
+    for c in cent[~Z.mask]:  # C(g) for each noncentral g
+        assert c.sum() == 27
+        assert cent[np.ix_(c, c)].all()
+    assert Z.mask[Tp.members].all() and Z.order == 3 * Tp.order
+    assert nilpotency_class(t81) == 2
+    assert group_exponent(t81) == 3

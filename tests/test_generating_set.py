@@ -94,7 +94,7 @@ def test_is_normal_matches_definition_on_cyclic_subgroups(structure_groups):
 
 
 # greedy_generators as computed one right multiplication per round;
-# `group_to_entry(minimal=True)` serializes them, so they may not change.
+# `group_to_entry` serializes them, so they may not change.
 GENERATOR_PINS = {
     "cyclic:2048": [1],
     "dihedral:2048": [1, 1024],

@@ -20,19 +20,14 @@ from camina.corpus import default_family_instances
 from camina.groups import (
     center,
     commutator_set,
+    commutators,
     derived_subgroup,
     greedy_generators,
     power_map,
     subgroup_generate,
 )
 from camina.pairs import analyze_center_pair, camina_by_commutators, verify_bounds
-from camina.structure import (
-    central_series,
-    d_members,
-    is_prime_power,
-    second_center_of,
-    valuation,
-)
+from camina.structure import central_series, is_prime_power, second_center_of, valuation
 
 EXTRA_SPECS = ["heisenberg:2,3", "heisenberg:3,2", "heisenberg:11,1"]
 
@@ -51,7 +46,7 @@ def ref_fields(G, p, upper):
         some_d_abelian_index_p=False,
     )
     for g in np.flatnonzero(~Z.mask):
-        d = d_members(G, g, Z.mask)
+        d = np.flatnonzero(Z.mask[commutators(G, g, slice(None))])  # D(g)
         if d.tobytes() not in dprime:
             dprime[d.tobytes()] = commutator_set(G, d, d)
         dp, c = dprime[d.tobytes()], cent[g]
@@ -124,11 +119,11 @@ def test_greedy_generators_of_every_d_subgroup(walked_groups):
     for name, G in walked_groups.items():
         Z = center(G)
         seen = set()
-        for g in np.flatnonzero(~Z.mask):
-            d = d_members(G, g, Z.mask)
-            if d.tobytes() in seen:
+        for row in pairs._d_masks(G, Z, np.flatnonzero(~Z.mask)):
+            if row.tobytes() in seen:
                 continue
-            seen.add(d.tobytes())
+            seen.add(row.tobytes())
+            d = np.flatnonzero(row)
             gens = greedy_generators(G, d)
             assert subgroup_generate(G, gens).members.tolist() == d.tolist(), name
             assert 2 ** len(gens) <= len(d), name
@@ -154,10 +149,10 @@ def test_pair_scans_are_not_quadratic(monkeypatch):
     derived_subgroup(G)  # cached, as in analyze_center_pair
     _, classes = G.conjugacy_data()
     reps = [c[0] for c in classes if not Z.mask[c[0]]]
-    distinct = {d_members(G, g, Z.mask).tobytes(): g for g in reps}
+    distinct = {row.tobytes(): row for row in pairs._d_masks(G, Z, np.array(reps))}
     dprime_gens = sum(
         len(greedy_generators(G, d)) * len(d)
-        for d in (d_members(G, g, Z.mask) for g in distinct.values())
+        for d in (np.flatnonzero(row) for row in distinct.values())
     )
 
     calls = []

@@ -9,7 +9,6 @@ from camina import (
     build_family,
     center,
     centralizer,
-    d_subgroup,
     group_from_generators,
     lower_central_series,
     nilpotency_class,
@@ -17,18 +16,14 @@ from camina import (
     upper_central_series,
 )
 from camina.corpus import default_family_instances
-from camina.errors import CentralElement
 from camina.groups import (
     commutator_set,
     derived_subgroup,
     group_exponent,
     subgroup_generate,
 )
-from camina.structure import (
-    is_prime_power,
-    second_center,
-    valuation,
-)
+from camina.pairs import _d_masks
+from camina.structure import is_prime_power, second_center_of, valuation
 
 
 @pytest.fixture(scope="module")
@@ -117,51 +112,55 @@ def test_series_terms_are_nested_chains(q8, heis27, wreath81):
             assert small.order < big.order
 
 
+def _brute_d(G, g, Z):
+    """Independent oracle: D(g) by a set comprehension over the table."""
+    return [
+        x
+        for x in range(G.order)
+        if int(G.mul[G.mul[G.mul[G.inv[g], G.inv[x]], g], x]) in Z
+    ]
+
+
+def _d_rows(G, Z):
+    """{g: members of D(g)} over the noncentral g, from `pairs._d_masks`."""
+    outside = np.flatnonzero(~Z.mask)
+    rows = _d_masks(G, Z, outside)
+    return {int(g): np.flatnonzero(row) for g, row in zip(outside, rows)}
+
+
 def test_d_subgroup_class_two(q8, heis27):
     for G in (q8, heis27):
         Z = center(G)
-        g = next(x for x in range(G.order) if x not in Z)
-        D = d_subgroup(G, g, Z)
-        assert D.order == G.order  # class 2: every commutator is central
-        # independent oracle: set comprehension over the table
-        brute = [
-            x
-            for x in range(G.order)
-            if int(
-                G.mul[G.mul[G.mul[G.inv[g], G.inv[x]], g], x]
-            ) in Z
-        ]
-        assert D.members.tolist() == brute
+        for g, D in _d_rows(G, Z).items():
+            assert len(D) == G.order  # class 2: every commutator is central
+            assert D.tolist() == _brute_d(G, g, Z)
 
 
 def test_d_subgroup_proper_in_class_three(wreath81):
     G = wreath81
     Z = center(G)
-    Z2 = second_center(G)
-    outside = [x for x in range(G.order) if x not in Z2 and x not in Z]
+    Z2 = second_center_of(upper_central_series(G))
+    rows = _d_rows(G, Z)
+    outside = [g for g in rows if g not in Z2]
     assert outside
     g = outside[0]
-    D = d_subgroup(G, g, Z)
-    assert D.order < G.order
-    assert centralizer(G, g).mask[D.members].sum() == centralizer(G, g).order
+    D = rows[g]
+    assert D.tolist() == _brute_d(G, g, Z)
+    assert len(D) < G.order
+    assert centralizer(G, g).mask[D].sum() == centralizer(G, g).order
 
 
 def test_d_subgroup_contains_centralizer(wreath81, corpus_groups):
     for G in (wreath81, corpus_groups["32:8"]):
         Z = center(G)
-        for g in range(G.order):
-            if g in Z:
-                continue
-            D = d_subgroup(G, g, Z)
+        for g, members in _d_rows(G, Z).items():
+            assert members.tolist() == _brute_d(G, g, Z)
+            D = subgroup_generate(G, members)
+            assert D.order == len(members)  # D(g) is a subgroup
             C = centralizer(G, g)
             assert D.mask[C.members].all()
             assert D.order % C.order == 0
             assert Z.order % (D.order // C.order) == 0  # quotient divides |Z|
-
-
-def test_d_subgroup_rejects_central_elements(q8):
-    with pytest.raises(CentralElement):
-        d_subgroup(q8, 0, center(q8))
 
 
 def test_quotient_exponent_over_center(q8, heis27, s3, corpus_groups):
@@ -185,7 +184,7 @@ def test_quotient_exponent_matches_the_built_quotient(corpus_groups, s3):
 def test_z2_commutes_with_derived(q8, heis27, t81, wreath81, corpus_groups):
     groups = [q8, heis27, t81, wreath81] + list(corpus_groups.values())
     for G in groups:
-        Z2 = second_center(G)
+        Z2 = second_center_of(upper_central_series(G))
         Gp = derived_subgroup(G)
         comms = commutator_set(G, Z2.members, Gp.members)
         assert comms.tolist() == [0]

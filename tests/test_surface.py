@@ -1,0 +1,52 @@
+"""Every public name has a user outside the tests, or a stated reason.
+
+A name in `camina.__all__` passes when it appears, as a whole word, in the
+CLI (`src/camina/cli.py`), in `tools/` or in `e2ebench/`; otherwise it
+needs an entry in `KEPT`.  The test only reads files.
+"""
+
+import re
+from pathlib import Path
+
+import camina
+
+ROOT = Path(__file__).resolve().parent.parent
+USERS = [ROOT / "src" / "camina" / "cli.py"]
+for folder in ("tools", "e2ebench"):
+    USERS += sorted((ROOT / folder).glob("*.py"))
+
+KEPT = {
+    "BoundCheck": "the type of each check in a BoundReport",
+    "BoundReport": "returned by verify_bounds and analyze_center_pair",
+    "CensusReport": "returned by census",
+    "SearchReport": "returned by search_counterexample",
+    "CentralSeries": "returned by lower_central_series and upper_central_series",
+    "CharacterTable": "returned by dixon_character_table",
+    "Permutation": "the generator type of CorpusEntry and group_from_generators",
+    "group_from_generators": "closes permutation generators; CorpusEntry.build "
+    "and the permutation groups the tests build",
+    "group_from_cayley_table": "the group-axiom validator the property tests "
+    "apply to cyclic_extension and central_extension tables",
+    "centralizer": "the per-element reference for the centralizer rows",
+    "group_exponent": "exp(G), read by the character tables and by the "
+    "witness-profile and fixture-identity tests",
+    "nilpotency_class": "the class both central series agree on, as the tests "
+    "read it",
+    "irr_over": "Irr(G|N), behind verify_fully_ramified",
+    "is_normal": "the normality test behind the pair criteria and irr_over",
+}
+
+
+def test_every_public_name_has_a_user_or_a_reason():
+    texts = [path.read_text() for path in USERS]
+    unexplained = [
+        name
+        for name in camina.__all__
+        if name not in KEPT
+        and not any(re.search(rf"\b{re.escape(name)}\b", t) for t in texts)
+    ]
+    assert unexplained == []
+
+
+def test_every_reason_names_a_public_name():
+    assert set(KEPT) <= set(camina.__all__)

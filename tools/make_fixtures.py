@@ -609,8 +609,7 @@ def build_fixture(order: int, reps: list[FiniteGroup], assigned, out_dir: Path):
         entries.append((index, name, G))
     entries.sort(key=lambda t: t[0])
     corpus_entries = [
-        group_to_entry(G, order, index, name, minimal=True)
-        for index, name, G in entries
+        group_to_entry(G, order, index, name) for index, name, G in entries
     ]
     text = HEADER.format(
         count=len(reps), order=order, anchor_note=ANCHOR_NOTES[order]
