@@ -324,13 +324,21 @@ def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
 
 
 def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
-    """First triple (a, b, c) with (a*b)*c != a*(b*c), or None."""
-    mul = np.asarray(mul, dtype=np.intp)  # gathers convert any other index type
-    for a in range(mul.shape[0]):
-        bad = mul[mul[a]] != mul[a][mul]
+    """First triple (a, b, c) with (a*b)*c != a*(b*c), or None.
+
+    Compares both sides for a block of r rows a at a time, r n^2 <=
+    COMMUTATOR_BLOCK, and the first violation of the first bad block in
+    (a, b, c) order is the first overall.
+    """
+    mul = np.asarray(mul)
+    index = mul.astype(np.intp)  # gathers convert any other index type
+    n = mul.shape[0]
+    rows = max(1, COMMUTATOR_BLOCK // (n * n))
+    for start in range(0, n, rows):
+        bad = mul[index[start : start + rows]] != mul[start : start + rows][:, index]
         if bad.any():
-            b, c = np.argwhere(bad)[0]
-            return a, int(b), int(c)
+            a, b, c = np.argwhere(bad)[0]
+            return start + int(a), int(b), int(c)
     return None
 
 

@@ -191,6 +191,19 @@ def test_assoc_kernel_reports_first_violation():
     assert assoc_violation(bad) == ref_assoc_violation(bad) == (1, 1, 2)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_assoc_kernel_finds_the_first_violation_in_a_later_block(monkeypatch, rows):
+    """Rows 0-2 are left identities, so every triple with a < 3 is
+    associative and the first violation lies in a later block of rows."""
+    n = 6
+    idx = np.arange(n)
+    bad = np.where(idx[:, None] < 3, idx[None, :], (idx[:, None] * idx + 1) % n)
+    want = ref_assoc_violation(bad)
+    assert want[0] >= rows
+    monkeypatch.setattr(groups, "COMMUTATOR_BLOCK", rows * n * n)
+    assert assoc_violation(bad) == want
+
+
 def _cover_reference(G, N):
     outside = np.flatnonzero(~N.mask).astype(np.int32)
     return ref_commutator_cover_check(G.mul, G.inv, N.members, outside)

@@ -5,13 +5,16 @@ regeneration of the shipped fixture files."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from camina import groups
 from camina.corpus import greedy_generators
-from camina.errors import CaminaError
+from camina.errors import CaminaError, InvariantViolation
+from camina.groups import center, derived_subgroup, power_map, subgroup_generate
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -151,6 +154,99 @@ def test_burnside_basis_has_the_generator_rank(census_groups):
         plan = mf._SearchPlan(G)
         assert len(plan.gens) == mf.generator_rank(G, 2)
         assert plan.members[-1].size == G.order
+
+
+def _reference_rows(G, p):
+    """The invariant rows of G, element by element from the definitions."""
+    n = G.order
+    orders = G.element_orders()
+    powers = power_map(G, p)
+    frattini = subgroup_generate(G, np.union1d(derived_subgroup(G).members, powers))
+    return np.stack(
+        [
+            orders,
+            n // G.centralizer_matrix().sum(axis=1),
+            [orders[G.mul[x, x]] for x in range(n)],
+            frattini.mask,
+            center(G).mask,
+            np.bincount(powers, minlength=n),
+        ],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("p, size", [(2, 7), (3, 4)])
+def test_stacked_rows_match_the_definitions(census_groups, p, size):
+    """Orders 16 and 27: the extension tables of every parent, stacked in
+    blocks that span several parents."""
+    if p == 2:
+        parents = census_groups[8]
+    else:
+        parents = mf.classify_order([mf.cyclic_table(3)], 3)
+    tables = [T for H in parents for T in mf.extensions_of(H, p)]
+    assert len(tables) > 2 * size
+    for start in range(0, len(tables), size):
+        block = tables[start : start + size]
+        rows = mf._element_invariants(np.stack(block), p)
+        for T, got in zip(block, rows):
+            want = _reference_rows(mf.from_table_unchecked(T), p)
+            assert np.array_equal(got, want)
+
+
+def test_element_invariants_reject_a_table_without_identity():
+    with pytest.raises(InvariantViolation, match="order above 4"):
+        mf._element_invariants(np.ones((1, 4, 4), dtype=np.int32), 2)
+
+
+def test_classification_reads_each_table_once(monkeypatch):
+    """The order-16 classification, from the order-8 groups in the
+    generator's own order: no generating set, class partition or derived
+    subgroup is computed, each extension table's rows come from one block
+    pass, and every isomorphism search is a hit."""
+    order8 = mf.classify_order(mf.classify_order([mf.cyclic_table(2)], 2), 2)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (groups, "greedy_generators"),
+        (groups, "derived_subgroup"),
+        (mf, "derived_subgroup"),
+        (groups.FiniteGroup, "conjugacy_data"),
+    ]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    extensions_of, element_invariants, iso_exists = (
+        mf.extensions_of,
+        mf._element_invariants,
+        mf.iso_exists,
+    )
+
+    def counting_extensions(H, p):
+        tables = extensions_of(H, p)
+        calls["tables"] += len(tables)
+        return tables
+
+    def counting_rows(tables, p):
+        calls["rows"] += len(tables)
+        return element_invariants(tables, p)
+
+    def counting_iso(A, B):
+        found = iso_exists(A, B)
+        calls["negative"] += not found
+        return found
+
+    monkeypatch.setattr(mf, "extensions_of", counting_extensions)
+    monkeypatch.setattr(mf, "_element_invariants", counting_rows)
+    monkeypatch.setattr(mf, "iso_exists", counting_iso)
+    assert len(mf.classify_order(order8, 2)) == 14
+    assert calls["tables"] == calls["rows"] > 0
+    assert calls["greedy_generators"] == calls["conjugacy_data"] == 0
+    assert calls["derived_subgroup"] == calls["negative"] == 0
 
 
 def _reference_extensions_of(H, p):

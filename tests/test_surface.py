@@ -34,6 +34,9 @@ KEPT = {
     "read it",
     "irr_over": "Irr(G|N), behind verify_fully_ramified",
     "is_normal": "the normality test behind the pair criteria and irr_over",
+    "subgroup_generate": "the closure behind commutator_subgroup and the "
+    "central series, and the per-element reference for the Frattini column "
+    "of the fixture generator's invariant rows",
 }
 
 

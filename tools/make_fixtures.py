@@ -12,27 +12,30 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
      Aut(H)-orbit of the pairs: b in Aut(H) sends (a, h0) to
      (b a b^-1, b(h0)), whose extension is isomorphic (proof in
      extensions_of),
-  2. deduplicates up to isomorphism: invariant fingerprints split the
-     tables into buckets, and within a bucket an exact search maps a
-     Burnside basis of one group (d(G) elements, each outside the subgroup
-     generated by the Frattini subgroup and the ones before it) onto
-     elements of the other with the same invariants (order, class size,
-     order of the square, membership of Phi and Z, number of p-th roots);
-     an image must also lie outside Phi and the images before it, and
-     its products and commutators with them must match in invariants.
-     Each generator added extends the map to the next subgroup of a
-     closure precomputed once per group, with a few array gathers, and
-     keeps it only while it is injective and multiplicative there; a
-     complete map is checked against the whole table.  Run from a group
-     to itself and sorted by image array, the same search lists the
-     automorphisms that step 1 needs,
+  2. deduplicates up to isomorphism, a block of tables at a time: after
+     the associativity check of each table, one pass over the stacked
+     block gives every element a row of invariants (order, class size,
+     order of the square, membership of Phi and Z, number of p-th roots),
+     cached on its group.  The multiset of a group's rows is its bucket
+     key, and within a bucket an exact search maps a Burnside basis of
+     one group (d(G) elements, each outside the subgroup generated by the
+     Frattini subgroup and the ones before it) onto elements of the
+     other with the same row; an image must also lie outside Phi and the
+     images before it, and its products and commutators with them must
+     match in rows.  Each generator added extends the map to the next
+     subgroup of a closure precomputed once per group, with a few array
+     gathers, and keeps it only while it is injective and multiplicative
+     there; a complete map is checked against the whole table.  Run from
+     a group to itself and sorted by image array, the same search lists
+     the automorphisms that step 1 needs,
   3. checks the census counts against the classical classification
      (5 groups of order 8, 14 of order 16, 5 of order 27, 51 of order 32),
   4. assigns catalogue indices: isomorphism-anchored indices where the
      standard small-groups numbering is attested (all of orders 8/16/27,
      and for order 32 the structural anchors listed in anchors_32 plus
      the five center-pair groups at 6, 7, 8, 43, 44), remaining order-32
-     indices filled deterministically by (generator rank, fingerprint),
+     indices filled deterministically by (generator rank,
+     structural_fingerprint),
   5. writes tests/fixtures/order{8,16,27,32}.grp and re-parses them as a
      round-trip check.
 
@@ -45,8 +48,9 @@ import argparse
 import sys
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,8 +66,8 @@ from camina.corpus import (  # noqa: E402
 )
 from camina.errors import CaminaError, InvariantViolation  # noqa: E402
 from camina.groups import (  # noqa: E402
+    COMMUTATOR_BLOCK,
     FiniteGroup,
-    SubgroupHandle,
     assoc_violation,
     center,
     commutators,
@@ -73,8 +77,6 @@ from camina.groups import (  # noqa: E402
     direct_product,
     from_table_unchecked,
     orders_modulo,
-    power_map,
-    subgroup_generate,
 )
 from camina.pairs import census  # noqa: E402
 from camina.structure import central_series, is_prime_power, valuation  # noqa: E402
@@ -97,7 +99,11 @@ def order_histogram(G: FiniteGroup, members=None) -> tuple:
     return tuple(sorted(Counter(orders.tolist()).items()))
 
 
-def fingerprint(G: FiniteGroup) -> tuple:
+def structural_fingerprint(G: FiniteGroup) -> tuple:
+    """Structural invariants that order the unanchored order-32 indices (the
+    "fingerprint" of the fixture header): order histograms of G, Z and G',
+    the number of squares, the orders in G/G', the upper central series,
+    the class and the (size, order, order of the square) of each class."""
     orders = G.element_orders()
     _, classes = G.conjugacy_data()
     Z = center(G)
@@ -132,39 +138,85 @@ def fingerprint(G: FiniteGroup) -> tuple:
     )
 
 
-def frattini_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
-    """Phi(G) = G'G^p, the Frattini subgroup of a p-group G."""
-    seeds = np.union1d(derived_subgroup(G).members, np.unique(power_map(G, p)))
-    return subgroup_generate(G, seeds)
-
-
-def generator_rank(G: FiniteGroup, p: int) -> int:
-    """Rank of G over its Frattini quotient (p-groups only)."""
-    return valuation(G.order // frattini_subgroup(G, p).order, p)
-
-
 # ---------------------------------------------------------------------------
-# generator-mapping searches (isomorphism and automorphisms)
+# element invariants, a block of tables at a time
 
 
-def _element_invariants(G: FiniteGroup, p: int, frattini: SubgroupHandle):
-    """One row of isomorphism invariants per element: order, class size,
-    order of the square, membership of Phi(G) and of Z(G), number of p-th
-    roots."""
-    orders = G.element_orders()
-    class_of, classes = G.conjugacy_data()
-    sizes = np.array([len(c) for c in classes])
-    idx = np.arange(G.order)
+def _element_invariants(tables: np.ndarray, p: int) -> np.ndarray:
+    """Rows of isomorphism invariants of every element of every table in a
+    stack (T, n, n) of p-group tables, as a (T, n, 6) array; one group is a
+    stack of one.  The columns of element x of G are
+
+      0. the order of x, from a power loop of at most n steps,
+      1. its class size n / |C(x)|, with |C(x)| counted from M == M^T,
+      2. the order of x^2,
+      3. membership of Phi(G) = G'G^p, the closure of every commutator and
+         p-th power,
+      4. membership of Z(G), that is |C(x)| = n,
+      5. the number of p-th roots of x.
+
+    Element x of table t has the label t n + x, and entry (t, y, x) of the
+    stack is flat[t n^2 + y n + x], so each step gathers over the whole
+    stack at once.
+    """
+    T, n, _ = tables.shape
+    flat = tables.reshape(-1)
+    label = np.arange(T * n)
+    x = label % n
+    first = label - x  # t n
+    column = first * n + x  # x^(k+1) = x^k x is flat[column + x^k n]
+    orders = np.zeros(T * n, dtype=np.int64)
+    todo, y = label, x
+    for k in range(1, n + 1):
+        done = y == 0
+        orders[todo[done]] = k
+        todo, y = todo[~done], y[~done]
+        if not todo.size:
+            break
+        y = flat[column[todo] + y * n]
+    if todo.size:
+        raise InvariantViolation(f"an element has order above {n}: not a group table")
+    powers = x
+    for _ in range(p - 1):
+        powers = flat[column + powers * n]
+    powers = first + powers  # the label of x^p
+
+    centralizer = (tables == tables.transpose(0, 2, 1)).sum(axis=2)
+    offset = np.arange(0, T * n, n, dtype=np.int32)[:, None, None]
+    inv = (tables == 0).argmax(axis=2)[:, :, None]
+    # [x, y] = (x^-1 y^-1)(xy), where x^-1 y^-1 is entry (t, x, y) of the
+    # stack with the rows and columns of each table permuted by inv
+    commutators_ = np.take_along_axis(tables, inv, axis=1)
+    commutators_ = np.take_along_axis(commutators_, inv.transpose(0, 2, 1), axis=2)
+    commutators_ += offset
+    commutators_ *= n
+    commutators_ += tables
+    commutators_ = flat[commutators_]
+    commutators_ += offset
+    phi = np.bincount(commutators_.reshape(-1), minlength=T * n) > 0
+    del commutators_
+    phi[powers] = True
+    products = tables + offset  # the label of xy
+    while True:  # phi <- phi phi until closed; phi holds 1, so it only grows
+        members = phi.reshape(T, n)
+        pairs = members[:, :, None] & members[:, None, :]
+        grown = np.bincount(products[pairs], minlength=T * n) > 0
+        if np.array_equal(grown, phi):
+            break
+        phi = grown
+
+    orders = orders.reshape(T, n)
+    squares = tables[:, np.arange(n), np.arange(n)]
     return np.stack(
         [
             orders,
-            sizes[class_of],
-            orders[G.mul[idx, idx]],
-            frattini.mask,
-            center(G).mask,
-            np.bincount(power_map(G, p), minlength=G.order),
+            n // centralizer,
+            np.take_along_axis(orders, squares, axis=1),
+            phi.reshape(T, n),
+            centralizer == n,
+            np.bincount(powers, minlength=T * n).reshape(T, n),
         ],
-        axis=1,
+        axis=-1,
     )
 
 
@@ -179,6 +231,54 @@ def _kinds(invariants: np.ndarray):
         raise CaminaError(f"invariant keys overflow at order {n}")
     key = invariants @ (n + 1) ** np.arange(width, dtype=np.int64)
     return np.unique(key, return_inverse=True, return_counts=True)
+
+
+class _ElementData(NamedTuple):
+    """What the classification reads of a group, cached on it as plain
+    arrays (a SubgroupHandle would refer back to the group)."""
+
+    rows: np.ndarray  # _element_invariants
+    keys: np.ndarray  # _kinds
+    kind: np.ndarray
+    kind_sizes: np.ndarray
+    frattini: np.ndarray  # the members of Phi(G)
+
+
+def _cache_invariants(groups: list[FiniteGroup]) -> None:
+    """One _element_invariants pass over groups of one prime-power order,
+    cached on each group."""
+    n = groups[0].order
+    pk = is_prime_power(n)
+    if pk is None:
+        raise CaminaError(f"element invariants need a p-group, got order {n}")
+    stack = np.stack([G.mul for G in groups])
+    for G, rows in zip(groups, _element_invariants(stack, pk[0])):
+        rows = rows.copy()  # a view would keep the whole block's rows alive
+        G._cache["element_data"] = _ElementData(
+            rows, *_kinds(rows), np.flatnonzero(rows[:, 3])
+        )
+
+
+def _element_data(G: FiniteGroup) -> _ElementData:
+    if "element_data" not in G._cache:
+        _cache_invariants([G])
+    return G._cache["element_data"]
+
+
+def fingerprint(G: FiniteGroup) -> tuple:
+    """The bucket key of classify_tables: the order and the multiset of
+    the element invariant rows, as (order, kind keys, kind sizes)."""
+    data = _element_data(G)
+    return G.order, tuple(data.keys.tolist()), tuple(data.kind_sizes.tolist())
+
+
+def generator_rank(G: FiniteGroup, p: int) -> int:
+    """Rank of G over its Frattini quotient (p-groups only)."""
+    return valuation(G.order // len(_element_data(G).frattini), p)
+
+
+# ---------------------------------------------------------------------------
+# generator-mapping searches (isomorphism and automorphisms)
 
 
 def _products_and_commutators(G: FiniteGroup, a, b) -> np.ndarray:
@@ -200,14 +300,7 @@ class _SearchPlan:
 
     def __init__(self, A: FiniteGroup):
         n = A.order
-        pk = is_prime_power(n)
-        if pk is None:
-            raise CaminaError(f"the mapping search needs a p-group, got order {n}")
-        self.p = pk[0]
-        frattini = frattini_subgroup(A, self.p)
-        self.keys, self.kind, self.kind_sizes = _kinds(
-            _element_invariants(A, self.p, frattini)
-        )
+        data = _element_data(A)
         self.gens: list[int] = []
         self.levels: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
         self.members: list[np.ndarray] = []
@@ -215,17 +308,17 @@ class _SearchPlan:
         self.pair_kinds: list[np.ndarray] = []
         mask = np.zeros(n, dtype=bool)  # <gens>
         mask[0] = True
-        spanned = frattini.mask.copy()  # <Phi(A), gens> = Phi(A)<gens>
+        spanned = data.rows[:, 3].astype(bool)  # <Phi(A), gens> = Phi(A)<gens>
         for x in range(1, n):
             if spanned.all():
                 break
             if spanned[x]:
                 continue
             pairs = _products_and_commutators(A, self.gens, x)
-            self.pair_kinds.append(self.kind[pairs])
+            self.pair_kinds.append(data.kind[pairs])
             self.gens.append(x)
             self._add_depth(A, mask)
-            spanned[A.mul[np.ix_(frattini.members, self.members[-1])]] = True
+            spanned[A.mul[np.ix_(data.frattini, self.members[-1])]] = True
         if not mask.all():
             raise InvariantViolation("a Burnside basis failed to generate the group")
 
@@ -260,16 +353,17 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
     """
     if A.order == 1:
         return [np.zeros(1, dtype=np.int32)]
+    data_a, data_b = _element_data(A), _element_data(B)
+    if not (
+        np.array_equal(data_a.keys, data_b.keys)
+        and np.array_equal(data_a.kind_sizes, data_b.kind_sizes)
+    ):
+        return []  # the invariant rows differ as multisets
     if "search_plan" not in A._cache:
         A._cache["search_plan"] = _SearchPlan(A)
     plan = A._cache["search_plan"]
-    frattini_b = frattini_subgroup(B, plan.p)
-    keys, kind, kind_sizes = _kinds(_element_invariants(B, plan.p, frattini_b))
-    if not (
-        np.array_equal(keys, plan.keys) and np.array_equal(kind_sizes, plan.kind_sizes)
-    ):
-        return []  # the invariant rows differ as multisets
-    candidates = [np.flatnonzero(kind == plan.kind[g]) for g in plan.gens]
+    kind = data_b.kind
+    candidates = [np.flatnonzero(kind == data_a.kind[g]) for g in plan.gens]
     depth = len(plan.gens)
     phi = np.full(A.order, -1, dtype=np.int32)
     phi[0] = 0
@@ -292,7 +386,7 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
         pool = candidates[k]
         if k:  # the images of a Burnside basis form one
             spanned = np.zeros(B.order, dtype=bool)
-            spanned[B.mul[np.ix_(frattini_b.members, phi[plan.members[k - 1]])]] = True
+            spanned[B.mul[np.ix_(data_b.frattini, phi[plan.members[k - 1]])]] = True
             pool = pool[~spanned[pool]]
             pairs = kind[_products_and_commutators(B, imgs[:k, None], pool)]
             pool = pool[(pairs == plan.pair_kinds[k][..., None]).all(axis=(0, 1))]
@@ -318,10 +412,12 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
 def iso_exists(A: FiniteGroup, B: FiniteGroup) -> bool:
     if A.order != B.order:
         return False
-    if A.is_abelian() or B.is_abelian():
-        if A.is_abelian() != B.is_abelian():
-            return False
-        return order_histogram(A) == order_histogram(B)
+    rows_a, rows_b = _element_data(A).rows, _element_data(B).rows
+    abelian_a, abelian_b = rows_a[:, 4].all(), rows_b[:, 4].all()
+    if abelian_a or abelian_b:  # the orders of the elements decide
+        return abelian_a == abelian_b and np.array_equal(
+            np.sort(rows_a[:, 0]), np.sort(rows_b[:, 0])
+        )
     # Searching from B reuses its cached plan: classify_order passes the
     # class representative second.
     return bool(_mapping_search(B, A, find_all=False))
@@ -390,18 +486,31 @@ def extensions_of(H: FiniteGroup, p: int) -> list[np.ndarray]:
 
 
 def classify_tables(tables: Iterable[np.ndarray]) -> list[FiniteGroup]:
-    """The first table of each isomorphism class, in the order given."""
+    """The first table of each isomorphism class, in the order given; the
+    tables are all of one order n.
+
+    A block of max(1, COMMUTATOR_BLOCK // n^2) tables is checked for
+    associativity table by table, then one _element_invariants pass over
+    the stacked block fills the cache of every group, and only then is
+    each group bucketed by fingerprint and searched against the
+    representatives in its bucket.
+    """
     buckets: dict[tuple, list[FiniteGroup]] = {}
     reps: list[FiniteGroup] = []
-    for table in tables:
-        _ensure(_assoc_ok(table), "extension table is not associative")
-        G = from_table_unchecked(table)
-        key = fingerprint(G)
-        bucket = buckets.setdefault(key, [])
-        if any(iso_exists(G, R) for R in bucket):
-            continue
-        bucket.append(G)
-        reps.append(G)
+    tables = iter(tables)
+    for first in tables:
+        size = max(1, COMMUTATOR_BLOCK // first.size)
+        block = [first, *islice(tables, size - 1)]
+        for table in block:
+            _ensure(_assoc_ok(table), "extension table is not associative")
+        groups = [from_table_unchecked(table) for table in block]
+        _cache_invariants(groups)
+        for G in groups:
+            bucket = buckets.setdefault(fingerprint(G), [])
+            if any(iso_exists(G, R) for R in bucket):
+                continue
+            bucket.append(G)
+            reps.append(G)
     return reps
 
 
@@ -514,10 +623,10 @@ def match_named(
     reps: list[FiniteGroup], named: list[tuple[int, str, FiniteGroup]]
 ) -> dict[int, tuple[int, str]]:
     """Map rep position -> (index, name) via isomorphism tests."""
-    fps = [fingerprint(G) for G in reps]
+    fps = [structural_fingerprint(G) for G in reps]
     assigned: dict[int, tuple[int, str]] = {}
     for index, name, H in named:
-        fpH = fingerprint(H)
+        fpH = structural_fingerprint(H)
         hits = [
             i
             for i, G in enumerate(reps)
@@ -540,7 +649,7 @@ def assign_indices_32(reps: list[FiniteGroup]) -> dict[int, tuple[int, str]]:
     _ensure(not set(special) & set(assigned), "census groups collide with anchors")
 
     ranks = {i: generator_rank(reps[i], 2) for i in range(len(reps))}
-    fps = {i: fingerprint(reps[i]) for i in range(len(reps))}
+    fps = {i: structural_fingerprint(reps[i]) for i in range(len(reps))}
     rank_split = Counter(ranks[i] for i in special)
     print(f"  census-five generator ranks: {dict(rank_split)}")
     _ensure(
@@ -622,7 +731,7 @@ def build_fixture(order: int, reps: list[FiniteGroup], assigned, out_dir: Path):
     for entry, (index, name, G) in zip(reparsed, entries):
         rebuilt = entry.build()
         _ensure(
-            rebuilt.order == order and fingerprint(rebuilt) == fingerprint(G),
+            rebuilt.order == order and structural_fingerprint(rebuilt) == structural_fingerprint(G),
             f"round trip {entry.gid}",
         )
     print(f"  wrote {path} ({len(reps)} groups)")
