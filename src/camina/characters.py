@@ -47,8 +47,8 @@ PRIME_SEARCH_CAP = 10**6
 
 # The most int64 entries a table's values may hold (k^2 phi(e), 128 MB),
 # checked before anything is built.  The splitter's class labels hold
-# k |G| <= |G|^2 int32 entries, as many as the group table, so the order
-# cap bounds them.
+# k |G| <= |G|^2 int32 entries, twice the bytes of the int16 group table,
+# so the order cap bounds them.
 TABLE_BUDGET = 2**24
 
 

@@ -24,7 +24,13 @@ from .corpus import (
     parse_family_spec,
 )
 from .errors import CaminaError, UnknownGroupId, UsageError
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, center, derived_subgroup
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    MAX_ORDER_CAP,
+    FiniteGroup,
+    center,
+    derived_subgroup,
+)
 from .pairs import (
     CHECK_IDS,
     DEFAULT_CHAR_TABLE_CAP,
@@ -47,12 +53,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: int):
-    """argparse type: an int no smaller than `low`."""
+def _at_least(low: int, most: int | None = None):
+    """argparse type: an int no smaller than `low` and, if given, no larger
+    than `most`."""
 
     def parse(text: str) -> int:
         if (value := int(text)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -77,7 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=Path,
                 help="corpus file (repeatable)",
             )
-            p.add_argument("--order-cap", type=_at_least(1), default=DEFAULT_ORDER_CAP)
+            p.add_argument(
+                "--order-cap",
+                type=_at_least(1, MAX_ORDER_CAP),
+                default=DEFAULT_ORDER_CAP,
+                help=f"largest group order built, at most {MAX_ORDER_CAP}",
+            )
         p.add_argument("--report", type=Path, default=None, help="write output here")
         return p
 

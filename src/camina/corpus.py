@@ -36,9 +36,12 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
+    MAX_ORDER_CAP,
+    TABLE_DTYPE,
     FiniteGroup,
     Permutation,
     central_extension,
+    check_cap,
     cyclic_extension,
     direct_product,
     from_table_unchecked,
@@ -65,10 +68,15 @@ class CorpusEntry:
         return f"{self.order}:{self.index}"
 
     def build(self, order_cap: int | None = None) -> FiniteGroup:
-        """Close the generators; raises OrderMismatch on a wrong closure."""
-        if order_cap is not None and self.order > order_cap:
+        """Close the generators; raises OrderMismatch on a wrong closure.
+
+        Without an order cap, the declared order is held to MAX_ORDER_CAP.
+        """
+        cap = MAX_ORDER_CAP if order_cap is None else order_cap
+        check_cap(cap)
+        if self.order > cap:
             raise ClosureExceedsCap(
-                f"{self.gid}: declared order {self.order} exceeds cap {order_cap}"
+                f"{self.gid}: declared order {self.order} exceeds cap {cap}"
             )
         try:
             G = group_from_generators(
@@ -92,8 +100,10 @@ def parse_corpus(
     """Parse corpus text into entries; closures are validated by default.
 
     A degree above the order cap is rejected before anything is allocated,
-    and so, when closures are validated, is a declared order above it.
+    and so, when closures are validated, is a declared order above it; a
+    cap above MAX_ORDER_CAP is rejected before the text is read.
     """
+    check_cap(order_cap)
     entries: list[CorpusEntry] = []
     seen: set[tuple[int, int]] = set()
     cur: dict | None = None
@@ -254,8 +264,8 @@ class FamilySpec:
 
 
 def _cyclic(n: int) -> FiniteGroup:
-    idx = np.arange(n, dtype=np.int32)
-    table = idx[:, None] + idx
+    idx = np.arange(n, dtype=TABLE_DTYPE)
+    table = idx[:, None] + idx  # below 2n, which fits the table dtype
     table %= n
     return from_table_unchecked(table, -idx % n, name=f"C{n}")
 
@@ -422,9 +432,10 @@ def _resolve(spec: FamilySpec) -> tuple[Family, tuple[int, ...]]:
 def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Construct a family instance; deterministic element order.
 
-    Arity, parameter ranges, primality and the order cap are all checked
-    before any table is allocated.
+    Arity, parameter ranges, primality and the order cap, itself at most
+    MAX_ORDER_CAP, are all checked before any table is allocated.
     """
+    check_cap(order_cap)
     fam, params = _resolve(spec)
     # No parameter exceeds the order of its group.  Checked first, this
     # bounds the cost of the primality test and of computing the order.

@@ -1,12 +1,13 @@
 """Finite groups as dense multiplication tables.
 
-Every group lives as an order x order int32 table ``mul`` with
-``mul[a, b] = a*b``, identity at index 0, plus the inverse map.  Groups are
-either closed from permutation generators (breadth-first, so element
-indexing is deterministic), validated from an explicit table, or built by
-one of the two extension formulas (`cyclic_extension`,
-`central_extension`).  All operations are exact integer computations over
-the table.
+Every group lives as an order x order int16 table ``mul`` with
+``mul[a, b] = a*b``, identity at index 0, plus the int16 inverse map;
+`FiniteGroup` fixes that dtype, and every order is at most
+`MAX_ORDER_CAP`.  Groups are either closed from permutation generators
+(breadth-first, so element indexing is deterministic), validated from an
+explicit table, or built by one of the two extension formulas
+(`cyclic_extension`, `central_extension`).  All operations are exact
+integer computations over the table.
 
 Conventions, fixed once for reproducible witnesses, and read only through
 this module:
@@ -33,6 +34,15 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 2048
+# The largest order cap any caller may ask for, from a budget of 512 MiB
+# peak RSS for one `camina analyze`.  At 2^13 the int16 table takes 128
+# MiB, and `analyze --order-cap 8192` peaked at 223 MB on dihedral:8192,
+# elemab:2,13 and T:2,4 alike (79 MB on heisenberg:2,4, order 4096;
+# Python 3.11, numpy 2.4, Linux x86-64).  At 2^14 the table alone would
+# take the whole budget.  Below 2^14 every label, label + 1 and label +
+# label fits in int16, the dtype of every table.
+MAX_ORDER_CAP = 1 << 13
+TABLE_DTYPE = np.int16
 COMMUTATOR_BLOCK = 1 << 16  # commutators formed per array operation
 
 
@@ -76,9 +86,10 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "inv", "labels", "name", "_cache", "__weakref__")
 
     def __init__(self, mul: np.ndarray, inv: np.ndarray, labels=None, name: str = ""):
-        self.mul = mul
-        self.inv = inv
-        self.order = int(mul.shape[0])
+        check_order(len(mul))
+        self.mul = np.ascontiguousarray(mul, dtype=TABLE_DTYPE)
+        self.inv = np.ascontiguousarray(inv, dtype=TABLE_DTYPE)
+        self.order = int(self.mul.shape[0])
         self.labels = labels
         self.name = name
         self.mul.setflags(write=False)
@@ -225,6 +236,19 @@ def _handle(parent: FiniteGroup, members: np.ndarray) -> SubgroupHandle:
 # construction
 
 
+def check_cap(cap: int) -> None:
+    """Refuse an order cap above MAX_ORDER_CAP, before anything is built."""
+    if cap > MAX_ORDER_CAP:
+        raise ClosureExceedsCap(f"order cap {cap} exceeds the ceiling {MAX_ORDER_CAP}")
+
+
+def check_order(order: int, cap: int = MAX_ORDER_CAP) -> None:
+    """Refuse an order above the cap, or a cap above MAX_ORDER_CAP."""
+    check_cap(cap)
+    if order > cap:
+        raise ClosureExceedsCap(f"order {order} exceeds cap {cap}")
+
+
 def group_from_generators(
     degree: int,
     gens: Sequence[Permutation],
@@ -239,6 +263,7 @@ def group_from_generators(
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    check_cap(max_order)
     for g in gens:
         if g.degree != degree:
             raise InvalidPermutation(
@@ -272,9 +297,9 @@ def group_from_generators(
         head += 1
 
     n = len(elems)
-    rmaps = [np.asarray(r, dtype=np.int32) for r in right_maps]
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n, dtype=np.int32)
+    rmaps = [np.asarray(r, dtype=TABLE_DTYPE) for r in right_maps]
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    mul[:, 0] = np.arange(n)
     for k in range(1, n):
         parent, j = parent_gen[k]
         mul[:, k] = rmaps[j][mul[:, parent]]
@@ -282,20 +307,26 @@ def group_from_generators(
 
 
 def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
-    """Validate an explicit table (identity, inverses, Latin, associative)."""
-    mul = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-        raise ValueError(f"table must be square, got shape {mul.shape}")
-    n = mul.shape[0]
+    """Validate an explicit table (identity, inverses, Latin, associative).
+
+    The entries are range-checked in the table's own dtype, so narrowing
+    to the table dtype afterwards cannot wrap.
+    """
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValueError(f"table must be square, got shape {table.shape}")
+    n = table.shape[0]
     if n == 0:
         raise ValueError("table must be nonempty")
-    if mul.min() < 0 or mul.max() >= n:
-        bad = np.argwhere((mul < 0) | (mul >= n))[0]
+    check_order(n)
+    if table.min() < 0 or table.max() >= n:
+        bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotLatinSquare(
             f"entry at ({bad[0]}, {bad[1]}) is outside [0, {n})"
         )
+    mul = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
 
-    idx = np.arange(n, dtype=np.int32)
+    idx = np.arange(n)
     row_bad = np.flatnonzero(mul[0] != idx)
     if row_bad.size:
         raise NoIdentity(f"row 0 is not the identity at column {row_bad[0]}")
@@ -344,10 +375,9 @@ def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
 
 def from_table_unchecked(mul, inv=None, name: str = "") -> FiniteGroup:
     """Wrap a table produced by a trusted internal construction."""
-    mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+    mul = np.asarray(mul)
     if inv is None:
         inv = (mul == 0).argmax(axis=1)
-    inv = np.ascontiguousarray(np.asarray(inv, dtype=np.int32))
     return FiniteGroup(mul, inv, name=name)
 
 
@@ -355,9 +385,10 @@ def cyclic_extension(mulH: np.ndarray, alpha: np.ndarray, h0: int, p: int):
     """Group on H x Zp from (alpha, h0) with t^p = h0, t h t^-1 = alpha(h)."""
     nH = mulH.shape[0]
     n = nH * p
+    check_order(n)
     alpha = np.asarray(alpha, dtype=np.int32)
     apow = np.arange(nH, dtype=np.int32)  # alpha^i
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     for i in range(p):
         for j in range(p):
             # h alpha^i(k), times t^p = h0 when t^(i+j) wraps; a column
@@ -378,9 +409,10 @@ def central_extension(vadd: np.ndarray, wadd: np.ndarray, cocycle: np.ndarray):
     than it is allocated.
     """
     nV, nW = vadd.shape[0], wadd.shape[0]
-    wadd = wadd.astype(np.int32)
+    check_order(nV * nW)
+    wadd = wadd.astype(TABLE_DTYPE)
     table = wadd[wadd[None, :, None, :], cocycle[:, None, :, None]]
-    table += (vadd.astype(np.int32) * nW)[:, None, :, None]
+    table += (vadd.astype(TABLE_DTYPE) * nW)[:, None, :, None]
     return table.reshape(nV * nW, nV * nW)
 
 
@@ -560,8 +592,7 @@ def direct_product(
 ) -> FiniteGroup:
     """Componentwise product; element (a, b) has index a*|B| + b."""
     n = A.order * B.order
-    if n > order_cap:
-        raise ClosureExceedsCap(f"product order {n} exceeds cap {order_cap}")
+    check_order(n, order_cap)
     nB = B.order
     mul = (A.mul[:, None, :, None] * nB + B.mul[None, :, None, :]).reshape(n, n)
     inv = (A.inv[:, None] * nB + B.inv[None, :]).reshape(n)

@@ -15,6 +15,7 @@ import pytest
 from camina import cli
 from camina.cli import main
 from camina.corpus import CorpusEntry, default_family_instances
+from camina.groups import MAX_ORDER_CAP
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -411,6 +412,13 @@ BASE_ARGV = {
             (["search", "--max-order", "0"], 1),
             (["families", "--max-order", "0"], 1),
         ]
+    ]
+    + [
+        (
+            ["analyze", "--family", "elemab:2,16", "--order-cap", "99999999999"],
+            f"argument --order-cap: must be at most {MAX_ORDER_CAP}, got 99999999999",
+        ),
+        (["verify", "--order-cap", str(MAX_ORDER_CAP + 1)], "must be at most"),
     ],
 )
 def test_usage_error_is_one_error_line(capsys, argv, message):

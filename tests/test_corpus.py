@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camina import groups
 from camina import (
     FamilySpec,
     build_family,
@@ -21,6 +22,7 @@ from camina import (
 )
 from camina.corpus import (
     FAMILIES,
+    _bilinear_cocycle,
     _digit_sum_table,
     default_family_instances,
     gf_tables,
@@ -217,7 +219,7 @@ def test_digit_sum_table_matches_broadcast_formula(p, k):
     for d in range(k - 1, -1, -1):
         want = want * p + summed[:, :, d]
     got = _digit_sum_table(p, k)
-    assert got.dtype == np.int32
+    assert got.dtype == np.int16
     assert np.array_equal(got, want)
 
 
@@ -278,10 +280,12 @@ def test_default_family_registry_builds():
         assert (np.sort(G.mul, axis=1) == idx).all()
 
 
-# (spec, sha256 of mul, sha256 of inv).  Element indices appear in every
-# witness and report, so each family table is pinned byte for byte: every
-# instance of default_family_instances(2048), the large and wide benchmark
-# specs, and both odd and even k for the cyclic extensions of C_k.
+# (spec, sha256 of mul, sha256 of inv), each widened to int32 before it is
+# hashed, so a pin reads the same whatever the table dtype (widening is
+# injective).  Element indices appear in every witness and report, so each
+# family table is pinned byte for byte: every instance of
+# default_family_instances(2048), the large and wide benchmark specs, and
+# both odd and even k for the cyclic extensions of C_k.
 FAMILY_TABLE_SHA256 = [
     ("cyclic:2",
      "8bd2fa7c6873c97e24da3767da43702d8c85aadb7136ed816c324b1ebc6b26d2",
@@ -445,6 +449,10 @@ FAMILY_TABLE_SHA256 = [
 ]
 
 
+def _sha256_int32(a: np.ndarray) -> str:
+    return hashlib.sha256(a.astype(np.int32).tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "spec, mul_sha, inv_sha",
     FAMILY_TABLE_SHA256,
@@ -452,8 +460,8 @@ FAMILY_TABLE_SHA256 = [
 )
 def test_family_table_is_pinned(spec, mul_sha, inv_sha):
     G = build_family(parse_family_spec(spec))
-    assert hashlib.sha256(G.mul.tobytes()).hexdigest() == mul_sha
-    assert hashlib.sha256(G.inv.tobytes()).hexdigest() == inv_sha
+    assert _sha256_int32(G.mul) == mul_sha
+    assert _sha256_int32(G.inv) == inv_sha
 
 
 def test_pins_cover_default_instances_and_every_family():
@@ -479,7 +487,7 @@ def test_pins_cover_default_instances_and_every_family():
 )
 def test_extraspecial_at_the_cap_forms_no_larger_table(spec, mul_sha, inv_sha):
     """Order 2187 is built without a table larger than the result: the
-    traced peak stays under 250 MB (the 2187^2 int32 table is 18 MB)."""
+    traced peak stays under 250 MB (the 2187^2 int16 table is 9 MB)."""
     tracemalloc.start()
     try:
         G = build_family(parse_family_spec(spec), order_cap=2187)
@@ -487,15 +495,15 @@ def test_extraspecial_at_the_cap_forms_no_larger_table(spec, mul_sha, inv_sha):
     finally:
         tracemalloc.stop()
     assert peak < 250 * 2**20
-    assert hashlib.sha256(G.mul.tobytes()).hexdigest() == mul_sha
-    assert hashlib.sha256(G.inv.tobytes()).hexdigest() == inv_sha
+    assert _sha256_int32(G.mul) == mul_sha
+    assert _sha256_int32(G.inv) == inv_sha
 
 
 @pytest.mark.parametrize(
     "spec", ["elemab:2,11", "cyclic:2048", "dihedral:2048", "quaternion:1024", "T:2,3"]
 )
 def test_builder_peak_stays_below_twice_the_table(spec):
-    """Each family table is built as int32 in the array that is returned,
+    """Each family table is built as int16 in the array that is returned,
     so what is allocated on the way stays below the size of the result."""
     tracemalloc.start()
     try:
@@ -504,6 +512,62 @@ def test_builder_peak_stays_below_twice_the_table(spec):
     finally:
         tracemalloc.stop()
     assert peak < 2 * G.mul.nbytes
+
+
+def test_every_constructor_holds_int16_tables(corpus_groups, s3):
+    """Every FiniteGroup holds int16 mul and inv, whoever built it: the
+    families, the fixture corpus, each groups builder, and a group handed
+    int32 arrays."""
+    c2 = groups.group_from_cayley_table([[0, 1], [1, 0]])
+    V = groups.direct_product(c2, c2)
+    raw = [
+        groups.cyclic_extension(V.mul, np.array([0, 2, 1, 3]), 0, 2),
+        groups.central_extension(V.mul, c2.mul, _bilinear_cocycle([[0, 1], [0, 0]], 2)),
+    ]
+    assert all(T.dtype == np.int16 for T in raw)
+    built = [build_family(spec) for _, spec in default_family_instances(2048)]
+    built += list(corpus_groups.values()) + [s3, c2, V]
+    built += [groups.from_table_unchecked(T) for T in raw]
+    built.append(groups.FiniteGroup(V.mul.astype(np.int32), V.inv.astype(np.int32)))
+    for G in built:
+        assert G.mul.dtype == G.inv.dtype == np.int16, G.name
+
+
+def test_int16_holds_every_label_sum_under_the_ceiling():
+    """Labels, label + 1 (group_to_entry) and label + label (_cyclic) of
+    an order at MAX_ORDER_CAP fit the table dtype."""
+    top = groups.MAX_ORDER_CAP - 1
+    assert 2 * top <= np.iinfo(groups.TABLE_DTYPE).max
+    assert groups.MAX_ORDER_CAP <= 2**14
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_family(parse_family_spec("elemab:2,16"), order_cap=2**20),
+        lambda: build_family(parse_family_spec("cyclic:4"), order_cap=2**20),
+        lambda: parse_corpus("group 2 1 C2\ndegree 2\ngen 2 1\nend\n", order_cap=2**20),
+        lambda: parse_corpus("group 2 1 C2\ndegree 2\ngen 2 1\nend\n")[0].build(2**20),
+    ],
+    ids=["build_family", "build_family-small-group", "parse_corpus", "build"],
+)
+def test_cap_above_the_ceiling_is_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureExceedsCap, match="exceeds the ceiling"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_declared_order_above_the_ceiling_is_refused_without_a_cap():
+    order, cap = 2 * groups.MAX_ORDER_CAP, groups.MAX_ORDER_CAP
+    text = f"group {order} 1 C\ndegree 2\ngen 2 1\nend\n"
+    entry = parse_corpus(text, validate=False)[0]
+    with pytest.raises(ClosureExceedsCap, match=f"order {order} exceeds cap {cap}"):
+        entry.build()
 
 
 # sha256 of gf_tables(p, k)[2] as int64, keyed by (p, k)

@@ -1,5 +1,7 @@
 """Group-core operations against independent brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import ref_quotient
@@ -366,6 +368,47 @@ def test_direct_product(q8, heis27):
 def test_direct_product_order_cap(q8):
     with pytest.raises(ClosureExceedsCap):
         direct_product(q8, q8, order_cap=63)
+
+
+def _table_view(n):
+    """An n x n table of zeros that takes no memory (a zero-stride view)."""
+    return np.broadcast_to(np.zeros(1, dtype=np.int16), (n, n))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda q8: group_from_generators(2, [Permutation((2, 1))], max_order=2**20),
+        lambda q8: direct_product(q8, q8, order_cap=2**20),
+        lambda q8: group_from_cayley_table(_table_view(groups.MAX_ORDER_CAP + 1)),
+        lambda q8: groups.FiniteGroup(
+            _table_view(groups.MAX_ORDER_CAP + 1), np.zeros(1, dtype=np.int16)
+        ),
+        lambda q8: groups.cyclic_extension(
+            _table_view(groups.MAX_ORDER_CAP), np.zeros(1, dtype=np.int32), 0, 2
+        ),
+        lambda q8: groups.central_extension(
+            _table_view(groups.MAX_ORDER_CAP), _table_view(2), _table_view(1)
+        ),
+    ],
+    ids=[
+        "group_from_generators",
+        "direct_product",
+        "group_from_cayley_table",
+        "FiniteGroup",
+        "cyclic_extension",
+        "central_extension",
+    ],
+)
+def test_builders_refuse_orders_past_the_ceiling_before_allocating(q8, build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureExceedsCap):
+            build(q8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,23 @@ def test_stacked_rows_match_the_definitions(census_groups, p, size):
         for T, got in zip(block, rows):
             want = _reference_rows(mf.from_table_unchecked(T), p)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [64, 48])
+def test_stacked_rows_past_the_int16_range(census_groups, count):
+    """A stack of order-32 extension tables whose flat labels t n^2 + y n + x
+    pass int16 gives each table the rows it gets on its own.  64 tables
+    (labels up to 65535) are the classification's block at order 32; a
+    wrapped int16 label would still read the right entry of those 2^16
+    through negative indexing, so 48 tables check the widening too."""
+    parents = [G for G in census_groups[16] if not _is_elementary_abelian(G)]
+    extensions = (T for H in parents for T in mf.extensions_of(H, 2))
+    tables = list(islice(extensions, count))
+    assert len(tables) == count
+    assert all(T.dtype == np.int16 for T in tables)
+    rows = mf._element_invariants(np.stack(tables), 2)
+    for T, got in zip(tables, rows):
+        assert np.array_equal(got, mf._element_invariants(T[None], 2)[0])
 
 
 def test_element_invariants_reject_a_table_without_identity():

@@ -157,8 +157,10 @@ def _element_invariants(tables: np.ndarray, p: int) -> np.ndarray:
 
     Element x of table t has the label t n + x, and entry (t, y, x) of the
     stack is flat[t n^2 + y n + x], so each step gathers over the whole
-    stack at once.
+    stack at once.  The stack is widened to int32 first: those flat labels
+    outgrow the int16 of a group table once T n^2 > 2^15.
     """
+    tables = np.asarray(tables, dtype=np.int32)
     T, n, _ = tables.shape
     flat = tables.reshape(-1)
     label = np.arange(T * n)
