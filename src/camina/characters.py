@@ -39,7 +39,6 @@ from .groups import (
     cosets,
     derived_subgroup,
     group_exponent,
-    is_normal,
 )
 from .structure import is_prime_power
 
@@ -259,12 +258,12 @@ class CharacterTable:
 
     values is a read-only (k, k, phi(e)) int64 array: values[i, j] is the
     canonical form of chi_i(g_j) in Z[zeta_e] (see camina.cyclotomic).
-    The table holds the group order and class map its checks read, not
-    the group itself, so a cached table keeps no reference back to it.
+    The table holds the group order and the class data its checks read
+    (least member, size and inverse class of each class), not the group
+    itself, so a cached table keeps no reference back to it.
     """
 
     order: int
-    class_of: np.ndarray
     class_reps: np.ndarray
     class_sizes: np.ndarray
     inverse_class: np.ndarray
@@ -485,7 +484,6 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     values.setflags(write=False)
     table = CharacterTable(
         order=order,
-        class_of=class_of,
         class_reps=reps,
         class_sizes=sizes,
         inverse_class=inverse_class,
@@ -562,43 +560,29 @@ def check_column_orthogonality(table: CharacterTable) -> bool:
     return _is_integer(gram, np.diag(table.order // table.class_sizes))
 
 
-def character_kernel_contains(
-    table: CharacterTable, i: int, members: np.ndarray
-) -> bool:
-    """True iff every listed element lies in ker chi_i."""
-    classes = np.unique(table.class_of[np.asarray(members)])
-    return _is_integer(table.values[i, classes], table.degrees[i])
-
-
-def irr_over(G: FiniteGroup, N: SubgroupHandle, table: CharacterTable) -> list[int]:
-    """Indices of characters chi with N not contained in ker chi.
-
-    For central N (the only use here) this is exactly the set of
-    characters lying over a nontrivial character of N.
-    """
-    if not is_normal(G, N):
-        raise ValueError("irr_over requires a normal subgroup")
-    return [
-        i
-        for i in range(table.n_classes)
-        if not character_kernel_contains(table, i, N.members)
-    ]
-
-
 def verify_fully_ramified(
     G: FiniteGroup, Z: SubgroupHandle, table: CharacterTable
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check that every character over Z vanishes off Z with chi(1)^2 = |G:Z|.
 
+    Z must be central, so each of its elements is a class of its own and
+    the classes of Z are the singleton classes whose representative lies
+    in Z; a character lies over Z unless it is the integer chi(1) on all
+    of them.  Raises ValueError when fewer than |Z| such classes exist.
     Returns (ok, witness); the witness is (character index, class rep) for
     a vanishing failure and (character index, -1) for a degree failure.
     """
+    on_z = Z.mask[table.class_reps]
+    if np.count_nonzero(on_z & (table.class_sizes == 1)) < Z.order:
+        raise ValueError("verify_fully_ramified requires a central subgroup")
+    V = table.values[:, on_z]
+    degrees = np.array(table.degrees)
+    over_z = (V[..., 0] != degrees[:, None]).any(axis=1) | V[..., 1:].any(axis=(1, 2))
     index = G.order // Z.order
-    off_z = ~Z.mask[table.class_reps]
-    for i in irr_over(G, Z, table):
+    for i in np.flatnonzero(over_z).tolist():
         if table.degrees[i] ** 2 != index:
             return False, (i, -1)
-        bad = np.flatnonzero(off_z & table.values[i].any(axis=1))
+        bad = np.flatnonzero(~on_z & table.values[i].any(axis=1))
         if bad.size:
             return False, (i, int(table.class_reps[bad[0]]))
     return True, None

@@ -282,7 +282,7 @@ def _digit_sum_table(p: int, k: int) -> np.ndarray:
     code a p + b has b as its low digit."""
     G = C = _cyclic(p)
     for _ in range(k - 1):
-        G = direct_product(G, C, order_cap=G.order * p)
+        G = direct_product(G, C)
     return G.mul
 
 
@@ -337,7 +337,7 @@ def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
 
 def _heisenberg_times_cyclic(p: int, k: int) -> FiniteGroup:
     H = _heisenberg(p, k)
-    return direct_product(H, _cyclic(p), order_cap=H.order * p)
+    return direct_product(H, _cyclic(p))
 
 
 def _require(ok: bool, message: str) -> None:

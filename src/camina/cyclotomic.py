@@ -101,7 +101,8 @@ def _sort_keys(flat: np.ndarray) -> np.ndarray:
 
 
 def format_values(V: np.ndarray) -> list[str]:
-    """format_value of every vector along the last axis of V, in C order.
+    """The text of every canonical coefficient vector along the last axis
+    of V, in C order, e.g. "1-z2+3*z5" or "0".
 
     Table values repeat heavily, so each run of equal vectors is written
     once.  Sorting by `_sort_keys` brings equal vectors together, and
@@ -127,8 +128,3 @@ def format_values(V: np.ndarray) -> list[str]:
     run_of = np.empty(order.size, dtype=np.intp)
     run_of[order] = np.cumsum(starts) - 1
     return texts[run_of].tolist()
-
-
-def format_value(coeffs) -> str:
-    """A canonical coefficient vector as text, e.g. "1-z2+3*z5" or "0"."""
-    return format_values(np.asarray(coeffs, dtype=np.int64)[None])[0]

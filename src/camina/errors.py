@@ -17,10 +17,6 @@ class NoIdentity(CaminaError):
     """Cayley table has no identity at index 0."""
 
 
-class NoInverse(CaminaError):
-    """Some element of a Cayley table has no inverse."""
-
-
 class NotLatinSquare(CaminaError):
     """Some row or column of a Cayley table is not a permutation."""
 

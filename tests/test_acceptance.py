@@ -21,12 +21,12 @@ from camina import (
     derived_subgroup,
     dixon_character_table,
     group_exponent,
-    irr_over,
     nilpotency_class,
     parse_corpus,
     parse_family_spec,
     search_counterexample,
     verify_bounds,
+    verify_fully_ramified,
 )
 from camina.characters import check_row_orthogonality
 from camina.structure import is_prime_power
@@ -122,12 +122,14 @@ def test_criterion_2_equivalence(harness):
             continue
         table = dixon_character_table(G)
         Z = a.verdict.pair_target
+        class_of, _ = G.conjugacy_data()
         vanishing = True
-        for i in irr_over(G, Z, table):
-            for j, rep in enumerate(table.class_reps):
-                if int(rep) not in Z and table.values[i, j].any():
-                    vanishing = False
+        for chi in table.values:  # chi lies over Z unless chi(z) = chi(1) on Z
+            if (chi[class_of[Z.members]] != chi[0]).any():
+                vanishing &= not chi[class_of[~Z.mask]].any()
         assert vanishing == a.verdict.holds, f"character criterion differs on {gid}"
+        ramified, _ = verify_fully_ramified(G, Z, table)
+        assert ramified == a.verdict.holds, f"L2.4 differs on {gid}"
         checked_tables += 1
     elapsed = time.perf_counter() - t0 + harness.analysis_seconds
     ok = elapsed < 120.0

@@ -21,7 +21,6 @@ from camina import (
     derived_subgroup,
     direct_product,
     dixon_character_table,
-    irr_over,
     verify_fully_ramified,
 )
 from camina import characters, groups
@@ -120,15 +119,59 @@ def test_heisenberg_table(heis27):
     assert check_row_orthogonality(t)
 
 
-def test_irr_over(q8, heis27):
+def _with_value(table, i, j, value):
+    """A copy of table with chi_i(g_j) set to the rational integer value."""
+    values = table.values.copy()
+    values[i, j] = 0
+    values[i, j, 0] = value
+    values.setflags(write=False)
+    return dataclasses.replace(table, values=values)
+
+
+def test_fully_ramified_reads_only_the_characters_over_z(q8, heis27):
+    """Making one value off Z nonzero is witnessed exactly for the
+    characters over Z: the nonlinear ones of Q8 and of 3^(1+2)."""
     t = dixon_character_table(q8)
-    triv = subgroup_generate(q8, ())
-    assert irr_over(q8, triv, t) == []
-    over_z = irr_over(q8, center(q8), t)
-    assert [t.degrees[i] for i in over_z] == [2]
-    t27 = dixon_character_table(heis27)
-    over_z27 = irr_over(heis27, center(heis27), t27)
-    assert sorted(t27.degrees[i] for i in over_z27) == [3, 3]
+    assert verify_fully_ramified(q8, subgroup_generate(q8, ()), t) == (True, None)
+    for G, degrees in ((q8, [2]), (heis27, [3, 3])):
+        t = dixon_character_table(G)
+        Z = center(G)
+        j = int(np.flatnonzero(~Z.mask[t.class_reps])[0])
+        rep = int(t.class_reps[j])
+        over = []
+        for i in range(t.n_classes):
+            ok, witness = verify_fully_ramified(G, Z, _with_value(t, i, j, 1))
+            if not ok:
+                assert witness == (i, rep)
+                over.append(i)
+        assert [t.degrees[i] for i in over] == degrees
+
+
+def test_fully_ramified_witnesses_on_doctored_q8_tables(q8):
+    """Q8 has degrees [1, 1, 1, 1, 2], class reps [0, 1, 2, 4, 5] and
+    Z = {0, 2}; the degree-2 character is 4."""
+    t = dixon_character_table(q8)
+    Z = center(q8)
+    assert verify_fully_ramified(q8, Z, _with_value(t, 4, 4, 1)) == (False, (4, 5))
+    degrees = t.degrees[:4] + [3]
+    assert verify_fully_ramified(
+        q8, Z, dataclasses.replace(t, degrees=degrees)
+    ) == (False, (4, -1))
+
+
+def test_fully_ramified_requires_a_central_subgroup(d8, s3):
+    """<r> of order 4 in D8 is normal but not central; in S3 the least
+    transposition and the identity are least in their classes, but <(12)>
+    is not normal."""
+    c4 = subgroup_generate(d8, (1,))
+    assert c4.order == 4
+    with pytest.raises(ValueError, match="central"):
+        verify_fully_ramified(d8, c4, dixon_character_table(d8))
+    t = dixon_character_table(s3)
+    H = subgroup_generate(s3, (int(t.class_reps[2]),))
+    assert H.order == 2 and np.count_nonzero(H.mask[t.class_reps]) == 2
+    with pytest.raises(ValueError, match="central"):
+        verify_fully_ramified(s3, H, t)
 
 
 def test_fully_ramified(q8, heis27, c3s3):
@@ -569,7 +612,7 @@ def test_table_does_not_keep_its_group_alive(q8):
     finally:
         gc.enable()
     assert table.degrees == dixon_character_table(q8).degrees
-    assert irr_over(q8, center(q8), table) == [table.degrees.index(2)]
+    assert verify_fully_ramified(q8, center(q8), table) == (True, None)
 
 
 def test_cached_values_are_read_only(q8):

@@ -205,6 +205,37 @@ def test_search_cli(capsys):
         assert gid in out
 
 
+def test_search_with_families_output_is_pinned(capsys):
+    code, out, _ = run(
+        capsys, "search", "--max-order", "27", "--input", str(FIXTURES / "order8.grp")
+    )
+    assert code == 0
+    assert out == (
+        "scanned 28 groups of order <= 27\n"
+        "no strict counterexample\n"
+        "equality cases (|Z|^2 = |G:Z|): 8:3, 8:4, dihedral:8, quaternion:8, "
+        "extraspecial_p:3,1, extraspecial_p2:3,1, heisenberg:2,1, heisenberg:3,1\n"
+    )
+
+
+@pytest.mark.parametrize("order, hits", [(8, "8:3 8:4"), (32, "32:49 32:50")])
+def test_census_camina_group_output_is_pinned(capsys, order, hits):
+    code, out, _ = run(
+        capsys,
+        "census",
+        "--order",
+        str(order),
+        "--predicate",
+        "camina-group",
+        "--input",
+        str(FIXTURES / f"order{order}.grp"),
+    )
+    assert code == 0
+    assert out == (
+        f"census order={order} predicate=camina-group\ncount 2\nhits: {hits}\n"
+    )
+
+
 def test_chartable_cli(capsys):
     code, out, _ = run(capsys, "chartable", "--family", "quaternion:8")
     assert code == 0

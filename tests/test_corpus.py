@@ -62,6 +62,38 @@ def test_syntax_error_carries_line_number():
     assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("group 2 x C2\n", 1, "order and index must be integers"),
+        ("group 2 1 C2\ndegree 2\ndegree 2\n", 3, "duplicate 'degree' line"),
+        ("group 2 1 C2\n\ndegree\n", 3, "expected: degree <d>"),
+        ("group 2 1 C2\ndegree two\n", 2, "expected: degree <d>"),
+        ("group 2 1 C2\ndegree 0\n", 2, "degree must be positive"),
+        ("group 2 1 C2\ndegree 2\ngen 2 a\n", 3, "images must be integers"),
+        ("group 2 1 C2\ndegree 2\n# C2\ngen 2 1 3\n", 4, "expected 2 images, got 3"),
+    ],
+    ids=[
+        "order-text",
+        "second-degree",
+        "no-degree",
+        "degree-text",
+        "degree-0",
+        "images-text",
+        "image-count",
+    ],
+)
+def test_malformed_lines_are_named_by_line(text, lineno, message):
+    with pytest.raises(CorpusSyntaxError, match=message) as err:
+        parse_corpus(text)
+    assert err.value.lineno == lineno
+
+
+def test_unknown_family_is_unsupported():
+    with pytest.raises(UnsupportedParameters, match="unknown family 'nosuch'"):
+        build_family(FamilySpec("nosuch", (1,)))
+
+
 def test_gen_before_degree():
     with pytest.raises(CorpusSyntaxError):
         parse_corpus("group 2 1 C2\ngen 2 1\nend\n")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from camina.cyclotomic import (
     _sort_keys,
     cyclotomic_polynomial,
-    format_value,
     format_values,
     reduction_matrix,
 )
@@ -157,14 +156,12 @@ def test_reduction_matrix_rows_are_canonical_roots(e):
 def test_format_value_matches_reference_text(e, raw):
     c = raw[: _phi(e)]
     want = str(CyclotomicValue.from_coeffs(e, c))
-    assert format_value(c) == want
     assert format_values(np.array([[c, [0] * len(c)]])) == [want, "0"]
 
 
 def test_format_value_of_zero_and_units():
-    assert format_value([0, 0, 0, 0]) == "0"
-    assert format_value([-1, 0, 1, 0]) == "-1+z2"
-    assert format_value([0, -1, 0, 3]) == "-z+3*z3"
+    V = np.array([[0, 0, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 3]])
+    assert format_values(V) == ["0", "-1+z2", "-z+3*z3"]
 
 
 def test_format_values_writes_repeated_vectors_one_by_one():
@@ -175,7 +172,7 @@ def test_format_values_writes_repeated_vectors_one_by_one():
     keys = _sort_keys(np.array([x, y]))
     assert keys[0] == keys[1]
     V = np.array([[x, [1, 0], y], [[0, -1], x, y], [y, [1, 0], x]])
-    want = [format_value(v) for v in V.reshape(-1, 2)]
+    want = [format_values(v[None])[0] for v in V.reshape(-1, 2)]
     assert want[:3] == [str(w[1]), "1", f"{w[0]}*z"]
     assert format_values(V) == want
 

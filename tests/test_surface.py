@@ -32,8 +32,7 @@ KEPT = {
     "witness-profile and fixture-identity tests",
     "nilpotency_class": "the class both central series agree on, as the tests "
     "read it",
-    "irr_over": "Irr(G|N), behind verify_fully_ramified",
-    "is_normal": "the normality test behind the pair criteria and irr_over",
+    "is_normal": "the normality test behind the pair criteria",
     "subgroup_generate": "the closure behind commutator_subgroup and the "
     "central series, and the per-element reference for the Frattini column "
     "of the fixture generator's invariant rows",
