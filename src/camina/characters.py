@@ -19,9 +19,9 @@ array of canonical coefficients in Z[zeta_e]: the linear rows are rows of
 the reduction matrix picked by their exponents, and only the nonlinear
 rows are lifted, through the discrete Fourier transform over powers of a
 primitive root of F_l, one matrix product mod l per class.  A fixed entry
-budget on the values is checked before anything is built.  The
-orthogonality checks form whole Gram matrices over Z[x]/(x^e - 1) and
-reduce them mod the cyclotomic polynomial, exactly.
+budget on the values is checked before anything is built; it bounds the
+orthogonality checks too, which compare Gram products with their integer
+targets at the primitive e-th roots of unity mod primes l = 1 (mod e).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .groups import (
 from .structure import is_prime_power
 
 PRIME_SEARCH_CAP = 10**6
+CHECK_PRIME_FLOOR = 2**19  # the orthogonality primes lie above, all below 2^20
 
 # The most int64 entries a table's values may hold (k^2 phi(e), 128 MB),
 # checked before anything is built.  The splitter's class labels hold
@@ -55,16 +56,20 @@ TABLE_BUDGET = 2**24
 # small number theory mod l
 
 
+def _least_prime_above(floor: int, exponent: int) -> int:
+    """Least prime l with l = 1 (mod exponent) and l > floor."""
+    start = floor - (floor - 1) % exponent + exponent
+    for l in range(start, PRIME_SEARCH_CAP + 1, exponent):
+        if is_prime_power(l) == (l, 1):
+            return l
+    raise InternalPrimeSearchFailed(
+        f"no usable prime below {PRIME_SEARCH_CAP} for exponent {exponent}"
+    )
+
+
 def least_dixon_prime(order: int, exponent: int) -> int:
     """Least prime l with l = 1 (mod exponent) and l > 2*sqrt(order)."""
-    l = exponent + 1
-    while l * l <= 4 * order or is_prime_power(l) != (l, 1):
-        l += exponent
-        if l > PRIME_SEARCH_CAP:
-            raise InternalPrimeSearchFailed(
-                f"no usable prime below {PRIME_SEARCH_CAP} for exponent {exponent}"
-            )
-    return l
+    return _least_prime_above(math.isqrt(4 * order), exponent)
 
 
 def _primitive_root(l: int) -> int:
@@ -500,64 +505,56 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
 # table-level checks
 
 
-def _is_integer(V: np.ndarray, n) -> bool:
-    """True iff the canonical forms along the last axis of V are the
-    rational integers n (broadcast against V[..., 0])."""
-    return bool((V[..., 0] == n).all() and not V[..., 1:].any())
+def _orthogonal(table: CharacterTable, columns: bool) -> bool:
+    """The first (rows) or second (columns) orthogonality relation, exactly.
 
-
-def _gram(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
-    """Canonical coefficients of sum_j X[i, j] Y[m, j] in Z[zeta_e], as (i, m, u).
-
-    X[i, j] and Y[m, j] are canonical coefficient vectors of length phi(e).
-    The products are taken in Z[x]/(x^e - 1), with Y padded to length e,
-    one matrix product per power u of x in X, and every entry is then
-    reduced mod Phi_e by reduction_matrix(e).  The products run in float64,
-    which is exact while every partial sum stays below 2^53; the bound
-    below covers the sum of the absolute values of all terms of every entry.
-    The float64 arrays hold up to k*k*e entries each; over TABLE_BUDGET
-    that raises TableTooLarge before any of them is allocated.
+    Mod a prime l = 1 (mod e), Phi_e splits into distinct factors x - z^u,
+    u a unit mod e, so evaluation at the z^u maps Z[zeta_e]/l one to one
+    onto F_l^phi(e).  Per prime above CHECK_PRIME_FLOOR, the values are
+    evaluated a row at a time, and each root gives one k x k Gram product
+    mod l in float64, exactly: at most 2^13 terms below l^2 < 2^40.  No
+    Gram coefficient exceeds norm * max|V| * (largest column sum of
+    |reduction_matrix(e)|), norm the largest coefficient sum of a row of
+    the left factor, so once the primes' product exceeds that plus
+    max|target|, agreement mod every prime is equality.
     """
-    ki, kj, phi = X.shape
-    km = Y.shape[0]
-    entries = max(ki, kj) * km * e
-    if entries > TABLE_BUDGET:
-        raise TableTooLarge(
-            f"orthogonality check with {max(ki, kj)} classes and exponent {e} "
-            f"needs {entries} Gram entries (k^2 e); "
-            f"the budget is {TABLE_BUDGET} entries"
-        )
-    reduce = reduction_matrix(e)
-    bound = (
-        int(np.abs(X).sum(axis=(1, 2)).max())
-        * int(np.abs(Y).max())
-        * int(np.abs(reduce).sum(axis=0).max())
-    )
-    if bound >= 2**53:
-        raise InvariantViolation(f"Gram bound {bound} is not below 2^53")
-    Xf = X.astype(np.float64)
-    Yt = np.zeros((kj, km, e))  # (j, m, v)
-    Yt[:, :, :phi] = Y.transpose(1, 0, 2)
-    prod = np.zeros((ki, km * e))
-    for u in range(phi):
-        # x^u times Y: coefficient v moves to v + u (mod e)
-        prod += Xf[:, :, u] @ np.roll(Yt, u, axis=2).reshape(kj, km * e)
-    return (prod.reshape(ki, km, e) @ reduce).astype(np.int64)
+    V, e, k = table.values, table.exponent, table.n_classes
+    sizes, inv = table.class_sizes, table.inverse_class
+    norms = np.abs(V).sum(axis=2)
+    if columns:  # sum_i chi_i(g_j) chi_i(g_c^-1) = |C_G(g_j)| [j = c]
+        norm, target = norms.sum(axis=0).max(), np.diag(table.order // sizes)
+    else:  # sum_j |C_j| chi_i(g_j) chi_m(g_j^-1) = |G| [i = m]
+        norm, target = (norms @ sizes).max(), np.diag([table.order] * k)
+    reduce = np.abs(reduction_matrix(e)).sum(axis=0).max()
+    bound = int(norm) * max(int(V.max()), -int(V.min())) * int(reduce)
+    units = np.flatnonzero(np.gcd(np.arange(e), e) == 1)
+    l, product = CHECK_PRIME_FLOOR, 1
+    while product <= bound + int(target.max()):
+        l = _least_prime_above(l, e)
+        z = _root_of_unity(e, l)
+        zpow = np.array([pow(z, i, l) for i in range(e)], dtype=np.int64)
+        Pt = zpow[np.outer(units, np.arange(units.size)) % e].astype(np.float64)
+        Y = np.empty((units.size, k, k), dtype=np.int64)  # Y[s] at z^units[s]
+        for i, row in enumerate(V):
+            Y[:, i] = (Pt @ (row % l).T.astype(np.float64)).astype(np.int64) % l
+        for y in Y:
+            left = y.T if columns else y * sizes % l
+            right = y[:, inv] if columns else y[:, inv].T
+            gram = left.astype(np.float64) @ right.astype(np.float64)
+            if not np.array_equal(gram.astype(np.int64) % l, target % l):
+                return False
+        product *= l
+    return True
 
 
 def check_row_orthogonality(table: CharacterTable) -> bool:
     """Exact first orthogonality: sum_j |C_j| chi_i(g_j) chi_m(g_j^-1)."""
-    V = table.values
-    X = V * table.class_sizes[None, :, None]
-    gram = _gram(X, V[:, table.inverse_class], table.exponent)
-    return _is_integer(gram, np.diag([table.order] * table.n_classes))
+    return _orthogonal(table, columns=False)
 
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
-    """Exact second orthogonality: sum_i chi_i(g_j) chi_i(g_k^-1)."""
-    V = table.values.transpose(1, 0, 2)
-    gram = _gram(V, V[table.inverse_class], table.exponent)
-    return _is_integer(gram, np.diag(table.order // table.class_sizes))
+    """Exact second orthogonality: sum_i chi_i(g_j) chi_i(g_c^-1)."""
+    return _orthogonal(table, columns=True)
 
 
 def verify_fully_ramified(

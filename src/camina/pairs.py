@@ -54,7 +54,9 @@ class Invariants:
 
     |G:Z| = p^n, |Z| = p^m, |G':Z| = p^l, exp(G/Z) = p^n_exp and
     |G : G'Z_2| = p^n_z2; the flags are the structural facts the other
-    checks test.  fully_ramified is True when no table was computed.
+    checks test.  fully_ramified is None when |G| is over the table cap,
+    so no table was built and L2.4 reads SKIPPED on a square index; it is
+    True on an index that is not a square, where L2.4 fails anyway.
     """
 
     p: int
@@ -67,7 +69,7 @@ class Invariants:
     p_group: bool
     upper_factors_exp_p: bool
     z_is_last_lower_term: bool
-    fully_ramified: bool
+    fully_ramified: bool | None
     d_over_c_like_z: bool
     some_c_meets_gp_in_z: bool
     their_d_over_z_abelian: bool
@@ -173,12 +175,14 @@ class CaminaVerdict:
 class BoundCheck:
     check_id: str
     hypothesis_held: bool
-    conclusion_held: bool
+    conclusion_held: bool | None  # None: not evaluated
 
     @property
     def status(self) -> str:
         if not self.hypothesis_held:
             return "VACUOUS"
+        if self.conclusion_held is None:
+            return "SKIPPED"
         return "PASS" if self.conclusion_held else "FAIL"
 
 
@@ -356,10 +360,11 @@ def verify_bounds(
         return BoundReport(0, 0, 0, 0, upper.class_c, 0, checks)
 
     v = _invariants(G, verdict.pair_target, pk[0], upper, lower, char_table_cap)
-    checks = [
-        BoundCheck(c.check_id, bool(c.hypothesis(v)), bool(c.conclusion(v)))
-        for c in CHECKS
-    ]
+    checks = []
+    for c in CHECKS:
+        held = c.conclusion(v)  # None: not evaluated
+        held = None if held is None else bool(held)
+        checks.append(BoundCheck(c.check_id, bool(c.hypothesis(v)), held))
     return BoundReport(v.p, v.n, v.m, v.l, v.class_c, v.n_exp, checks)
 
 
@@ -395,12 +400,6 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     pw = power_map(G, p)
     _, classes = G.conjugacy_data()
     reps = np.array([c[0] for c in classes if not Z.mask[c[0]]], dtype=np.int32)
-
-    p_group = all(
-        is_prime_power(int(o)) == (p, valuation(int(o), p))
-        for o in np.unique(G.element_orders())
-        if o > 1
-    )
 
     # one pass over noncentral classes: D(g), centralizers, generators of D(g)'
     in_d = _d_masks(G, Z, reps)
@@ -452,10 +451,12 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     n_meet = int((Gp.mask & Z2.mask).sum())  # |G' n Z_2|
 
     # L2.4, character half: only on a square index, and at desk scale
-    ramified_ok = True
-    if n % 2 == 0 and order <= char_table_cap:
-        table = dixon_character_table(G)
-        ramified_ok, _ = verify_fully_ramified(G, Z, table)
+    if order > char_table_cap:
+        ramified_ok = None  # no table: L2.4 reads SKIPPED on a square index
+    elif n % 2:
+        ramified_ok = True  # no table needed: L2.4 fails on the index
+    else:
+        ramified_ok, _ = verify_fully_ramified(G, Z, dixon_character_table(G))
 
     return Invariants(
         p=p,
@@ -465,7 +466,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         n_exp=n_exp,
         n_z2=valuation(order * n_meet // (Gp.order * Z2.order), p),
         class_c=class_c,
-        p_group=p_group,
+        p_group=order == p ** valuation(order, p),  # Lagrange: orders divide |G|
         upper_factors_exp_p=l22_ok,
         z_is_last_lower_term=l23_ok,
         fully_ramified=ramified_ok,

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -25,11 +26,12 @@ from camina import (
 )
 from camina import characters, groups
 from camina.characters import (
+    CHECK_PRIME_FLOOR,
     TABLE_BUDGET,
     _character_rows,
     _class_combination,
     _class_labels,
-    _gram,
+    _least_prime_above,
     _nullspace_mod,
     _root_of_unity,
     _rref_mod,
@@ -391,7 +393,7 @@ def test_default_cap_builds_the_table_of_heisenberg_7():
 
 
 # ---------------------------------------------------------------------------
-# the Gram-product orthogonality checks against the per-entry folds
+# the mod-l orthogonality checks against the per-entry folds
 
 
 def _folds_to(products, e, want):
@@ -476,11 +478,42 @@ def test_gram_checks_match_folds_on_wide_tables(spec):
 
 @pytest.mark.parametrize("name", ["q8", "s3", "heis27"])
 def test_gram_checks_reject_one_perturbed_value(request, name):
+    """Off by l, the first check prime, a table is right mod l; only the
+    second prime, which the larger coefficient bound then asks for, sees it."""
     t = dixon_character_table(request.getfixturevalue(name))
     e = t.exponent
+    l = _least_prime_above(CHECK_PRIME_FLOOR, e)
     for i, j in [(0, 0), (t.n_classes - 1, t.n_classes - 1), (1, t.n_classes - 1)]:
-        for delta in (_one(e), _zeta(e)):
+        for delta in (_one(e), _zeta(e), l * _one(e)):
             assert _checks_agree(_perturbed(t, i, j, delta)) == (False, False)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:256", "cyclic:256"])
+def test_checks_reject_one_coefficient_off_by_one_at_large_exponent(spec):
+    """e = 128 and e = 256; the test-side folds are too slow at this size."""
+    t = dixon_character_table(build_family(parse_family_spec(spec)))
+    assert t.exponent in (128, 256)
+    bad = _perturbed(t, t.n_classes - 1, t.n_classes // 2, _zeta(t.exponent))
+    assert not check_row_orthogonality(bad)
+    assert not check_column_orthogonality(bad)
+
+
+def test_checks_read_every_root_of_unity():
+    """A small delta with delta(z) = 0 mod l at the first root z moves the
+    Gram matrices only at the other roots, and the coefficient bound of
+    C_16's perturbed table stays below l, so one prime decides."""
+    t = dixon_character_table(build_family(FamilySpec("cyclic", (16,))))
+    l = _least_prime_above(CHECK_PRIME_FLOOR, 16)
+    z = np.array([pow(_root_of_unity(16, l), s, l) for s in range(8)])
+    # meet in the middle: halves with coefficients in -4..4 whose sums cancel
+    half = np.array(list(itertools.product(range(-4, 5), repeat=4)))
+    sums, a, b = np.intersect1d(
+        half @ z[:4] % l, -(half @ z[4:]) % l, return_indices=True
+    )
+    hit = np.flatnonzero(sums)[0]  # a sum of 0 may pair two zero halves
+    delta = np.concatenate([half[a[hit]], half[b[hit]]])
+    assert delta.any() and int(delta @ z) % l == 0
+    assert _checks_agree(_perturbed(t, 1, 1, delta)) == (False, False)
 
 
 def test_column_check_reads_the_irrational_part():
@@ -635,17 +668,6 @@ def test_table_over_budget_raises_before_building(spec, sizes):
     with pytest.raises(TableTooLarge, match=rf"needs {re.escape(sizes)}"):
         dixon_character_table(G)
     assert "class_consts" not in G._cache and "chartable" not in G._cache
-
-
-def test_gram_over_budget_raises_before_allocating():
-    """k = 257 classes at exponent 256 is k^2 e = 2^24 + 2^17 + 2^8 Gram
-    entries, just over the budget; the inputs are broadcast views, so the
-    test itself allocates nothing of that size."""
-    k, e = 257, 256
-    assert k * k * e > TABLE_BUDGET >= (k - 1) * (k - 1) * e
-    V = np.broadcast_to(np.zeros(1, dtype=np.int64), (k, k, e // 2))
-    with pytest.raises(TableTooLarge, match=rf"needs {k * k * e} Gram entries"):
-        _gram(V, V, e)
 
 
 def test_chartable_over_budget_is_one_error_line(capsys):

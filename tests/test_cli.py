@@ -539,6 +539,7 @@ def test_zero_chartable_cap_is_accepted(capsys):
     )
     assert code == 0
     assert "center pair verdict: true" in out
+    assert "\n  L2.4      SKIPPED\n" in out
 
 
 @pytest.mark.parametrize(

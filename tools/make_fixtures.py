@@ -625,14 +625,10 @@ def match_named(
     reps: list[FiniteGroup], named: list[tuple[int, str, FiniteGroup]]
 ) -> dict[int, tuple[int, str]]:
     """Map rep position -> (index, name) via isomorphism tests."""
-    fps = [structural_fingerprint(G) for G in reps]
     assigned: dict[int, tuple[int, str]] = {}
     for index, name, H in named:
-        fpH = structural_fingerprint(H)
         hits = [
-            i
-            for i, G in enumerate(reps)
-            if fps[i] == fpH and i not in assigned and iso_exists(H, G)
+            i for i, G in enumerate(reps) if i not in assigned and iso_exists(H, G)
         ]
         _ensure(len(hits) == 1, f"anchor {name}: {len(hits)} matches")
         assigned[hits[0]] = (index, name)
@@ -728,14 +724,11 @@ def build_fixture(order: int, reps: list[FiniteGroup], assigned, out_dir: Path):
     path = out_dir / f"order{order}.grp"
     path.write_text(text)
 
-    reparsed = parse_corpus(path.read_text())
+    # build closes each entry once, against its declared order
+    reparsed = parse_corpus(path.read_text(), validate=False)
     _ensure(len(reparsed) == len(reps), f"round trip of {path}: entry count")
     for entry, (index, name, G) in zip(reparsed, entries):
-        rebuilt = entry.build()
-        _ensure(
-            rebuilt.order == order and structural_fingerprint(rebuilt) == structural_fingerprint(G),
-            f"round trip {entry.gid}",
-        )
+        _ensure(iso_exists(entry.build(), G), f"round trip {entry.gid}")
     print(f"  wrote {path} ({len(reps)} groups)")
     return entries
 
