@@ -14,14 +14,17 @@ array of class labels: O(k |G|) work a round, and the k^3 structure
 constants are never stored.  The eigenvalues of each combination,
 restricted to an unsplit subspace, are the roots in F_l of its
 characteristic polynomial (through a Hessenberg reduction mod l), and
-each eigenspace is one nullspace.  The values form one (k, k, phi(e))
-array of canonical coefficients in Z[zeta_e]: the linear rows are rows of
-the reduction matrix picked by their exponents, and only the nonlinear
-rows are lifted, through the discrete Fourier transform over powers of a
-primitive root of F_l, one matrix product mod l per class.  A fixed entry
-budget on the values is checked before anything is built; it bounds the
-orthogonality checks too, which compare Gram products with their integer
-targets at the primitive e-th roots of unity mod primes l = 1 (mod e).
+each eigenspace is one nullspace N with the identity in its free
+columns; the subspace basis B has it in its pivot columns, so N B has it
+too and needs no second elimination.  The values form one (k, k, phi(e))
+array of canonical coefficients in Z[zeta_e]: the linear rows are rows
+of the reduction matrix picked by their exponents, and only the
+nonlinear rows are lifted, through the discrete Fourier transform over
+powers of a primitive root of F_l, one matrix product mod l per element
+order.  A fixed entry budget on the values is checked before anything is
+built; it bounds the orthogonality checks too, which compare Gram
+products with their integer targets at the primitive e-th roots of unity
+mod primes l = 1 (mod e).
 """
 
 from __future__ import annotations
@@ -119,15 +122,15 @@ def _rref_mod(M: np.ndarray, l: int):
     return R, pivots
 
 
-def _nullspace_mod(M: np.ndarray, l: int) -> np.ndarray:
-    """Columns spanning the nullspace of M mod l."""
+def _nullspace_mod(M: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, free): rows N spanning the nullspace of M mod l, with N[:, free]
+    the identity."""
     R, pivots = _rref_mod(M, l)
-    cols = M.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((cols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[pivots] = -R[: len(pivots), free] % l
-    return basis
+    free = np.setdiff1d(np.arange(M.shape[1]), pivots)
+    N = np.zeros((free.size, M.shape[1]), dtype=np.int64)
+    N[np.arange(free.size), free] = 1
+    N[:, pivots] = -R[: len(pivots), free].T % l
+    return N, free
 
 
 def _charpoly_mod(R: np.ndarray, l: int) -> np.ndarray:
@@ -222,8 +225,9 @@ def _joint_eigenrows(
     draws depend only on the input), reads it off the labels, restricts C
     to each unsplit subspace and splits the subspace into the eigenspaces
     of C: the eigenvalues are the roots of the characteristic polynomial,
-    and each eigenspace is one nullspace.  The class algebra mod l is
-    split semisimple, so the joint eigenspaces are lines.
+    and each eigenspace is one nullspace N, N[:, free] = I, whose rows
+    N B hold the identity in the columns piv[free].  The class algebra is
+    split semisimple mod l, so the joint eigenspaces are lines.
     """
     k = starts.size
     rng = np.random.default_rng(l)
@@ -242,9 +246,9 @@ def _joint_eigenrows(
             found = 0
             for lam in _roots_mod(_charpoly_mod(R, l), l):
                 shifted = (R - int(lam) * np.eye(d, dtype=np.int64)) % l
-                null_cols = _nullspace_mod(shifted.T, l)
-                refined.append(_rref_mod(null_cols.T @ B % l, l))
-                found += null_cols.shape[1]
+                N, free = _nullspace_mod(shifted.T, l)
+                refined.append((N @ B % l, piv[free]))
+                found += free.size
             if found != d:
                 raise InvariantViolation("class matrix failed to diagonalize")
         spaces = refined
@@ -299,16 +303,6 @@ def class_mult_coefficients(G: FiniteGroup) -> np.ndarray:
             a[:, :, c] = np.bincount(pairs, minlength=k * k).reshape(k, k)
         G._cache["class_consts"] = a
     return G._cache["class_consts"]
-
-
-def _power_classes(G: FiniteGroup, class_of: np.ndarray, rep: int, o: int) -> np.ndarray:
-    """Classes of rep^0, rep^1, ..., rep^(o-1)."""
-    pm = np.empty(o, dtype=np.int64)
-    cur = 0
-    for t in range(o):
-        pm[t] = class_of[cur]
-        cur = int(G.mul[cur, rep])
-    return pm
 
 
 def _linear_characters(G: FiniteGroup, e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,11 +418,12 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     if "chartable" in G._cache:
         return G._cache["chartable"]
 
-    class_of, classes = G.conjugacy_data()
-    k = len(classes)
-    reps = np.array([int(c[0]) for c in classes], dtype=np.int32)
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    inverse_class = np.array([class_of[G.inv[r]] for r in reps], dtype=np.int64)
+    class_of = G.conjugacy_data()[0]
+    # classes are numbered by their least members, which come first
+    reps = np.unique(class_of, return_index=True)[1].astype(np.int32)
+    sizes = np.bincount(class_of)
+    inverse_class = class_of[G.inv[reps]]
+    k = reps.size
     e = group_exponent(G)
     order = G.order
     _check_budget(k, e)
@@ -465,24 +460,29 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     if chars:
         # Fourier lift of the nonlinear rows to Z[zeta_e]: on a class of
         # order o, the multiplicity of the eigenvalue zeta_o^u of chi is
-        # (1/o) sum_t chi(g^t) zeta_o^(-ut).
+        # (1/o) sum_t chi(g^t) zeta_o^(-ut).  The classes J of order o are
+        # lifted together, from the classes P[t][j] of reps[J[j]]^t.
         chars = np.array(chars, dtype=np.int64)
-        z = _root_of_unity(e, l)
-        elem_orders = G.element_orders()
-        fourier: dict[int, np.ndarray] = {}
-        for j in range(k):
-            o = int(elem_orders[reps[j]])
-            if o not in fourier:
-                zo_inv = pow(z, -(e // o), l)
-                powers = np.array([pow(zo_inv, s, l) for s in range(o)], dtype=np.int64)
-                t = np.arange(o)
-                fourier[o] = powers[np.outer(t, t) % o] * pow(o, -1, l) % l
-            mult = chars[:, _power_classes(G, class_of, int(reps[j]), o)] @ fourier[o] % l
-            if not np.array_equal(mult.sum(axis=1), degrees[m:]):
+        z_inv = pow(_root_of_unity(e, l), -1, l)
+        zpow = np.array([pow(z_inv, s, l) for s in range(e)], dtype=np.int64)
+        rep_orders = G.element_orders()[reps]
+        for o in np.unique(rep_orders).tolist():
+            J = np.flatnonzero(rep_orders == o)
+            P, g = [], np.zeros(J.size, dtype=np.int64)
+            for _ in range(o):
+                P.append(class_of[g])
+                g = G.mul[g, reps[J]]
+            s = np.arange(o) * (e // o)  # zeta_o^t = zeta_e^s[t]
+            fourier = zpow[np.outer(np.arange(o), s) % e] * pow(o, -1, l) % l
+            # fourier is symmetric; integer matmul is faster on its column-major .T
+            mult = chars[:, np.column_stack(P)] @ fourier.T
+            mult %= l
+            if (mult.sum(axis=2).T != degrees[m:]).any():
                 raise InvariantViolation(
                     "eigenvalue multiplicities do not sum to the degree"
                 )
-            values[m:, j] = mult @ R[np.arange(o) * (e // o)]
+            values[m:, J] = mult @ np.asfortranarray(R[s])
+            del mult  # before the next order's product or the sorted copy of values
 
     order_key = _row_order(degrees, values)
     values = values[order_key]

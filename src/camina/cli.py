@@ -237,7 +237,7 @@ def _row_for_entry(entry: CorpusEntry, order_cap: int, chartable_cap: int) -> tu
     else:
         verdict = "true" if analysis.verdict.holds else "false"
     if analysis.report is None:
-        fields = ["-"] * 5 + [verdict] + ["VACUOUS"] * len(CHECK_IDS)
+        fields = ["-"] * 5 + [verdict] + ["NA"] * len(CHECK_IDS)
     else:
         r = analysis.report
         class_c = str(r.class_c) if r.class_c is not None else "-"

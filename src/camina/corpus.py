@@ -259,9 +259,6 @@ class FamilySpec:
     family: str
     params: tuple[int, ...]
 
-    def __str__(self) -> str:
-        return f"{self.family}:{','.join(map(str, self.params))}"
-
 
 def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=TABLE_DTYPE)

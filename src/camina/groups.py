@@ -202,9 +202,6 @@ class SubgroupHandle:
     def __contains__(self, x: int) -> bool:
         return bool(self.mask[x])
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubgroupHandle)
@@ -302,18 +299,21 @@ def group_from_generators(
 
 
 def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
-    """Validate an explicit table (identity, Latin, associative).
+    """Validate an explicit table (integer, identity, Latin, associative).
 
     Every Latin row holds the identity 0, so every element has an inverse.
-    The entries are range-checked in the table's own dtype, so narrowing
-    to the table dtype afterwards cannot wrap.
+    The entries must have an integer dtype and are range-checked in it, so
+    narrowing to the table dtype afterwards cannot truncate or wrap.
     """
-    table = np.asarray(table)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValueError(f"table must be square, got shape {table.shape}")
-    n = table.shape[0]
-    if n == 0:
-        raise ValueError("table must be nonempty")
+    try:
+        table = np.asarray(table)
+    except ValueError as exc:  # ragged rows
+        raise NotLatinSquare(f"table is not an array: {exc}") from None
+    n = table.shape[0] if table.ndim else 0
+    if table.dtype.kind not in "iu" or table.shape != (n, n) or n == 0:
+        raise NotLatinSquare(
+            f"need a nonempty square integer table, got {table.dtype} {table.shape}"
+        )
     check_order(n)
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]

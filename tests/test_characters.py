@@ -264,17 +264,61 @@ def _lambda_scan_eigenrows(mats, l):
             found = 0
             for lam in range(l):
                 shifted = (R - lam * np.eye(d, dtype=np.int64)) % l
-                null_cols = _nullspace_mod(shifted.T, l)
-                if null_cols.shape[1] == 0:
+                N, _ = _nullspace_mod(shifted.T, l)
+                if N.shape[0] == 0:
                     continue
-                refined.append(_rref_mod(null_cols.T @ B % l, l))
-                found += null_cols.shape[1]
+                refined.append(_rref_mod(N @ B % l, l))
+                found += N.shape[0]
                 if found == d:
                     break
             assert found == d
         spaces = refined
     assert all(B.shape[0] == 1 for B, _ in spaces)
     return [B[0] for B, _ in spaces]
+
+
+@pytest.mark.parametrize("l", [13, 257])
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    [(1, 1, 0), (1, 1, 1), (4, 7, 0), (4, 7, 2), (4, 7, 4), (7, 4, 4), (6, 6, 3), (6, 6, 6)],
+)
+def test_nullspace_rows_hold_the_identity_in_the_free_columns(l, rows, cols, rank):
+    """M = X Y with X = [I; *] and Y = [I | *] up to a column shuffle has
+    exactly the given rank, so rank + nullity = cols is checked against a
+    rank known in advance; rank 0 is the zero matrix."""
+    rng = np.random.default_rng(rows * 100 + cols * 10 + rank + l)
+    for _ in range(10):
+        eye = np.eye(rank, dtype=np.int64)
+        X = np.vstack([eye, rng.integers(0, l, (rows - rank, rank))])
+        Y = np.hstack([eye, rng.integers(0, l, (rank, cols - rank))])
+        M = X @ Y[:, rng.permutation(cols)] % l
+        N, free = _nullspace_mod(M, l)
+        assert N.shape == (cols - rank, cols) and free.shape == (cols - rank,)
+        assert not (M @ N.T % l).any()
+        assert np.array_equal(N[:, free], np.eye(free.size, dtype=np.int64))
+        assert ((N >= 0) & (N < l)).all()
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:3,1", "T:5,1"])
+def test_splitter_eliminates_once_per_eigenvalue(monkeypatch, spec):
+    """Each eigenspace basis comes from its nullspace alone: one _rref_mod
+    per _nullspace_mod, none on the product with the subspace basis."""
+    calls = {"rref": 0, "nullspace": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(characters, "_rref_mod", counting("rref", _rref_mod))
+    monkeypatch.setattr(
+        characters, "_nullspace_mod", counting("nullspace", _nullspace_mod)
+    )
+    dixon_character_table(build_family(parse_family_spec(spec)))
+    assert calls["nullspace"] > 0
+    assert calls["rref"] == calls["nullspace"]
 
 
 def _normalized(rows, l):

@@ -91,6 +91,7 @@ def test_verify_tsv(tmp_path, capsys):
     assert rows["8:3"][7] == "true"
     assert rows["8:4"][7] == "true"
     assert rows["8:1"][7] == "na"
+    assert set(rows["8:1"][8:]) == {"NA"}  # no check ran
     assert "FAIL" not in out_path.read_text()
 
 
@@ -116,7 +117,8 @@ def test_verify_deterministic_across_workers(tmp_path, capsys):
 # sha256 of the stdout of `camina analyze --family SPEC` and of `camina
 # verify --workers 1` over the four fixture files, as printed when the
 # invariants walked every noncentral element; walking one representative
-# per conjugacy class must not change a byte.
+# per conjugacy class must not change a byte.  The verify pin has NA in
+# every check column of its 64 `na` and `false` rows, where no check ran.
 ANALYZE_SHA256 = {
     "heisenberg:7": "efc47ab630166fe8858c4927506ddfb65e05ed3611208dc7a6a7d0bfe50c5515",
     "heisenberg:2,3": (
@@ -133,7 +135,7 @@ ANALYZE_SHA256 = {
     ),
 }
 VERIFY_FIXTURES_SHA256 = (
-    "62394d8a4d1267bb6a3dff8674375b9a3b2c022349b23bf87ed3ec5059524e94"
+    "13dbbb7e0886e6ad0f0d2279783f48e545aea6b22d170261184c10346f126c90"
 )
 
 

@@ -140,6 +140,40 @@ def test_latin_violation_named():
         group_from_cayley_table([[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ([[0, 1.5], [1.5, 0]], NotLatinSquare),  # an int cast would read C2
+        ([["a"]], NotLatinSquare),
+        ([[0, 1]], NotLatinSquare),  # not square
+        ([0, 1], NotLatinSquare),  # not 2-D
+        ([[[0]]], NotLatinSquare),
+        ([], NotLatinSquare),
+        (np.zeros((0, 0), dtype=np.int64), NotLatinSquare),
+        ([[0, 1], [1]], NotLatinSquare),  # ragged
+        ([[0, 1], [1, 2]], NotLatinSquare),  # entry out of range
+        ([[0, -1], [-1, 0]], NotLatinSquare),
+        ([[1, 0], [0, 1]], NoIdentity),  # row 0
+    ],
+    ids=[
+        "float",
+        "string",
+        "non-square",
+        "1-d",
+        "3-d",
+        "empty-list",
+        "empty-array",
+        "ragged",
+        "above-range",
+        "negative",
+        "row-0-identity",
+    ],
+)
+def test_malformed_table_refused_as_camina_error(table, error):
+    with pytest.raises(error):
+        group_from_cayley_table(table)
+
+
 def test_nonassociative_loop_rejected():
     loop = [
         [0, 1, 2, 3, 4],
