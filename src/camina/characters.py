@@ -189,13 +189,14 @@ SPLIT_ROUNDS = 64
 
 def _class_labels(G: FiniteGroup, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U, starts): U[c, v] = class of z_c v^-1 for the class representative
-    z_c, with the columns v running over G class by class; class j fills
-    the columns starts[j] up to starts[j + 1].  U holds k |G| int32 labels.
+    z_c, with the columns v running over G class by class (the stable sort
+    of class_of); class j fills the sizes[j] columns from starts[j].  U
+    holds k |G| int32 labels.
     """
-    class_of, classes = G.conjugacy_data()
-    starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
-    U = class_of[G.mul[np.ix_(reps, G.inv[np.concatenate(classes)])]]
-    return U, starts
+    class_of, _, sizes = G.conjugacy_data()
+    members = np.argsort(class_of, kind="stable")
+    U = class_of[G.mul[np.ix_(reps, G.inv[members])]]
+    return U, np.cumsum(sizes) - sizes
 
 
 def _class_combination(
@@ -268,8 +269,9 @@ class CharacterTable:
     values is a read-only (k, k, phi(e)) int64 array: values[i, j] is the
     canonical form of chi_i(g_j) in Z[zeta_e] (see camina.cyclotomic).
     The table holds the group order and the class data its checks read
-    (least member, size and inverse class of each class), not the group
-    itself, so a cached table keeps no reference back to it.
+    (least member, size and inverse class of each class; the first two are
+    the group's read-only `conjugacy_data` arrays), not the group itself,
+    so a cached table keeps no reference back to it.
     """
 
     order: int
@@ -294,13 +296,12 @@ def class_mult_coefficients(G: FiniteGroup) -> np.ndarray:
     depend on the choice of z.
     """
     if "class_consts" not in G._cache:
-        class_of, classes = G.conjugacy_data()
-        k = len(classes)
+        class_of, reps, _ = G.conjugacy_data()
+        k = reps.size
         cls = class_of.astype(np.int64)
-        a = np.zeros((k, k, k), dtype=np.int64)
-        for c, members in enumerate(classes):
-            pairs = cls * k + cls[G.mul[G.inv, members[0]]]  # v = u^-1 z
-            a[:, :, c] = np.bincount(pairs, minlength=k * k).reshape(k, k)
+        # the pair (u, v = u^-1 z) for z = reps[c], as the flat index of (i, j, c)
+        flat = (cls[:, None] * k + cls[G.mul[np.ix_(G.inv, reps)]]) * k + np.arange(k)
+        a = np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
         G._cache["class_consts"] = a
     return G._cache["class_consts"]
 
@@ -418,10 +419,7 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     if "chartable" in G._cache:
         return G._cache["chartable"]
 
-    class_of = G.conjugacy_data()[0]
-    # classes are numbered by their least members, which come first
-    reps = np.unique(class_of, return_index=True)[1].astype(np.int32)
-    sizes = np.bincount(class_of)
+    class_of, reps, sizes = G.conjugacy_data()
     inverse_class = class_of[G.inv[reps]]
     k = reps.size
     e = group_exponent(G)

@@ -23,7 +23,7 @@ from .corpus import (
     parse_corpus,
     parse_family_spec,
 )
-from .errors import CaminaError, UnknownGroupId, UsageError
+from .errors import CaminaError, CorpusSyntaxError, UnknownGroupId, UsageError
 from .groups import (
     DEFAULT_ORDER_CAP,
     MAX_ORDER_CAP,
@@ -150,7 +150,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_entries(args) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     for path in args.input:
-        text = path.read_text()
+        data = path.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line of the bad byte, numbered as parse_corpus numbers lines
+            line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+            message = f"{path} is not UTF-8: {exc.reason}"
+            raise CorpusSyntaxError(line, message) from None
         entries.extend(parse_corpus(text, validate=False, order_cap=args.order_cap))
     return entries
 

@@ -98,47 +98,41 @@ class FiniteGroup:
     # cached whole-group computations, shared by the higher-level modules
 
     def conjugacy_data(self):
-        """(class_of, classes) with classes listed by smallest member.
+        """(class_of, reps, sizes), read-only arrays over the classes, which
+        are numbered by their least members.
 
-        class_of[x] numbers the class of x in that order, so the identity's
-        class is 0.  In an abelian group every class is a singleton, so
-        class_of is the identity map and no orbit is traced.
-
-        Otherwise the classes are the orbits of the conjugations
-        pi_s(x) = x^s for s in S = `greedy_generators`, and each x is
-        labelled by the least member of its orbit.  Starting from
-        lab = identity, a round sets lab = min(lab, lab[pi_s]) for each s
-        and then jumps pointers, lab = lab[lab]; rounds repeat until lab
-        stops changing.  Throughout, lab[x] lies in the class of x and is
-        at most x, and each round only lowers labels.  So at the fixed
-        point every step of the last round left lab alone:
-        lab[x] <= lab[x^s] for every x, hence lab is constant along each
-        cycle of pi_s.  S generates G, so lab is constant on each class,
-        and lab[x] is the class minimum.  Every round before the last
-        lowers some label, so the loop ends.
+        reps[c] is the least member of class c, ascending, so the identity's
+        class is 0; class_of[x] is the class of x and sizes[c] = |class c|.
+        The classes are the orbits of the conjugations pi_s(x) = x^s for s
+        in S = `greedy_generators`, and each x is labelled by the least
+        member of its orbit.  Starting from lab = identity, a round sets
+        lab = min(lab, lab[pi_s]) for each s and then jumps pointers,
+        lab = lab[lab]; rounds repeat until lab stops changing.
+        Throughout, lab[x] lies in the class of x and is at most x, and each
+        round only lowers labels.  So at the fixed point every step of the
+        last round left lab alone: lab[x] <= lab[x^s] for every x, hence lab
+        is constant along each cycle of pi_s.  S generates G, so lab is
+        constant on each class, and lab[x] is the class minimum.  Every
+        round before the last lowers some label, so the loop ends.  In an
+        abelian group every pi_s is the identity, so the first round is the
+        last.
         """
         if "classes" not in self._cache:
-            if self.is_abelian():
-                class_of = np.arange(self.order, dtype=np.int32)
-                n_classes = self.order
-            else:
-                lab = np.arange(self.order, dtype=np.int32)
-                perms = [conjugates(self, lab, s) for s in greedy_generators(self)]
-                while True:
-                    new = lab
-                    for pi in perms:
-                        new = np.minimum(new, new[pi])
-                    new = new[new]
-                    if np.array_equal(new, lab):
-                        break
-                    lab = new
-                minima, class_of = np.unique(lab, return_inverse=True)
-                class_of = class_of.astype(np.int32)
-                n_classes = len(minima)
-            members = np.argsort(class_of, kind="stable").astype(np.int32)
-            sizes = np.bincount(class_of, minlength=n_classes)
-            classes = np.split(members, np.cumsum(sizes)[:-1])
-            self._cache["classes"] = (class_of, classes)
+            lab = np.arange(self.order, dtype=np.int32)
+            perms = [conjugates(self, lab, s) for s in greedy_generators(self)]
+            while True:
+                new = lab
+                for pi in perms:
+                    new = np.minimum(new, new[pi])
+                new = new[new]
+                if np.array_equal(new, lab):
+                    break
+                lab = new
+            reps, class_of = np.unique(lab, return_inverse=True)
+            data = (class_of.astype(np.int32), reps, np.bincount(class_of))
+            for a in data:
+                a.setflags(write=False)
+            self._cache["classes"] = data
         return self._cache["classes"]
 
     def element_orders(self) -> np.ndarray:
@@ -168,7 +162,9 @@ class FiniteGroup:
         if "center" not in self._cache:
             gens = greedy_generators(self)
             commute = self.mul[:, gens] == self.mul[gens].T
-            self._cache["center"] = np.flatnonzero(commute.all(axis=1)).astype(np.int32)
+            members = np.flatnonzero(commute.all(axis=1)).astype(np.int32)
+            members.setflags(write=False)
+            self._cache["center"] = members
         return self._cache["center"]
 
     def is_abelian(self) -> bool:

@@ -247,7 +247,7 @@ def camina_by_classes(G: FiniteGroup, N: SubgroupHandle):
     One g per coset is scanned (`_least_in_coset_outside`).
     """
     _validate_pair_target(G, N)
-    class_of, _ = G.conjugacy_data()
+    class_of = G.conjugacy_data()[0]
     scanned = _least_in_coset_outside(G, N)
     bad = class_of[G.mul[np.ix_(scanned, N.members)]] != class_of[scanned][:, None]
     if not bad.any():
@@ -283,9 +283,8 @@ def camina_by_centralizers(G: FiniteGroup, N: SubgroupHandle):
     is per element; the witness (g, -1) is the least g where it fails.
     """
     _validate_pair_target(G, N)
-    class_of, _ = G.conjugacy_data()
+    class_of, _, sizes = G.conjugacy_data()
     _, coset_of = cosets(G, N)
-    sizes = np.bincount(class_of)
     met = np.bincount(np.unique(coset_of * len(sizes) + class_of) % len(sizes))
     bad = np.flatnonzero((sizes != N.order * met)[class_of] & ~N.mask)
     if bad.size == 0:
@@ -374,14 +373,16 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     The flags over noncentral elements are read on one representative per
     conjugacy class: each is constant on a class, since D(g^y) = D(g)^y and
     C(g^y) = C(g)^y while Z, G' and the p-th power map are fixed by, or
-    commute with, conjugation.  Only the centralizer rows read are built.
+    commute with, conjugation.  Each flag is a reduction over (noncentral
+    classes x G) boolean rows: D(g) (`_d_masks`), C(g), and generators of
+    D(g)', formed once per distinct D(g) and gathered from the first class
+    with it.
 
-    Every D(g) comes from one block of commutators (`_d_masks`).  D(g)' is
-    never formed: it is generated by [s, x] for s in a generating set S_D
-    of D = D(g) and x in D (the identity of `derived_subgroup`, applied
-    inside D), and the flags only ask whether it lies in C(g) or in Z, both
-    subgroups, so testing those |S_D| |D| generators suffices.  G' is
-    normal, so G'Z_2 is a subgroup of order |G'| |Z_2| / |G' n Z_2|.
+    D(g)' is never formed: it is generated by [s, x] for s in a generating
+    set S_D of D = D(g) and x in D (the identity of `derived_subgroup`,
+    applied inside D), and the flags only ask whether it lies in C(g) or in
+    Z, both subgroups, so testing those |S_D| |D| generators suffices.  G'
+    is normal, so G'Z_2 is a subgroup of order |G'| |Z_2| / |G' n Z_2|.
     """
     order = G.order
     class_c = upper.class_c
@@ -398,47 +399,31 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
 
     Z2 = second_center_of(upper)
     pw = power_map(G, p)
-    _, classes = G.conjugacy_data()
-    reps = np.array([c[0] for c in classes if not Z.mask[c[0]]], dtype=np.int32)
-
-    # one pass over noncentral classes: D(g), centralizers, generators of D(g)'
+    reps = G.conjugacy_data()[1]
+    reps = reps[~Z.mask[reps]]
     in_d = _d_masks(G, Z, reps)
-    cent_rows = G.centralizer_matrix(reps)
-    dprime_gens_cache: dict[bytes, np.ndarray] = {}
-    lcents_ok = True
-    ldquo_qualifier = False
-    ldquo_ok = True
-    lidxp_qualifier = False
-    z_elementary = bool((pw[Z.members] == 0).all())
+    cent = G.centralizer_matrix(reps)
+    first: dict[bytes, int] = {}
+    which = [first.setdefault(row.tobytes(), i) for i, row in enumerate(in_d)]
+    dprime = np.zeros_like(in_d)
+    for i in first.values():
+        d = np.flatnonzero(in_d[i])
+        dprime[i, commutator_set(G, greedy_generators(G, d), d)] = True
+    dprime = dprime[which]
+    d_sizes = in_d.sum(axis=1)
+    d_over_z_abelian = ~(dprime & ~Z.mask).any(axis=1)
 
-    for d_mask, c_mask in zip(in_d, cent_rows):
-        d = np.flatnonzero(d_mask).astype(np.int32)
-        key = d.tobytes()
-        dprime_gens = dprime_gens_cache.get(key)
-        if dprime_gens is None:
-            dprime_gens = np.zeros(order, dtype=bool)
-            dprime_gens[commutator_set(G, greedy_generators(G, d), d)] = True
-            dprime_gens_cache[key] = dprime_gens
-        c_size = int(c_mask.sum())
-
-        # Lcents: |D:C| = |Z| and D/C elementary abelian of exponent p
-        if lcents_ok:
-            lcents_ok = (
-                len(d) == c_size * Z.order
-                and not (dprime_gens & ~c_mask).any()
-                and c_mask[pw[d]].all()
-                and z_elementary
-            )
-
-        # LDquo: a with C(a) n G' = Z must have D(a)/Z abelian
-        if int((c_mask & Gp.mask).sum()) == Z.order:
-            ldquo_qualifier = True
-            if (dprime_gens & ~Z.mask).any():
-                ldquo_ok = False
-
-        # Lidxp qualifier: D(a)/Z abelian and |G:D(a)| = p
-        if order == len(d) * p and not (dprime_gens & ~Z.mask).any():
-            lidxp_qualifier = True
+    # Lcents: |D:C| = |Z| and D/C elementary abelian of exponent p
+    lcents_ok = bool(
+        (pw[Z.members] == 0).all()
+        and (d_sizes == cent.sum(axis=1) * Z.order).all()
+        and not (dprime & ~cent).any()
+        and (cent[:, pw] | ~in_d).all()
+    )
+    # LDquo: a with C(a) n G' = Z must have D(a)/Z abelian
+    meets_in_z = (cent & Gp.mask).sum(axis=1) == Z.order
+    # Lidxp qualifier: D(a)/Z abelian and |G:D(a)| = p
+    lidxp_qualifier = bool((d_over_z_abelian & (d_sizes * p == order)).any())
 
     # L2.2: upper central factors have exponent p
     l22_ok = all(
@@ -471,8 +456,8 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         z_is_last_lower_term=l23_ok,
         fully_ramified=ramified_ok,
         d_over_c_like_z=lcents_ok,
-        some_c_meets_gp_in_z=ldquo_qualifier,
-        their_d_over_z_abelian=ldquo_ok,
+        some_c_meets_gp_in_z=bool(meets_in_z.any()),
+        their_d_over_z_abelian=bool(d_over_z_abelian[meets_in_z].all()),
         some_d_abelian_index_p=lidxp_qualifier,
         some_csmall_a=_some_csmall_a(G, Z, Gp, Z2),
     )

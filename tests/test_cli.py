@@ -336,6 +336,37 @@ def test_bad_corpus_entry_is_one_error_line(tmp_path, capsys, text, message):
     assert message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["census", "--order", "2"],
+        ["search"],
+        ["analyze", "--id", "2:1"],
+    ],
+    ids=["verify", "census", "search", "analyze"],
+)
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"group 2 1 C2\ndegree 2\ngen 2 1\nend\n\xff\n", 5),
+        (bytes(range(128, 256)), 1),
+        (b"# caf\xc3\xa9\n\ngroup 2 1 C\xe9\n", 3),
+        (b"group 2 1 C2\r\ndegree 2\rgen 2 1\r\xff\rend\r", 4),
+    ],
+    ids=["last-line", "every-byte", "latin-1-name", "cr-endings"],
+)
+def test_corpus_that_is_not_utf8_is_one_error_line(tmp_path, capsys, argv, data, line):
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, *argv, "--input", str(bad))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: line {line}: ")
+    assert "not UTF-8" in lines[0]
+
+
 def _plain_and_optimized(*argv):
     """stdout of `camina ARGV` run without and with python -O."""
     env = dict(os.environ)

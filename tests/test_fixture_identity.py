@@ -79,8 +79,8 @@ def test_order32_extraspecials(corpus_groups):
         assert Z == derived_subgroup(G)
         assert nilpotency_class(G) == 2
         # extraspecial p^(1+2n) has p^(2n) + p - 1 classes
-        _, classes = G.conjugacy_data()
-        assert len(classes) == 17
+        _, reps, _ = G.conjugacy_data()
+        assert len(reps) == 17
     # plus type has 19 involutions, minus type 11
     assert sorted(
         involutions(corpus_groups[g]) for g in ("32:49", "32:50")
@@ -90,8 +90,8 @@ def test_order32_extraspecials(corpus_groups):
 
 def test_extraspecial27_class_counts(corpus_groups):
     for gid in ("27:3", "27:4"):
-        _, classes = corpus_groups[gid].conjugacy_data()
-        assert len(classes) == 11  # 3^2 + 3 - 1
+        _, reps, _ = corpus_groups[gid].conjugacy_data()
+        assert len(reps) == 11  # 3^2 + 3 - 1
 
 
 def test_census_five_share_profile(corpus_groups):

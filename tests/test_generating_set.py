@@ -126,10 +126,11 @@ def test_greedy_generators_are_least_outside_the_earlier_ones(structure_groups):
 @pytest.mark.parametrize("spec", ["cyclic:64", "elemab:2,6"])
 def test_abelian_classes_are_singletons(spec):
     G = build_family(parse_family_spec(spec))
-    class_of, classes = G.conjugacy_data()
+    class_of, reps, sizes = G.conjugacy_data()
     assert class_of.dtype == np.int32
     assert class_of.tolist() == list(range(G.order))
-    assert [c.tolist() for c in classes] == [[x] for x in range(G.order)]
+    assert reps.tolist() == list(range(G.order))
+    assert sizes.tolist() == [1] * G.order
     for x in range(G.order):
         assert np.unique(conjugates(G, x, slice(None))).tolist() == [x]
 

@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 
 from camina import (
     Permutation,
+    build_family,
     center,
     centralizer,
     derived_subgroup,
     direct_product,
+    dixon_character_table,
     group_exponent,
     group_from_cayley_table,
     group_from_generators,
     is_normal,
     nilpotency_class,
+    parse_family_spec,
     subgroup_generate,
 )
 from camina.errors import (
@@ -208,11 +211,25 @@ def test_cached_orders_and_classes_match_per_element_references(corpus_groups, s
     for G in list(corpus_groups.values()) + [s3]:
         orders = [brute_order(G, x) for x in range(G.order)]
         assert G.element_orders().tolist() == orders, G.name
-        class_of, classes = G.conjugacy_data()
+        class_of, reps, sizes = G.conjugacy_data()
         want = [np.flatnonzero(class_of == c) for c in range(class_of.max() + 1)]
-        assert len(classes) == len(want)
-        for got, ref in zip(classes, want):
-            assert got.dtype == np.int32 and got.tolist() == ref.tolist()
+        assert reps.dtype == np.int32
+        assert reps.tolist() == [int(ref[0]) for ref in want]
+        assert sizes.tolist() == [len(ref) for ref in want]
+
+
+def test_cached_class_and_center_arrays_are_read_only():
+    """A write through a table would reach the group's cache."""
+    G = build_family(parse_family_spec("quaternion:8"))  # not the shared fixture
+    t = dixon_character_table(G)
+    class_of, reps, sizes = G.conjugacy_data()
+    cached = [class_of, reps, sizes, G.center_members(), t.class_reps, t.class_sizes]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 0
+    assert class_of.tolist() == [0, 1, 2, 1, 3, 4, 3, 4]
+    assert reps.tolist() == t.class_reps.tolist() == [0, 1, 2, 4, 5]
+    assert sizes.tolist() == t.class_sizes.tolist() == [1, 2, 1, 2, 2]
 
 
 def test_group_exponent(q8, klein, heis27):
@@ -266,17 +283,16 @@ def test_centralizer(q8, heis27):
 
 
 def test_conjugacy_classes(q8, s3, klein):
-    assert sorted(len(c) for c in klein.conjugacy_data()[1]) == [1, 1, 1, 1]
-    assert sorted(len(c) for c in q8.conjugacy_data()[1]) == [1, 1, 2, 2, 2]
-    assert sorted(len(c) for c in s3.conjugacy_data()[1]) == [1, 2, 3]
+    assert sorted(klein.conjugacy_data()[2].tolist()) == [1, 1, 1, 1]
+    assert sorted(q8.conjugacy_data()[2].tolist()) == [1, 1, 2, 2, 2]
+    assert sorted(s3.conjugacy_data()[2].tolist()) == [1, 2, 3]
 
 
 def test_orbit_stabilizer(q8, s3, heis27):
     for G in (q8, s3, heis27):
-        class_of, classes = G.conjugacy_data()
-        for cls in classes:
-            x = int(cls[0])
-            assert len(cls) * centralizer(G, x).order == G.order
+        _, reps, sizes = G.conjugacy_data()
+        for x, size in zip(reps.tolist(), sizes.tolist()):
+            assert size * centralizer(G, x).order == G.order
 
 
 def test_commutator(q8, klein):

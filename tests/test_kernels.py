@@ -142,16 +142,16 @@ def _targets(G):
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_conjugacy_partition(small_groups, name):
     G = small_groups[name]
-    class_of, classes = G.conjugacy_data()
+    class_of, reps, _ = G.conjugacy_data()
     ref_class_of, ref_n = ref_conjugacy_partition(G.mul, G.inv)
-    assert len(classes) == ref_n
+    assert len(reps) == ref_n
     assert np.array_equal(class_of, ref_class_of)
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_pair_checks(small_groups, name):
     G = small_groups[name]
-    class_of, _ = G.conjugacy_data()
+    class_of = G.conjugacy_data()[0]
     for H in _targets(G):
         members = H.members
         outside = np.flatnonzero(~H.mask).astype(np.int32)
@@ -168,8 +168,7 @@ def test_assoc_and_class_products(small_groups, name):
     G = small_groups[name]
     assert assoc_violation(G.mul) is None
     assert ref_assoc_violation(G.mul) == (-1, -1, -1)
-    class_of, classes = G.conjugacy_data()
-    reps = np.array([int(c[0]) for c in classes], dtype=np.int32)
+    class_of, reps, _ = G.conjugacy_data()
     assert np.array_equal(
         class_mult_coefficients(G),
         ref_class_product_counts(G.mul, G.inv, class_of, reps),
@@ -238,9 +237,9 @@ def named_targets(corpus_groups, non_nilpotent):
 
 def test_conjugacy_partition_matches_reference_everywhere(named_targets):
     for name, (G, ref_class_of, _) in named_targets.items():
-        class_of, classes = G.conjugacy_data()
+        class_of, reps, _ = G.conjugacy_data()
         assert np.array_equal(class_of, ref_class_of), name
-        assert len(classes) == ref_class_of.max() + 1, name
+        assert len(reps) == ref_class_of.max() + 1, name
 
 
 def test_class_criterion_matches_element_scan(named_targets):
@@ -285,9 +284,10 @@ def test_centralizer_criterion_builds_no_group_on_dihedral_2048(monkeypatch):
 
 
 def test_class_scans_are_generator_sized_on_dihedral_2048(monkeypatch):
-    """conjugacy_data builds one conjugation map per generator, and the
-    class criterion on (G, G') reads one class label per product g n it
-    gathers, g a coset minimum, plus one per g: at most |G:G'| |G'|."""
+    """conjugacy_data builds one conjugation map per generator, also on the
+    abelian elemab:2,11, and the class criterion on (G, G') reads one class
+    label per product g n it gathers, g a coset minimum, plus one per g: at
+    most |G:G'| |G'|."""
     G = build_family(parse_family_spec("dihedral:2048"))
     gens = greedy_generators(G)
     calls = []
@@ -297,8 +297,13 @@ def test_class_scans_are_generator_sized_on_dihedral_2048(monkeypatch):
         return _op(G, x, g)
 
     monkeypatch.setattr(groups, "conjugates", counting)
-    class_of, classes = G.conjugacy_data()
-    assert len(classes) == 1024 // 2 + 3 and 0 < len(calls) <= len(gens)
+    class_of, reps, sizes = G.conjugacy_data()
+    assert len(reps) == 1024 // 2 + 3 and 0 < len(calls) <= len(gens)
+
+    E = build_family(parse_family_spec("elemab:2,11"))
+    calls.clear()
+    assert E.conjugacy_data()[2].tolist() == [1] * E.order
+    assert 0 < len(calls) <= len(greedy_generators(E))
 
     reads = []
 
@@ -308,7 +313,7 @@ def test_class_scans_are_generator_sized_on_dihedral_2048(monkeypatch):
             reads.append(out.size)
             return out
 
-    G._cache["classes"] = (class_of.view(Counted), classes)
+    G._cache["classes"] = (class_of.view(Counted), reps, sizes)
     Gp = derived_subgroup(G)
     holds, witness = camina_by_classes(G, Gp)
     assert not holds and witness == (1, 2)

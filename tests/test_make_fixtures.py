@@ -47,8 +47,7 @@ def _reference_mapping_search(A, B, find_all):
 
     def invariants(G):
         orders = G.element_orders()
-        class_of, classes = G.conjugacy_data()
-        sizes = np.array([len(c) for c in classes])
+        class_of, _, sizes = G.conjugacy_data()
         return [
             (int(orders[x]), int(sizes[class_of[x]]), int(orders[G.mul[x, x]]))
             for x in range(G.order)

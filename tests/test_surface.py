@@ -1,10 +1,12 @@
-"""Every public name has a user outside the tests, or a stated reason.
+"""Every public name has a user outside the tests, or a stated reason,
+and shipped code checks its invariants by raising.
 
 A name in `camina.__all__` passes when it appears, as a whole word, in the
 CLI (`src/camina/cli.py`), in `tools/` or in `e2ebench/`; otherwise it
-needs an entry in `KEPT`.  The test only reads files.
+needs an entry in `KEPT`.  The tests only read files.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -52,3 +54,16 @@ def test_every_public_name_has_a_user_or_a_reason():
 
 def test_every_reason_names_a_public_name():
     assert set(KEPT) <= set(camina.__all__)
+
+
+def test_shipped_code_has_no_assert():
+    """`python -O` strips assert statements, so an invariant must raise."""
+    shipped = sorted((ROOT / "src" / "camina").glob("*.py"))
+    shipped += sorted((ROOT / "tools").glob("*.py"))
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in shipped
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -105,24 +105,15 @@ def structural_fingerprint(G: FiniteGroup) -> tuple:
     the number of squares, the orders in G/G', the upper central series,
     the class and the (size, order, order of the square) of each class."""
     orders = G.element_orders()
-    _, classes = G.conjugacy_data()
+    _, reps, sizes = G.conjugacy_data()
     Z = center(G)
     Gp = derived_subgroup(G)
     # xG' has order k in G/G' for each of its |G'| members
     abelianized = Counter(orders_modulo(G, Gp.mask).tolist())
     lower, upper = central_series(G)
     idx = np.arange(G.order)
-    squares = np.unique(G.mul[idx, idx])
-    profile = tuple(
-        sorted(
-            (
-                len(c),
-                int(orders[c[0]]),
-                int(orders[G.mul[c[0], c[0]]]),
-            )
-            for c in classes
-        )
-    )
+    square = G.mul[idx, idx]
+    profile = zip(sizes.tolist(), orders[reps].tolist(), orders[square[reps]].tolist())
     return (
         G.order,
         order_histogram(G),
@@ -130,11 +121,11 @@ def structural_fingerprint(G: FiniteGroup) -> tuple:
         order_histogram(G, Z.members),
         Gp.order,
         order_histogram(G, Gp.members),
-        int(squares.size),
+        int(np.unique(square).size),
         tuple(sorted((k, count // Gp.order) for k, count in abelianized.items())),
         tuple(t.order for t in upper.terms),
         lower.class_c,
-        profile,
+        tuple(sorted(profile)),
     )
 
 
