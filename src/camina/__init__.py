@@ -40,7 +40,6 @@ from .pairs import (
     BoundCheck,
     BoundReport,
     CaminaVerdict,
-    CensusReport,
     CenterPairAnalysis,
     SearchReport,
     analyze_center_pair,
@@ -68,7 +67,6 @@ __all__ = [
     "BoundCheck",
     "BoundReport",
     "CaminaVerdict",
-    "CensusReport",
     "CenterPairAnalysis",
     "CentralSeries",
     "CharacterTable",

@@ -286,13 +286,10 @@ def _corpus_items(args, wanted):
 
 def cmd_census(args) -> int:
     items = _corpus_items(args, lambda order: order == args.order)
-    report = census(items, args.order, args.predicate)
-    text = (
-        f"census order={report.order} predicate={report.predicate}\n"
-        f"count {report.count}\n"
-    )
-    if report.hits:
-        text += "hits: " + " ".join(report.hits) + "\n"
+    hits = census(items, args.order, args.predicate)
+    text = f"census order={args.order} predicate={args.predicate}\ncount {len(hits)}\n"
+    if hits:
+        text += "hits: " + " ".join(hits) + "\n"
     _emit(args, text)
     return 0
 
@@ -339,8 +336,8 @@ def cmd_chartable(args) -> int:
 
 def cmd_families(args) -> int:
     lines = ["family spec syntax: name:params"]
-    for fam in FAMILIES.values():
-        lines.append(f"  {fam.alias + ':' + fam.syntax:<27} {fam.doc}")
+    for name, fam in FAMILIES.items():
+        lines.append(f"  {name + ':' + fam.syntax:<27} {fam.doc}")
     lines += ["", f"built-in instances up to order {args.max_order}:"]
     for gid, spec in default_family_instances(args.max_order):
         lines.append(f"  {gid}")

@@ -44,7 +44,6 @@ from .groups import (
     check_cap,
     cyclic_extension,
     direct_product,
-    from_table_unchecked,
     greedy_generators,
     group_from_generators,
 )
@@ -67,16 +66,12 @@ class CorpusEntry:
     def gid(self) -> str:
         return f"{self.order}:{self.index}"
 
-    def build(self, order_cap: int | None = None) -> FiniteGroup:
-        """Close the generators; raises OrderMismatch on a wrong closure.
-
-        Without an order cap, the declared order is held to MAX_ORDER_CAP.
-        """
-        cap = MAX_ORDER_CAP if order_cap is None else order_cap
-        check_cap(cap)
-        if self.order > cap:
+    def build(self, order_cap: int = MAX_ORDER_CAP) -> FiniteGroup:
+        """Close the generators; raises OrderMismatch on a wrong closure."""
+        check_cap(order_cap)
+        if self.order > order_cap:
             raise ClosureExceedsCap(
-                f"{self.gid}: declared order {self.order} exceeds cap {cap}"
+                f"{self.gid}: declared order {self.order} exceeds cap {order_cap}"
             )
         try:
             G = group_from_generators(
@@ -254,7 +249,8 @@ def gf_tables(p: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A built-in family instance, e.g. FamilySpec("dihedral", (8,))."""
+    """A built-in family instance by its command-line name, e.g.
+    FamilySpec("dihedral", (8,)) or FamilySpec("T", (3, 1))."""
 
     family: str
     params: tuple[int, ...]
@@ -264,13 +260,13 @@ def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=TABLE_DTYPE)
     table = idx[:, None] + idx  # below 2n, which fits the table dtype
     table %= n
-    return from_table_unchecked(table, -idx % n, name=f"C{n}")
+    return FiniteGroup(table, -idx % n, name=f"C{n}")
 
 
 def _extend_cyclic(k: int, s: int, h0: int, m: int, name: str) -> FiniteGroup:
     """C_k extended by t with t^m = h0 and t h t^-1 = h^s."""
     table = cyclic_extension(_cyclic(k).mul, s * np.arange(k) % k, h0, m)
-    return from_table_unchecked(table, name=name)
+    return FiniteGroup(table, name=name)
 
 
 def _digit_sum_table(p: int, k: int) -> np.ndarray:
@@ -298,7 +294,7 @@ def bilinear(p: int, form, name: str = "") -> FiniteGroup:
     table = central_extension(
         _digit_sum_table(p, len(form)), _cyclic(p).mul, _bilinear_cocycle(form, p)
     )
-    return from_table_unchecked(table, name=name)
+    return FiniteGroup(table, name=name)
 
 
 def _heisenberg(p: int, k: int) -> FiniteGroup:
@@ -307,7 +303,7 @@ def _heisenberg(p: int, k: int) -> FiniteGroup:
     q, fadd, fmul = gf_tables(p, k)
     a, b = np.divmod(np.arange(q * q), q)
     table = central_extension(_digit_sum_table(p, 2 * k), fadd, fmul[a[:, None], b])
-    return from_table_unchecked(table, name=f"H({p}^{k})")
+    return FiniteGroup(table, name=f"H({p}^{k})")
 
 
 def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
@@ -329,7 +325,7 @@ def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
     w1 = np.arange(p**n) // p ** (n - 2) % p
     cocycle = (_bilinear_cocycle(form, p) + (w1[:, None] + w1) // p) % p
     table = central_extension(_digit_sum_table(p, n), _cyclic(p).mul, cocycle)
-    return from_table_unchecked(table, name=name)
+    return FiniteGroup(table, name=name)
 
 
 def _heisenberg_times_cyclic(p: int, k: int) -> FiniteGroup:
@@ -358,14 +354,13 @@ def _check_extraspecial(p: int, blocks: int) -> None:
 
 @dataclass(frozen=True)
 class Family:
-    """A built-in family: command-line name, parameters, order and builder.
+    """A built-in family: parameters, order and builder.
 
     `syntax` names the parameters, e.g. "p[,k]"; bracketed trailing ones
     default to 1.  `check` raises UnsupportedParameters outside the
     family's domain; `check`, `order` and `build` take all parameters.
     """
 
-    alias: str
     syntax: str
     doc: str
     check: Callable[..., None]
@@ -376,36 +371,36 @@ class Family:
 # fmt: off
 FAMILIES = {
     "cyclic": Family(
-        "cyclic", "N", "cyclic group of order N",
+        "N", "cyclic group of order N",
         lambda n: _require(n >= 1, "cyclic order must be positive"),
         lambda n: n, _cyclic),
     "dihedral": Family(
-        "dihedral", "N", "dihedral group of order N",
+        "N", "dihedral group of order N",
         lambda n: _require(n >= 4 and n % 2 == 0,
                            "dihedral order must be an even number >= 4"),
         lambda n: n, lambda n: _extend_cyclic(n // 2, -1, 0, 2, f"D{n}")),
     "quaternion": Family(
-        "quaternion", "N", "generalized quaternion group of order N",
+        "N", "generalized quaternion group of order N",
         lambda n: _require(n >= 8 and n % 4 == 0, "generalized quaternion "
                            "order must be a multiple of 4, at least 8"),
         lambda n: n, lambda n: _extend_cyclic(n // 2, -1, n // 4, 2, f"Q{n}")),
-    "elementary_abelian": Family(
-        "elemab", "p,k", "elementary abelian group of order p^k",
+    "elemab": Family(
+        "p,k", "elementary abelian group of order p^k",
         _check_prime_and_exponent, lambda p, k: p**k,
-        lambda p, k: from_table_unchecked(_digit_sum_table(p, k), name=f"E{p}^{k}")),
-    "extraspecial_exp_p": Family(
-        "extraspecial_p", "p[,blocks]", "extraspecial, order p^(2 blocks+1), exponent p",
+        lambda p, k: FiniteGroup(_digit_sum_table(p, k), name=f"E{p}^{k}")),
+    "extraspecial_p": Family(
+        "p[,blocks]", "extraspecial, order p^(2 blocks+1), exponent p",
         _check_extraspecial, lambda p, b: p ** (2 * b + 1),
         lambda p, b: _extraspecial(p, b, exponent_p2=False)),
-    "extraspecial_exp_p2": Family(
-        "extraspecial_p2", "p[,blocks]", "the same with exponent p^2",
+    "extraspecial_p2": Family(
+        "p[,blocks]", "the same with exponent p^2",
         _check_extraspecial, lambda p, b: p ** (2 * b + 1),
         lambda p, b: _extraspecial(p, b, exponent_p2=True)),
-    "heisenberg_sl3_sylow": Family(
-        "heisenberg", "p[,k]", "Sylow p-subgroup of SL3(p^k), of order p^(3k)",
+    "heisenberg": Family(
+        "p[,k]", "Sylow p-subgroup of SL3(p^k), of order p^(3k)",
         _check_prime_and_exponent, lambda p, k: p ** (3 * k), _heisenberg),
-    "heisenberg_times_cyclic": Family(
-        "T", "p[,k]", "the witness product heisenberg(p,k) x C_p",
+    "T": Family(
+        "p[,k]", "the witness product heisenberg(p,k) x C_p",
         _check_prime_and_exponent, lambda p, k: p ** (3 * k + 1),
         _heisenberg_times_cyclic),
 }
@@ -421,7 +416,7 @@ def _resolve(spec: FamilySpec) -> tuple[Family, tuple[int, ...]]:
     given = len(spec.params)
     if not arity - fam.syntax.count("[") <= given <= arity:
         raise UnsupportedParameters(
-            f"{fam.alias} takes parameters {fam.syntax}, got {given}"
+            f"{spec.family} takes parameters {fam.syntax}, got {given}"
         )
     return fam, spec.params + (1,) * (arity - given)
 
@@ -438,7 +433,7 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
     # bounds the cost of the primality test and of computing the order.
     if max(params) > order_cap:
         raise ClosureExceedsCap(
-            f"{fam.alias} parameter {max(params)} exceeds the order cap {order_cap}"
+            f"{spec.family} parameter {max(params)} exceeds the order cap {order_cap}"
         )
     fam.check(*params)
     order = fam.order(*params)
@@ -449,17 +444,16 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse CLI syntax like 'quaternion:8', 'heisenberg:3,2' or 'T:3,1'."""
-    alias, _, rest = text.partition(":")
+    family, _, rest = text.partition(":")
     if not rest:
         raise UnsupportedParameters(f"family spec {text!r} needs parameters")
     try:
         params = tuple(int(v) for v in rest.split(","))
     except ValueError:
         raise UnsupportedParameters(f"bad family parameters in {text!r}")
-    for family, fam in FAMILIES.items():
-        if fam.alias == alias:
-            return FamilySpec(family, params)
-    raise UnsupportedParameters(f"unknown family {alias!r}")
+    if family not in FAMILIES:
+        raise UnsupportedParameters(f"unknown family {family!r}")
+    return FamilySpec(family, params)
 
 
 def default_family_instances(max_order: int) -> list[tuple[str, FamilySpec]]:

@@ -18,8 +18,8 @@ this module:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,9 +80,12 @@ class FiniteGroup:
 
     __slots__ = ("order", "mul", "inv", "labels", "name", "_cache", "__weakref__")
 
-    def __init__(self, mul: np.ndarray, inv: np.ndarray, labels=None, name: str = ""):
+    def __init__(self, mul: np.ndarray, inv=None, labels=None, name: str = ""):
+        """Wrap a group table; a missing inverse map is read off it."""
         check_order(len(mul))
         self.mul = np.ascontiguousarray(mul, dtype=TABLE_DTYPE)
+        if inv is None:
+            inv = (self.mul == 0).argmax(axis=1)
         self.inv = np.ascontiguousarray(inv, dtype=TABLE_DTYPE)
         self.order = int(self.mul.shape[0])
         self.labels = labels
@@ -177,7 +180,6 @@ class SubgroupHandle:
 
     parent: FiniteGroup
     members: np.ndarray
-    _mask: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.members.setflags(write=False)
@@ -186,14 +188,12 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
-        if "m" not in self._mask:
-            m = np.zeros(self.parent.order, dtype=bool)
-            m[self.members] = True
-            m.setflags(write=False)
-            self._mask["m"] = m
-        return self._mask["m"]
+        m = np.zeros(self.parent.order, dtype=bool)
+        m[self.members] = True
+        m.setflags(write=False)
+        return m
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask[x])
@@ -291,7 +291,7 @@ def group_from_generators(
     for k in range(1, n):
         parent, j = parent_gen[k]
         mul[:, k] = rmaps[j][mul[:, parent]]
-    return from_table_unchecked(mul, name=name)
+    return FiniteGroup(mul, name=name)
 
 
 def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
@@ -338,7 +338,7 @@ def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
     bad = assoc_violation(mul)
     if bad is not None:
         raise NotAssociative(*bad)
-    return from_table_unchecked(mul, name=name)
+    return FiniteGroup(mul, name=name)
 
 
 def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
@@ -358,14 +358,6 @@ def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
             a, b, c = np.argwhere(bad)[0]
             return start + int(a), int(b), int(c)
     return None
-
-
-def from_table_unchecked(mul, inv=None, name: str = "") -> FiniteGroup:
-    """Wrap a table produced by a trusted internal construction."""
-    mul = np.asarray(mul)
-    if inv is None:
-        inv = (mul == 0).argmax(axis=1)
-    return FiniteGroup(mul, inv, name=name)
 
 
 def cyclic_extension(mulH: np.ndarray, alpha: np.ndarray, h0: int, p: int):
@@ -435,7 +427,7 @@ def power_map(G: FiniteGroup, k: int) -> np.ndarray:
 
 
 def group_exponent(G: FiniteGroup) -> int:
-    return int(math.lcm(*(int(o) for o in G.element_orders())))
+    return int(np.lcm.reduce(G.element_orders()))
 
 
 def subgroup_generate(G: FiniteGroup, seeds: Iterable[int]) -> SubgroupHandle:
@@ -582,5 +574,5 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     mul = (A.mul[:, None, :, None] * nB + B.mul[None, :, None, :]).reshape(n, n)
     inv = (A.inv[:, None] * nB + B.inv[None, :]).reshape(n)
     name = f"{A.name}x{B.name}" if A.name and B.name else ""
-    return from_table_unchecked(mul, inv, name=name)
+    return FiniteGroup(mul, inv, name=name)
 

@@ -497,17 +497,6 @@ def _some_csmall_a(G, Z, Gp, Z2) -> bool:
 # census and counterexample search
 
 
-@dataclass
-class CensusReport:
-    order: int
-    predicate: str
-    hits: list[str]
-
-    @property
-    def count(self) -> int:
-        return len(self.hits)
-
-
 def _pred_center_pair(G, analysis) -> bool:
     return analysis.applicable and analysis.verdict.holds
 
@@ -531,8 +520,8 @@ PREDICATES = {
 }
 
 
-def census(items, order: int, predicate: str) -> CensusReport:
-    """Count groups of one order satisfying a named predicate.
+def census(items, order: int, predicate: str) -> list[str]:
+    """The ids of the groups of one order satisfying a named predicate.
 
     `items` is an iterable of (group_id, FiniteGroup) pairs.
     """
@@ -544,7 +533,7 @@ def census(items, order: int, predicate: str) -> CensusReport:
         analysis = analyze_center_pair(G, with_bounds=False)
         if pred(G, analysis):
             hits.append(gid)
-    return CensusReport(order, predicate, hits)
+    return hits
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .groups import (
     commutators,
     derived_subgroup,
     greedy_generators,
-    power_map,
+    orders_modulo,
     subgroup_generate,
 )
 
@@ -31,7 +31,6 @@ class CentralSeries:
     nilpotency ("not nilpotent" is a value, not an error).
     """
 
-    kind: str  # "lower" | "upper"
     terms: list[SubgroupHandle]
     class_c: int | None
 
@@ -55,7 +54,7 @@ def lower_central_series(G: FiniteGroup) -> CentralSeries:
         T = T[T != 0]
         nxt = commutator_subgroup(G, T)
     class_c = len(terms) - 1 if terms[-1].order == 1 else None
-    return CentralSeries("lower", terms, class_c)
+    return CentralSeries(terms, class_c)
 
 
 def upper_central_series(G: FiniteGroup) -> CentralSeries:
@@ -74,7 +73,7 @@ def upper_central_series(G: FiniteGroup) -> CentralSeries:
             break
         terms.append(_handle(G, nxt))
     class_c = len(terms) - 1 if terms[-1].is_whole_group() else None
-    return CentralSeries("upper", terms, class_c)
+    return CentralSeries(terms, class_c)
 
 
 def central_series(G: FiniteGroup) -> tuple[CentralSeries, CentralSeries]:
@@ -123,18 +122,14 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 def quotient_exponent_over_center(G: FiniteGroup) -> tuple[int, int] | None:
     """(p, n) with exponent(G/Z(G)) = p^n, or None if not a p-group.
 
-    n is the least exponent with x^(p^n) in Z(G) for every x, read off
-    iterated p-th power maps, so the quotient is never built.  The
-    trivial quotient (abelian G) has no attached prime and also returns
-    None.
+    The orders of the elements of the p-group G/Z(G) are powers of p, so
+    the exponent is the largest of them, read off `orders_modulo` without
+    building the quotient.  The trivial quotient (abelian G) has no
+    attached prime and also returns None.
     """
     Z = center(G)
     pk = is_prime_power(G.order // Z.order)
     if pk is None:
         return None
     p = pk[0]
-    pth_power = power_map(G, p)
-    powers, n = np.arange(G.order), 0
-    while not Z.mask[powers].all():
-        powers, n = pth_power[powers], n + 1
-    return p, n
+    return p, valuation(int(orders_modulo(G, Z.mask).max()), p)

@@ -7,13 +7,13 @@ import pytest
 
 from camina import (
     FamilySpec,
+    FiniteGroup,
     Permutation,
     build_family,
     group_from_generators,
     parse_corpus,
     parse_family_spec,
 )
-from camina.groups import from_table_unchecked
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_FILES = ["order8.grp", "order16.grp", "order27.grp", "order32.grp"]
@@ -37,7 +37,7 @@ def ref_quotient(G, N):
     table = proj[G.mul[np.ix_(reps, reps)]]
     if not (proj[G.mul] == table[np.ix_(proj, proj)]).all():
         raise ValueError(f"subgroup of order {N.order} is not normal")
-    return from_table_unchecked(table), proj
+    return FiniteGroup(table), proj
 
 
 @pytest.fixture(scope="session")
@@ -78,17 +78,17 @@ def c4():
 
 @pytest.fixture(scope="session")
 def klein():
-    return build_family(FamilySpec("elementary_abelian", (2, 2)))
+    return build_family(FamilySpec("elemab", (2, 2)))
 
 
 @pytest.fixture(scope="session")
 def heis27():
-    return build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
+    return build_family(FamilySpec("heisenberg", (3, 1)))
 
 
 @pytest.fixture(scope="session")
 def mod27():
-    return build_family(FamilySpec("extraspecial_exp_p2", (3, 1)))
+    return build_family(FamilySpec("extraspecial_p2", (3, 1)))
 
 
 @pytest.fixture(scope="session")

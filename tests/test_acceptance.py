@@ -93,11 +93,11 @@ def test_criterion_1_order32_census(harness):
     t0 = time.perf_counter()
     entries32 = [e for e in harness.entries if e.order == 32]
     items = [(e.gid, e.build()) for e in entries32]
-    rep = census(items, 32, "center-pair-not-camina-group")
-    ok = len(entries32) == 51 and rep.count == 5
+    hits = census(items, 32, "center-pair-not-camina-group")
+    ok = len(entries32) == 51 and len(hits) == 5
     details = []
     for gid, G in items:
-        if gid in rep.hits:
+        if gid in hits:
             Z = center(G)
             ok = ok and Z.order == 2 and G.order // Z.order == 16
             details.append(gid)
@@ -106,7 +106,7 @@ def test_criterion_1_order32_census(harness):
     _report(
         1,
         ok,
-        f"51-group fixture has exactly {rep.count} center-pair non-Camina "
+        f"51-group fixture has exactly {len(hits)} center-pair non-Camina "
         f"groups ({', '.join(sorted(details))}), each |Z|=2, |G:Z|=16 "
         f"({elapsed:.2f}s < 10s)",
     )

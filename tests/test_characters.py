@@ -235,8 +235,8 @@ def test_d8_and_q8_share_a_character_table(q8, d8):
 
 
 def test_dixon_table_is_deterministic():
-    a = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
-    b = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
+    a = build_family(FamilySpec("heisenberg", (3, 1)))
+    b = build_family(FamilySpec("heisenberg", (3, 1)))
     ta, tb = dixon_character_table(a), dixon_character_table(b)
     assert ta.degrees == tb.degrees
     assert ta.modulus == tb.modulus
@@ -635,7 +635,7 @@ def corrupted(U, starts, r, l):
     return Ct
 
 characters._class_combination = corrupted
-G = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
+G = build_family(FamilySpec("heisenberg", (3, 1)))
 try:
     characters.dixon_character_table(G)
 except InvariantViolation as exc:
@@ -672,7 +672,7 @@ def test_corrupted_class_constants_raise_under_optimize(corruption, message):
 
 
 def test_linear_and_nonlinear_counts_must_sum_to_the_class_count():
-    G = build_family(FamilySpec("heisenberg_sl3_sylow", (3, 1)))
+    G = build_family(FamilySpec("heisenberg", (3, 1)))
     G._cache["derived"] = np.zeros(1, dtype=np.int32)  # a wrong G' = 1
     with pytest.raises(InvariantViolation, match="27 plus 0 nonlinear rows is not 11"):
         dixon_character_table(G)

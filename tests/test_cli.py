@@ -1,8 +1,11 @@
 """Command-line interface behavior and output determinism."""
 
 import argparse
+import contextlib
+import dataclasses
 import gc
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -11,11 +14,15 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import camina.pairs
 from camina import cli
 from camina.cli import main
 from camina.corpus import CorpusEntry, default_family_instances
 from camina.groups import MAX_ORDER_CAP
+from camina.pairs import BoundReport, SearchFinding, SearchReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +119,53 @@ def test_verify_deterministic_across_workers(tmp_path, capsys):
         assert code == 0
         paths.append(p.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+# ---------------------------------------------------------------------------
+# exit code 2 (a FAIL) and the strict-counterexample block; no real check
+# fails on these groups, so the failure is forced
+
+
+@pytest.fixture
+def t11_fails(monkeypatch):
+    """Makes the conclusion of T1.1 false for every group with a report."""
+    checks = tuple(
+        dataclasses.replace(c, conclusion=lambda v: False) if c.check_id == "T1.1" else c
+        for c in camina.pairs.CHECKS
+    )
+    monkeypatch.setattr(camina.pairs, "CHECKS", checks)
+
+
+def test_analyze_with_a_fail_exits_two(capsys, t11_fails):
+    code, out, err = run(capsys, "analyze", "--family", "quaternion:8")
+    assert code == 2 and err == ""
+    assert "\n  T1.1      FAIL\n" in out
+    assert out.count("FAIL") == 1
+
+
+def test_verify_with_a_fail_exits_two(capsys, t11_fails):
+    # one worker: a worker process would not see the patched catalog
+    argv = ["verify", "--workers", "1", "--input", str(FIXTURES / "order8.grp")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    header, *rows = [line.split("\t") for line in out.splitlines()]
+    fails = {
+        (row[0], header[i]) for row in rows for i, v in enumerate(row) if v == "FAIL"
+    }
+    assert fails == {("8:3", "T1.1"), ("8:4", "T1.1")}
+
+
+def test_search_prints_the_strict_counterexamples(monkeypatch, capsys):
+    report = BoundReport(p=2, n=2, m=2, l=0, class_c=2, quotient_exponent_n=1)
+    found = SearchReport(1, [SearchFinding("8:3", 8, report)], [])
+    monkeypatch.setattr(cli, "search_counterexample", lambda items, max_order: found)
+    code, out, _ = run(capsys, "search", "--no-families")
+    assert code == 0
+    assert out == (
+        "scanned 1 groups of order <= 2048\n"
+        "STRICT COUNTEREXAMPLES (|Z|^2 > |G:Z|):\n"
+        "  8:3 order=8 m=2 n=2\n"
+    )
 
 
 # sha256 of the stdout of `camina analyze --family SPEC` and of `camina
@@ -545,7 +599,7 @@ def test_search_keeps_at_most_two_corpus_groups_alive(monkeypatch, capsys):
     most_alive = 0
     real_build = CorpusEntry.build
 
-    def build(entry, order_cap=None):
+    def build(entry, order_cap):
         nonlocal most_alive
         G = real_build(entry, order_cap)
         refs.append(weakref.ref(G))
@@ -592,7 +646,7 @@ def test_corpus_entries_outside_the_order_filter_are_not_built(
     gids = []
     real_build = CorpusEntry.build
 
-    def build(entry, order_cap=None):
+    def build(entry, order_cap):
         gids.append(entry.gid)
         return real_build(entry, order_cap)
 
@@ -603,3 +657,101 @@ def test_corpus_entries_outside_the_order_filter_are_not_built(
     assert code == 0
     assert len(gids) == built
     assert all(gid.startswith("8:") for gid in gids)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every argv ends in exit 0, 1 or 2, never in an exception
+
+# Values an option may take, as (usable, refused) pools, and corpus files.
+# Every accepted group order is at most 2048: each spec below is either
+# that small or refused before anything is allocated (a parameter above
+# the cap, or an order above MAX_ORDER_CAP).
+FUZZ_INTS = (
+    ["1", "2", "8", "27", "2048", str(MAX_ORDER_CAP), "99999999999"],
+    ["-5", "-1", "0", str(MAX_ORDER_CAP + 1), "9" * 40, "x", "1.5", "", "0x10"],
+)
+FUZZ_SPECS = (
+    ["quaternion:8", "heisenberg:3", "T:2,1", "cyclic:5", "extraspecial_p2:3",
+     "dihedral:2048"],
+    ["quaternion", "quaternion:", ":8", "", "nosuch:3", "quaternion:x", "T:3,1,1",
+     "heisenberg:3,,1", "dihedral:7", "elemab:4,2", "cyclic:-3", "cyclic:0",
+     "heisenberg:2,0", "T:4", "elemab:2,14", "elemab:2,99999999999",
+     "cyclic:" + "9" * 40],
+)  # fmt: skip
+FUZZ_IDS = (["8:3", "27:4"], ["8:9", "32:6", "x", "", "8:", "99999999999:1"])
+FUZZ_PREDICATES = (sorted(camina.pairs.PREDICATES), ["bogus", ""])
+FUZZ_FILES = {
+    "malformed.grp": b"group 2 1 C2\ndegree 2\nwhat\nend\n",
+    "latin1.grp": b"group 2 1 C\xe9\n",
+    "huge-degree.grp": b"group 1 1 x\ndegree 99999999\nend\n",
+    "wrong-order.grp": b"group 3 1 C2\ndegree 2\ngen 2 1\nend\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """(corpus inputs, report targets), each as (usable, refused) pools."""
+    root = tmp_path_factory.mktemp("argv")
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_bytes(data)
+    (root / "empty.grp").write_bytes(b"")
+    good = [str(FIXTURES / "order8.grp"), str(FIXTURES / "order27.grp")]
+    good.append(str(root / "empty.grp"))
+    bad = [str(root / name) for name in FUZZ_FILES]
+    bad += [str(root / "missing.grp"), str(root)]
+    reports = ([str(root / "report.txt")], [str(root), str(root / "no" / "r.txt")])
+    return (good, bad), reports
+
+
+@st.composite
+def _argv(draw, inputs, reports):
+    """A subcommand (mostly a real one), up to four options (mostly its
+    own), each value usable or refused, sometimes missing."""
+    options = _subcommand_options()
+    values = {
+        "--input": inputs,
+        "--report": reports,
+        "--order-cap": FUZZ_INTS,
+        "--chartable-cap": FUZZ_INTS,
+        "--workers": FUZZ_INTS,
+        "--order": FUZZ_INTS,
+        "--max-order": FUZZ_INTS,
+        "--id": FUZZ_IDS,
+        "--family": FUZZ_SPECS,
+        "--predicate": FUZZ_PREDICATES,
+        "--no-families": None,
+        "-h": None,
+        "--bogus": None,
+    }  # a KeyError here: a new option needs values
+    every = sorted(values)
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command] if draw(st.integers(0, 7)) else draw(st.sampled_from([[], ["x"]]))
+    for _ in range(draw(st.integers(0, 4))):
+        own = draw(st.integers(0, 3)) > 0
+        option = draw(st.sampled_from(options[command] if own else every))
+        argv.append(option)
+        if values[option] and draw(st.integers(0, 9)):  # sometimes no value
+            usable, refused = values[option]
+            argv.append(draw(st.sampled_from(usable if draw(st.booleans()) else refused)))
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_argv_fuzz_exits_0_1_or_2(fuzz_paths, data):
+    argv = data.draw(_argv(*fuzz_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        # verify maps in-process: the fuzz is about argv, not workers
+        mp.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+        mp.setattr(_RecordingExecutor, "created", [])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's --help; main lets it through
+                assert {"-h", "--help"} & set(argv)
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

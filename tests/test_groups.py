@@ -104,6 +104,11 @@ def test_closure_cap():
         group_from_generators(4, [Permutation((2, 3, 4, 1))], max_order=3)
 
 
+def test_closure_cap_below_one_is_refused():
+    with pytest.raises(ValueError, match="max_order must be >= 1"):
+        group_from_generators(4, [Permutation((2, 3, 4, 1))], max_order=0)
+
+
 def test_construction_is_deterministic():
     gens = [Q8_MUL_BY_I, Q8_MUL_BY_J]
     A = group_from_generators(8, gens)

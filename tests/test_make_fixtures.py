@@ -139,8 +139,17 @@ def test_iso_exists_finds_relabelled_copies(census_groups):
     for G in census_groups[16]:
         perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
         inverse = np.argsort(perm)
-        H = mf.from_table_unchecked(perm[G.mul[np.ix_(inverse, inverse)]])
+        H = mf.FiniteGroup(perm[G.mul[np.ix_(inverse, inverse)]])
         assert mf.iso_exists(G, H) and mf.iso_exists(H, G)
+
+
+def test_iso_exists_rejects_groups_of_different_orders(census_groups):
+    trivial, c2 = mf.cyclic_table(1), mf.cyclic_table(2)
+    assert mf.iso_exists(trivial, trivial)
+    assert not mf.iso_exists(trivial, c2) and not mf.iso_exists(c2, trivial)
+    for A in census_groups[8]:
+        for B in census_groups[16] + [mf.cyclic_table(27)]:
+            assert not mf.iso_exists(A, B) and not mf.iso_exists(B, A)
 
 
 def test_mapping_search_rejects_a_non_prime_power_order():
@@ -189,7 +198,7 @@ def test_stacked_rows_match_the_definitions(census_groups, p, size):
         block = tables[start : start + size]
         rows = mf._element_invariants(np.stack(block), p)
         for T, got in zip(block, rows):
-            want = _reference_rows(mf.from_table_unchecked(T), p)
+            want = _reference_rows(mf.FiniteGroup(T), p)
             assert np.array_equal(got, want)
 
 
@@ -324,9 +333,9 @@ def test_classify_order_keeps_the_same_representatives(monkeypatch):
 
 def test_every_pair_is_isomorphic_to_a_kept_one(census_groups):
     for H in census_groups[8]:
-        kept = [mf.from_table_unchecked(T) for T in mf.extensions_of(H, 2)]
+        kept = [mf.FiniteGroup(T) for T in mf.extensions_of(H, 2)]
         for T in _reference_extensions_of(H, 2):
-            G = mf.from_table_unchecked(T)
+            G = mf.FiniteGroup(T)
             assert any(mf.iso_exists(G, K) for K in kept)
 
 

@@ -1,5 +1,6 @@
-"""Every public name has a user outside the tests, or a stated reason,
-and shipped code checks its invariants by raising.
+"""Every public name has a user outside the tests, or a stated reason;
+every definition is named somewhere besides itself; and shipped code
+checks its invariants by raising.
 
 A name in `camina.__all__` passes when it appears, as a whole word, in the
 CLI (`src/camina/cli.py`), in `tools/` or in `e2ebench/`; otherwise it
@@ -8,6 +9,7 @@ needs an entry in `KEPT`.  The tests only read files.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import camina
@@ -16,11 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
 USERS = [ROOT / "src" / "camina" / "cli.py"]
 for folder in ("tools", "e2ebench"):
     USERS += sorted((ROOT / folder).glob("*.py"))
+WORD = re.compile(r"\w+")
 
 KEPT = {
     "BoundCheck": "the type of each check in a BoundReport",
     "BoundReport": "returned by verify_bounds and analyze_center_pair",
-    "CensusReport": "returned by census",
     "SearchReport": "returned by search_counterexample",
     "CentralSeries": "returned by lower_central_series and upper_central_series",
     "CharacterTable": "returned by dixon_character_table",
@@ -54,6 +56,43 @@ def test_every_public_name_has_a_user_or_a_reason():
 
 def test_every_reason_names_a_public_name():
     assert set(KEPT) <= set(camina.__all__)
+
+
+def _definitions(tree):
+    """(name, node) of each module-level function and class, and of each
+    method of a module-level class that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, item
+
+
+def test_every_definition_is_named_outside_itself():
+    """A def or class whose last caller is gone is dead code.
+
+    Each name must appear as a whole word in `src`, `tools`, `tests` or
+    `e2ebench` more often than inside its own definition, decorators
+    included.
+    """
+    shipped = sorted((ROOT / "src" / "camina").glob("*.py"))
+    shipped += sorted((ROOT / "tools").glob("*.py"))
+    readers = shipped + sorted((ROOT / "tests").glob("*.py"))
+    readers += sorted((ROOT / "e2ebench").glob("*.py"))
+    words = Counter(w for path in readers for w in WORD.findall(path.read_text()))
+    unused = []
+    for path in shipped:
+        lines = path.read_text().splitlines()
+        for name, node in _definitions(ast.parse("\n".join(lines))):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            inside = WORD.findall("\n".join(lines[first - 1 : node.end_lineno]))
+            if words[name] == inside.count(name):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_shipped_code_has_no_assert():
