@@ -302,7 +302,7 @@ def cmd_search(args) -> int:
             items,
             ((gid, build_family(spec, order_cap=args.order_cap)) for gid, spec in families),
         )
-    report = search_counterexample(items, args.max_order)
+    report = search_counterexample(items)
     lines = [f"scanned {report.scanned} groups of order <= {args.max_order}"]
     if report.strict:
         lines.append("STRICT COUNTEREXAMPLES (|Z|^2 > |G:Z|):")

@@ -230,11 +230,10 @@ def check_cap(cap: int) -> None:
         raise ClosureExceedsCap(f"order cap {cap} exceeds the ceiling {MAX_ORDER_CAP}")
 
 
-def check_order(order: int, cap: int = MAX_ORDER_CAP) -> None:
-    """Refuse an order above the cap, or a cap above MAX_ORDER_CAP."""
-    check_cap(cap)
-    if order > cap:
-        raise ClosureExceedsCap(f"order {order} exceeds cap {cap}")
+def check_order(order: int) -> None:
+    """Refuse an order above MAX_ORDER_CAP."""
+    if order > MAX_ORDER_CAP:
+        raise ClosureExceedsCap(f"order {order} exceeds cap {MAX_ORDER_CAP}")
 
 
 def group_from_generators(

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import dixon_character_table, verify_fully_ramified
-from .errors import EquivalenceViolation, InvalidPairTarget, InvariantViolation
+from .errors import EquivalenceViolation, InvalidPairTarget
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
@@ -31,12 +31,12 @@ from .groups import (
     derived_subgroup,
     greedy_generators,
     is_normal,
+    orders_modulo,
     power_map,
 )
 from .structure import (
     central_series,
     is_prime_power,
-    quotient_exponent_over_center,
     second_center_of,
     valuation,
 )
@@ -392,10 +392,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     if not Gp.mask[Z.members].all():
         raise EquivalenceViolation("Z(G) not inside G' despite a true verdict")
     l = valuation(Gp.order // Z.order, p)
-    qe = quotient_exponent_over_center(G)
-    if qe is None or qe[0] != p:
-        raise InvariantViolation(f"G/Z(G) is not a nontrivial {p}-group")
-    n_exp = qe[1]
+    n_exp = valuation(int(orders_modulo(G, Z.mask).max()), p)  # exp(G/Z) = p^n_exp
 
     Z2 = second_center_of(upper)
     pw = power_map(G, p)
@@ -497,26 +494,20 @@ def _some_csmall_a(G, Z, Gp, Z2) -> bool:
 # census and counterexample search
 
 
-def _pred_center_pair(G, analysis) -> bool:
-    return analysis.applicable and analysis.verdict.holds
+def _pred_center_pair(G) -> bool:
+    verdict = analyze_center_pair(G, with_bounds=False).verdict
+    return verdict is not None and verdict.holds
 
 
-def _pred_center_pair_not_camina_group(G, analysis) -> bool:
-    return (
-        analysis.applicable
-        and analysis.verdict.holds
-        and not analysis.verdict.is_camina_group
-    )
-
-
-def _pred_camina_group(G, analysis) -> bool:
-    return is_camina_group(G)
+def _pred_center_pair_not_camina_group(G) -> bool:
+    verdict = analyze_center_pair(G, with_bounds=False).verdict
+    return verdict is not None and verdict.holds and not verdict.is_camina_group
 
 
 PREDICATES = {
     "center-pair": _pred_center_pair,
     "center-pair-not-camina-group": _pred_center_pair_not_camina_group,
-    "camina-group": _pred_camina_group,
+    "camina-group": is_camina_group,
 }
 
 
@@ -526,14 +517,7 @@ def census(items, order: int, predicate: str) -> list[str]:
     `items` is an iterable of (group_id, FiniteGroup) pairs.
     """
     pred = PREDICATES[predicate]
-    hits = []
-    for gid, G in items:
-        if G.order != order:
-            continue
-        analysis = analyze_center_pair(G, with_bounds=False)
-        if pred(G, analysis):
-            hits.append(gid)
-    return hits
+    return [gid for gid, G in items if G.order == order and pred(G)]
 
 
 @dataclass
@@ -550,14 +534,13 @@ class SearchReport:
     equality: list[SearchFinding]
 
 
-def search_counterexample(items, max_order: int) -> SearchReport:
-    """Scan for center pairs with |Z|^2 > |G:Z|; also collect equality cases."""
+def search_counterexample(items) -> SearchReport:
+    """Scan (gid, group) items for center pairs with |Z|^2 > |G:Z|; also
+    collect equality cases.  The caller chooses the orders to scan."""
     scanned = 0
     strict: list[SearchFinding] = []
     equality: list[SearchFinding] = []
     for gid, G in items:
-        if G.order > max_order:
-            continue
         scanned += 1
         report = analyze_center_pair(G).report
         if report is None:  # not applicable, or no center pair

@@ -235,7 +235,7 @@ def test_criterion_6_witness_family(harness):
 
 
 def test_criterion_7_counterexample_search(harness):
-    rep = search_counterexample(harness.groups, 625)
+    rep = search_counterexample(harness.groups)
     ok = not rep.strict
     _report(
         7,

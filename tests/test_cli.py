@@ -158,7 +158,7 @@ def test_verify_with_a_fail_exits_two(capsys, t11_fails):
 def test_search_prints_the_strict_counterexamples(monkeypatch, capsys):
     report = BoundReport(p=2, n=2, m=2, l=0, class_c=2, quotient_exponent_n=1)
     found = SearchReport(1, [SearchFinding("8:3", 8, report)], [])
-    monkeypatch.setattr(cli, "search_counterexample", lambda items, max_order: found)
+    monkeypatch.setattr(cli, "search_counterexample", lambda items: found)
     code, out, _ = run(capsys, "search", "--no-families")
     assert code == 0
     assert out == (

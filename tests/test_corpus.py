@@ -73,6 +73,11 @@ def test_syntax_error_carries_line_number():
         ("group 2 1 C2\ndegree 2\ngen 2 a\n", 3, "images must be integers"),
         ("group 2 1 C2\ndegree 2\n# C2\ngen 2 1 3\n", 4, "expected 2 images, got 3"),
         ("group 2 1 C2\nend\n", 2, "entry has no 'degree' line"),
+        (
+            "group 2 1 C2\ndegree 2\ngen 2 1\ngroup 3 1 C3\n",
+            4,
+            "previous entry not closed by 'end'",
+        ),
     ],
     ids=[
         "order-text",
@@ -83,6 +88,7 @@ def test_syntax_error_carries_line_number():
         "images-text",
         "image-count",
         "end-without-degree",
+        "group-before-end",
     ],
 )
 def test_malformed_lines_are_named_by_line(text, lineno, message):

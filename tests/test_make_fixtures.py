@@ -175,24 +175,28 @@ def _reference_rows(G, p):
         [
             orders,
             n // G.centralizer_matrix().sum(axis=1),
-            [orders[G.mul[x, x]] for x in range(n)],
             frattini.mask,
-            center(G).mask,
             np.bincount(powers, minlength=n),
         ],
         axis=1,
     )
 
 
-@pytest.mark.parametrize("p, size", [(2, 7), (3, 4)])
-def test_stacked_rows_match_the_definitions(census_groups, p, size):
-    """Orders 16 and 27: the extension tables of every parent, stacked in
-    blocks that span several parents."""
+def _extension_tables(census_groups, p):
+    """The extension tables of orders 16 (p = 2) and 27 (p = 3), of every
+    parent."""
     if p == 2:
         parents = census_groups[8]
     else:
         parents = mf.classify_order([mf.cyclic_table(3)], 3)
-    tables = [T for H in parents for T in mf.extensions_of(H, p)]
+    return [T for H in parents for T in mf.extensions_of(H, p)]
+
+
+@pytest.mark.parametrize("p, size", [(2, 7), (3, 4)])
+def test_stacked_rows_match_the_definitions(census_groups, p, size):
+    """Orders 16 and 27: the extension tables of every parent, stacked in
+    blocks that span several parents."""
+    tables = _extension_tables(census_groups, p)
     assert len(tables) > 2 * size
     for start in range(0, len(tables), size):
         block = tables[start : start + size]
@@ -200,6 +204,26 @@ def test_stacked_rows_match_the_definitions(census_groups, p, size):
         for T, got in zip(block, rows):
             want = _reference_rows(mf.FiniteGroup(T), p)
             assert np.array_equal(got, want)
+
+
+def _partition(rows):
+    """Each element's block, named by the first element with its row."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.ravel()]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_order_of_the_square_and_the_center_split_no_kind(census_groups, p):
+    """Orders 16 and 27: adding the order of x^2 and membership of Z(G),
+    from their definitions, to the four columns of the rows leaves the
+    partition of the elements into kinds as it is."""
+    for T in _extension_tables(census_groups, p):
+        G = mf.FiniteGroup(T)
+        rows = _reference_rows(G, p)
+        orders = G.element_orders()
+        squares = G.mul[np.arange(G.order), np.arange(G.order)]
+        full = np.column_stack([rows, orders[squares], center(G).mask])
+        assert np.array_equal(_partition(rows), _partition(full))
 
 
 @pytest.mark.parametrize("count", [64, 48])

@@ -209,7 +209,7 @@ def test_census_order_32(corpus_groups):
 
 
 def test_search_no_strict_hits(corpus_groups):
-    rep = search_counterexample(_items(corpus_groups), 64)
+    rep = search_counterexample(_items(corpus_groups))
     assert rep.scanned == 75
     assert rep.strict == []
     eq_ids = {f.gid for f in rep.equality}
@@ -223,6 +223,6 @@ def test_search_includes_families():
         ("quaternion:8", build_family(FamilySpec("quaternion", (8,)))),
         ("cyclic:9", build_family(FamilySpec("cyclic", (9,)))),
     ]
-    rep = search_counterexample(fams, 625)
+    rep = search_counterexample(fams)
     assert rep.strict == []
     assert [f.gid for f in rep.equality] == ["quaternion:8"]

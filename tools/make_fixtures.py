@@ -15,19 +15,19 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
   2. deduplicates up to isomorphism, a block of tables at a time: after
      the associativity check of each table, one pass over the stacked
      block gives every element a row of invariants (order, class size,
-     order of the square, membership of Phi and Z, number of p-th roots),
-     cached on its group.  The multiset of a group's rows is its bucket
-     key, and within a bucket an exact search maps a Burnside basis of
-     one group (d(G) elements, each outside the subgroup generated by the
-     Frattini subgroup and the ones before it) onto elements of the
-     other with the same row; an image must also lie outside Phi and the
-     images before it, and its products and commutators with them must
-     match in rows.  Each generator added extends the map to the next
-     subgroup of a closure precomputed once per group, with a few array
-     gathers, and keeps it only while it is injective and multiplicative
-     there; a complete map is checked against the whole table.  Run from
-     a group to itself and sorted by image array, the same search lists
-     the automorphisms that step 1 needs,
+     membership of Phi, number of p-th roots), cached on its group.  The
+     multiset of a group's rows is its bucket key, and within a bucket an
+     exact search maps a Burnside basis of one group (d(G) elements, each
+     outside the subgroup generated by the Frattini subgroup and the ones
+     before it) onto elements of the other with the same row, whose
+     products and commutators with the images before it match in rows.
+     Each generator added extends the map to the next subgroup of a
+     closure precomputed once per group, with a few array gathers, and
+     keeps it only while it is injective and multiplicative there; the
+     last subgroup is the whole group, so a map that survives it is an
+     isomorphism, and it is checked once more against the whole table.
+     Run from a group to itself and sorted by image array, the same
+     search lists the automorphisms that step 1 needs,
   3. checks the census counts against the classical classification
      (5 groups of order 8, 14 of order 16, 5 of order 27, 51 of order 32),
   4. assigns catalogue indices: isomorphism-anchored indices where the
@@ -134,16 +134,18 @@ def structural_fingerprint(G: FiniteGroup) -> tuple:
 
 def _element_invariants(tables: np.ndarray, p: int) -> np.ndarray:
     """Rows of isomorphism invariants of every element of every table in a
-    stack (T, n, n) of p-group tables, as a (T, n, 6) array; one group is a
+    stack (T, n, n) of p-group tables, as a (T, n, 4) array; one group is a
     stack of one.  The columns of element x of G are
 
       0. the order of x, from a power loop of at most n steps,
       1. its class size n / |C(x)|, with |C(x)| counted from M == M^T,
-      2. the order of x^2,
-      3. membership of Phi(G) = G'G^p, the closure of every commutator and
+      2. membership of Phi(G) = G'G^p, the closure of every commutator and
          p-th power,
-      4. membership of Z(G), that is |C(x)| = n,
-      5. the number of p-th roots of x.
+      3. the number of p-th roots of x.
+
+    The order of x^2 and membership of Z(G) are functions of these, so they
+    would split no kind: ord(x^2) = ord(x) / gcd(2, ord(x)), and x is
+    central exactly when its class size is 1.
 
     Element x of table t has the label t n + x, and entry (t, y, x) of the
     stack is flat[t n^2 + y n + x], so each step gathers over the whole
@@ -197,15 +199,11 @@ def _element_invariants(tables: np.ndarray, p: int) -> np.ndarray:
             break
         phi = grown
 
-    orders = orders.reshape(T, n)
-    squares = tables[:, np.arange(n), np.arange(n)]
     return np.stack(
         [
-            orders,
+            orders.reshape(T, n),
             n // centralizer,
-            np.take_along_axis(orders, squares, axis=1),
             phi.reshape(T, n),
-            centralizer == n,
             np.bincount(powers, minlength=T * n).reshape(T, n),
         ],
         axis=-1,
@@ -229,8 +227,7 @@ class _ElementData(NamedTuple):
     """What the classification reads of a group, cached on it as plain
     arrays (a SubgroupHandle would refer back to the group)."""
 
-    rows: np.ndarray  # _element_invariants
-    keys: np.ndarray  # _kinds
+    keys: np.ndarray  # _kinds of the _element_invariants rows
     kind: np.ndarray
     kind_sizes: np.ndarray
     frattini: np.ndarray  # the members of Phi(G)
@@ -245,10 +242,8 @@ def _cache_invariants(groups: list[FiniteGroup]) -> None:
         raise CaminaError(f"element invariants need a p-group, got order {n}")
     stack = np.stack([G.mul for G in groups])
     for G, rows in zip(groups, _element_invariants(stack, pk[0])):
-        rows = rows.copy()  # a view would keep the whole block's rows alive
-        G._cache["element_data"] = _ElementData(
-            rows, *_kinds(rows), np.flatnonzero(rows[:, 3])
-        )
+        frattini = np.flatnonzero(rows[:, 2])
+        G._cache["element_data"] = _ElementData(*_kinds(rows), frattini)
 
 
 def _element_data(G: FiniteGroup) -> _ElementData:
@@ -300,7 +295,8 @@ class _SearchPlan:
         self.pair_kinds: list[np.ndarray] = []
         mask = np.zeros(n, dtype=bool)  # <gens>
         mask[0] = True
-        spanned = data.rows[:, 3].astype(bool)  # <Phi(A), gens> = Phi(A)<gens>
+        spanned = np.zeros(n, dtype=bool)  # <Phi(A), gens> = Phi(A)<gens>
+        spanned[data.frattini] = True
         for x in range(1, n):
             if spanned.all():
                 break
@@ -340,10 +336,12 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
     Returns a list of image arrays: all of them in lexicographic order when
     find_all, else at most one.  Groups of different orders, or an abelian
     and a nonabelian group, differ in their invariant rows (the order n and
-    the center column), so no search is run for them.  Each depth extends
-    the map to the next subgroup of the plan with a few array gathers and
-    rejects it unless it is injective and multiplicative there; every
-    complete map is checked again against the whole table.
+    the class sizes), so no search is run for them.  Each depth extends the
+    map to the next subgroup of the plan with a few array gathers and
+    rejects it unless it is injective and multiplicative there.  The last
+    subgroup is all of A and |A| = |B|, so a map that passes the last depth
+    is a bijective homomorphism, an isomorphism; it is checked once more
+    against the whole table.
     """
     if 1 in (A.order, B.order):  # the trivial group has no invariant rows
         return [np.zeros(1, dtype=np.int32)] if A.order == B.order else []
@@ -368,7 +366,9 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
         """Map <gens[:k+1]> by imgs[:k+1]; True iff that is an injective
         homomorphism on it.  It is a homomorphism iff phi(x g) = phi(x)
         phi(g) for every member x and generator g, and then injective iff
-        only the identity maps to the identity."""
+        only the identity maps to the identity.  No other step keeps an
+        image out of the subgroup generated by the images before it, so
+        this test is what makes a complete map bijective."""
         for el, parent, gen in plan.levels[k]:
             phi[el] = B.mul[phi[parent], imgs[gen]]
         vals = phi[plan.members[k]]
@@ -378,10 +378,7 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
 
     def search(k: int) -> None:
         pool = candidates[k]
-        if k:  # the images of a Burnside basis form one
-            spanned = np.zeros(B.order, dtype=bool)
-            spanned[B.mul[np.ix_(data_b.frattini, phi[plan.members[k - 1]])]] = True
-            pool = pool[~spanned[pool]]
+        if k:
             pairs = kind[_products_and_commutators(B, imgs[:k, None], pool)]
             pool = pool[(pairs == plan.pair_kinds[k][..., None]).all(axis=(0, 1))]
         for image in pool:
