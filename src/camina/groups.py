@@ -430,19 +430,10 @@ def group_exponent(G: FiniteGroup) -> int:
 
 
 def subgroup_generate(G: FiniteGroup, seeds: Iterable[int]) -> SubgroupHandle:
-    """Smallest subgroup containing the seeds (breadth-first closure)."""
-    gens = np.unique(np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int32))
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
-    mask[gens] = True
-    frontier = np.flatnonzero(mask).astype(np.int32)
-    if gens.size:
-        while frontier.size:
-            prods = np.unique(G.mul[np.ix_(frontier, gens)])
-            new = prods[~mask[prods]]
-            mask[new] = True
-            frontier = new.astype(np.int32)
-    return _handle(G, np.flatnonzero(mask))
+    """Smallest subgroup containing the seeds: the closure of
+    `greedy_generators` run over the distinct seeds, ascending."""
+    seeds = seeds if isinstance(seeds, np.ndarray) else np.fromiter(seeds, np.intp)
+    return _handle(G, np.flatnonzero(_greedy_closure(G, np.unique(seeds))[1]))
 
 
 def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
@@ -450,7 +441,8 @@ def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
     sorted members (default, and cached on G: the whole group): each
     generator is the least member outside the subgroup H generated by the
     ones before it, so each at least doubles H and there are at most
-    log2|H| of them.
+    log2|H| of them.  `subgroup_generate` runs the same closure over its
+    seeds and returns the subgroup instead.
 
     <H, g> is closed from H<g> (one |H| x ord(g) product) by right
     multiplication by the generators; only elements new in H<g> need it,
@@ -461,6 +453,14 @@ def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
     if whole and "generators" in G._cache:
         return list(G._cache["generators"])
     members = np.arange(G.order) if members is None else np.asarray(members)
+    gens = _greedy_closure(G, members)[0]
+    if whole:
+        G._cache["generators"] = tuple(gens)
+    return gens
+
+
+def _greedy_closure(G: FiniteGroup, members) -> tuple[list[int], np.ndarray]:
+    """(S, mask of <S>) for the greedy generators S of the sorted members."""
     gens: list[int] = []
     mask = np.zeros(G.order, dtype=bool)  # <gens>, extended in place
     mask[0] = True
@@ -468,15 +468,13 @@ def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
         g = int(left[0])
         gens.append(g)
         powers = [0]  # <g>
-        while (x := int(G.mul[powers[-1], g])) != 0:
+        while (x := G.mul.item(powers[-1], g)) != 0:
             powers.append(x)
         prods = G.mul[np.flatnonzero(mask)[:, None], powers]  # H<g>
         while (new := np.unique(prods[~mask[prods]])).size:
             mask[new] = True
             prods = G.mul[new[:, None], gens]
-    if whole:
-        G._cache["generators"] = tuple(gens)
-    return gens
+    return gens, mask
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:
@@ -491,9 +489,16 @@ def commutators(G: FiniteGroup, x, y):
     """[x, y] = x^-1 y^-1 x y, broadcast over index arrays.
 
     One of x and y may be a slice: commutators(G, g, slice(None)) reads
-    row g of the table and commutators(G, slice(None), g) column g.
+    row g of the table and commutators(G, slice(None), g) column g; for a
+    1-D array gs, commutators(G, slice(None), gs) is the (|G|, len(gs))
+    block of columns [x, g], from two column takes and one flat gather.
     """
     m, inv = G.mul, G.inv
+    if isinstance(x, slice) and np.ndim(y) == 1:
+        left = np.take(m, inv[y], axis=1)[inv[x]].astype(np.intp)  # x^-1 y^-1
+        left *= G.order
+        left += np.take(m, y, axis=1)[x]  # xy
+        return np.take(m, left)
     return m[m[inv[x], inv[y]], m[x, y]]
 
 

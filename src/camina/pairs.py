@@ -5,11 +5,12 @@ N is conjugate to the whole coset gN.  Three equivalent criteria are
 implemented (conjugacy classes, commutator coverage, centralizer orders)
 and always cross-asserted; the class and centralizer criteria share G's
 class partition, the commutator criterion reads none, and all three read
-G/N only through `groups.cosets`.  For a positive verdict on N = Z(G) the
-full report of named inequality checks is evaluated in exact integer
-arithmetic; every check records its hypothesis and conclusion separately
-so vacuous passes stay visible.  The checks are declared once, in
-`CHECKS`, over one `Invariants` record.
+G/N only through `groups.cosets`; `is_camina_group` reads class sizes and
+no cosets.  For a positive verdict on N = Z(G) the full report of named
+inequality checks is evaluated in exact integer arithmetic; every check
+records its hypothesis and conclusion separately so vacuous passes stay
+visible.  The checks are declared once, in `CHECKS`, over one
+`Invariants` record.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .characters import dixon_character_table, verify_fully_ramified
 from .errors import EquivalenceViolation, InvalidPairTarget
 from .groups import (
+    COMMUTATOR_BLOCK,
     FiniteGroup,
     SubgroupHandle,
     center,
@@ -229,26 +231,17 @@ def _validate_pair_target(G: FiniteGroup, N: SubgroupHandle) -> None:
         raise InvalidPairTarget("pair target must be normal")
 
 
-def _least_in_coset_outside(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
-    """The g outside N that are least in gN, ascending.
-
-    Both pair criteria scan only these.  Each tests gN <= g^G, which holds
-    for g exactly when it holds for every g' in gN (each is then conjugate
-    to g, and g'N = gN).  So the failing elements form whole cosets, the
-    least failing element is a coset minimum, and the witness is the one
-    an element-by-element scan returns.
-    """
-    return cosets(G, N)[0][1:]
-
-
 def camina_by_classes(G: FiniteGroup, N: SubgroupHandle):
     """True iff the class of every g outside N contains the coset gN.
 
-    One g per coset is scanned (`_least_in_coset_outside`).
+    Only the g least in gN are scanned, ascending.  gN <= g^G holds for g
+    exactly when it holds for every g' in gN (each is then conjugate to g,
+    and g'N = gN), so the least failing element is a coset minimum and the
+    witness is the one an element-by-element scan returns.
     """
     _validate_pair_target(G, N)
     class_of = G.conjugacy_data()[0]
-    scanned = _least_in_coset_outside(G, N)
+    scanned = cosets(G, N)[0][1:]
     bad = class_of[G.mul[np.ix_(scanned, N.members)]] != class_of[scanned][:, None]
     if not bad.any():
         return True, None
@@ -260,16 +253,24 @@ def camina_by_commutators(G: FiniteGroup, N: SubgroupHandle):
     """True iff {[y, g] : y in G} covers N for every g outside N.
 
     g^y = g [g, y] and [y, g] = [g, y]^-1, so the condition says
-    gN <= g^G, and one g per coset is scanned (`_least_in_coset_outside`),
-    in ascending order.  Reads no conjugacy data.
+    gN <= g^G, and as in `camina_by_classes` only the g least in gN are
+    scanned, ascending, here in blocks of 1, 2, 4, ... up to
+    COMMUTATOR_BLOCK / |G| columns [y, g]: a failure on the first coset
+    costs one column.  Reads no conjugacy data.
     """
     _validate_pair_target(G, N)
-    for g in _least_in_coset_outside(G, N):
-        hit = np.zeros(G.order, dtype=bool)
-        hit[commutators(G, slice(None), g)] = True
-        missing = N.members[~hit[N.members]]
-        if missing.size:
-            return False, (int(g), int(missing[0]))
+    scanned, n, start, rows = cosets(G, N)[0][1:], G.order, 0, 1
+    while start < scanned.size:
+        gs = scanned[start : start + rows]
+        flat = commutators(G, slice(None), gs).astype(np.intp)  # [y, g]
+        flat += np.arange(gs.size) * n  # rows * n passes int16
+        hit = np.zeros(gs.size * n, dtype=bool)
+        hit[flat] = True
+        missed = ~hit.reshape(gs.size, n)[:, N.members]
+        if missed.any():
+            i, j = np.argwhere(missed)[0]
+            return False, (int(gs[i]), int(N.members[j]))
+        start, rows = start + rows, min(2 * rows, COMMUTATOR_BLOCK // n)
     return True, None
 
 
@@ -293,12 +294,16 @@ def camina_by_centralizers(G: FiniteGroup, N: SubgroupHandle):
 
 
 def is_camina_group(G: FiniteGroup) -> bool:
-    """(G, G') is a Camina pair; false when G' is trivial or all of G."""
+    """(G, G') is a Camina pair; false when G' is trivial or all of G.
+
+    For g outside G', g^x = g [g, x] puts g^G inside gG', so gG' <= g^G
+    exactly when |g^G| = |G'|: the class sizes decide, with no cosets.
+    """
     Gp = derived_subgroup(G)
     if Gp.order <= 1 or Gp.order >= G.order:
         return False
-    ok, _ = camina_by_classes(G, Gp)
-    return ok
+    class_of, _, sizes = G.conjugacy_data()
+    return bool((sizes[class_of[~Gp.mask]] == Gp.order).all())
 
 
 # ---------------------------------------------------------------------------

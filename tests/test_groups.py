@@ -258,6 +258,48 @@ def test_subgroup_generate(q8, c4):
     assert subgroup_generate(q8, (i, j)).order == 8
 
 
+def _reference_subgroup_generate(G, seeds):
+    """Breadth-first closure: every frontier element times every seed."""
+    gens = np.unique(np.asarray(sorted({int(s) for s in seeds}), dtype=np.int32))
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    mask[gens] = True
+    frontier = np.flatnonzero(mask)
+    while gens.size and frontier.size:
+        prods = np.unique(G.mul[np.ix_(frontier, gens)])
+        frontier = prods[~mask[prods]]
+        mask[frontier] = True
+    return np.flatnonzero(mask).tolist()
+
+
+SEED_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda seeds: (x for x in seeds),
+    "int16 array": lambda seeds: np.asarray(seeds, dtype=np.int16),
+}
+
+
+def test_subgroup_generate_on_edge_seed_lists(corpus_groups):
+    for gid, G in corpus_groups.items():
+        last = G.order - 1
+        for seeds in ([], [0], [last, 1, last, 0, 1], range(G.order)):
+            for form, make in SEED_FORMS.items():
+                got = subgroup_generate(G, make(seeds)).members.tolist()
+                assert got == _reference_subgroup_generate(G, seeds), (gid, form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgroup_generate_matches_breadth_first_closure(corpus_groups, data):
+    G = corpus_groups[data.draw(st.sampled_from(sorted(corpus_groups)))]
+    seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=6))
+    form = data.draw(st.sampled_from(sorted(SEED_FORMS)))
+    got = subgroup_generate(G, SEED_FORMS[form](seeds))
+    assert got.members.tolist() == _reference_subgroup_generate(G, seeds)
+    assert got.closure_holds()
+
+
 def test_center(q8, heis27, klein):
     assert center(klein).order == 4
     zq = center(q8)

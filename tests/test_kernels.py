@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camina import build_family, groups, parse_family_spec
+from camina import build_family, groups, pairs, parse_family_spec
 from camina.characters import class_mult_coefficients
 from camina.corpus import bilinear, default_family_instances
 from camina.groups import (
@@ -61,9 +61,11 @@ def ref_coset_class_check(mul, class_of, members, outside):
 
 
 def ref_commutator_cover_check(mul, inv, members, outside):
-    n = mul.shape[0]
+    mul, inv = mul.tolist(), inv.tolist()  # Python lists index 3-4x faster
+    n = len(mul)
     for g in outside:
-        hit = {int(mul[mul[inv[y], inv[g]], mul[y, g]]) for y in range(n)}
+        g = int(g)
+        hit = {mul[mul[inv[y]][inv[g]]][mul[y][g]] for y in range(n)}
         for x in members:
             if int(x) not in hit:
                 return int(g), int(x)
@@ -206,6 +208,88 @@ def test_assoc_kernel_finds_the_first_violation_in_a_later_block(monkeypatch, ro
 def _cover_reference(G, N):
     outside = np.flatnonzero(~N.mask).astype(np.int32)
     return ref_commutator_cover_check(G.mul, G.inv, N.members, outside)
+
+
+def _above_center(G):
+    """<Z(G), x> for the least noncentral x: normal when G' <= Z(G)."""
+    Z = center(G)
+    x = int(np.argmin(Z.mask))
+    N = subgroup_generate(G, [*Z.members.tolist(), x])
+    assert is_normal(G, N) and N.order < G.order
+    return N
+
+
+def _relabelled(G, N, order):
+    """G and N with element order[i] renamed i (order[0] = 0)."""
+    pos = np.argsort(order)
+    H = groups.FiniteGroup(pos[G.mul[np.ix_(order, order)]])
+    return H, groups._handle(H, pos[N.members])
+
+
+@pytest.fixture(scope="module")
+def block_groups():
+    return {s: build_family(parse_family_spec(s)) for s in ("heisenberg:11,1", "T:2,3")}
+
+
+def test_commutator_columns_match_the_broadcast_form(block_groups, q8):
+    rng = np.random.default_rng(7)
+    for G in (*block_groups.values(), q8):
+        every = np.arange(G.order)
+        for gs in (
+            np.array([], dtype=np.int32),
+            np.array([0]),
+            groups.cosets(G, center(G))[0],
+            rng.integers(0, G.order, 50).astype(np.int16),
+        ):
+            block = groups.commutators(G, slice(None), gs)
+            assert block.shape == (G.order, gs.size)
+            assert np.array_equal(block, groups.commutators(G, every[:, None], gs))
+            for j, g in enumerate(gs.tolist()):
+                column = groups.commutators(G, slice(None), g)
+                assert np.array_equal(block[:, j], column)
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:11,1", "T:2,3"])
+@pytest.mark.parametrize("target", ["center", "above center"])
+def test_commutator_blocks_match_element_scan(block_groups, monkeypatch, spec, target):
+    """Z of heisenberg:11,1 passes every block, so blocks of up to 49
+    columns are scanned, with offsets rows |G| past int16."""
+    G = block_groups[spec]
+    N = center(G) if target == "center" else _above_center(G)
+    widths = []
+
+    def recording(G, x, y, _op=groups.commutators):
+        widths.append(np.size(y))
+        return _op(G, x, y)
+
+    monkeypatch.setattr(pairs, "commutators", recording)
+    assert _as_witness(camina_by_commutators(G, N)) == _cover_reference(G, N)
+    if (spec, target) == ("heisenberg:11,1", "center"):
+        assert max(widths) * G.order > 1 << 15
+        assert sum(widths) == G.order // N.order - 1
+
+
+@pytest.mark.parametrize("k", [1, 4, 100, 126])
+def test_commutator_failure_past_the_first_block(block_groups, k):
+    """T:2,3 renumbered so that the one failing coset of G' has the k-th
+    least minimum outside G', counting from 0, of 127: the blocks of 1, 2,
+    4, ... columns before it pass."""
+    G = block_groups["T:2,3"]
+    N = derived_subgroup(G)
+    reps, coset_of = groups.cosets(G, N)
+    want = set(N.members.tolist())
+    (bad,) = [
+        c
+        for c in range(1, len(reps))
+        if not want <= set(groups.commutators(G, slice(None), int(reps[c])).tolist())
+    ]
+    rank = np.delete(np.arange(len(reps)), bad)
+    rank = np.insert(rank, k + 1, bad)
+    order = np.lexsort((np.arange(G.order), np.argsort(rank)[coset_of]))
+    H, M = _relabelled(G, N, order)
+    holds, (g, missing) = camina_by_commutators(H, M)
+    assert not holds and (g, missing) == _cover_reference(H, M)
+    assert g == groups.cosets(H, M)[0][k + 1]
 
 
 def _normal_targets(G):

@@ -18,9 +18,12 @@ from camina import (
     derived_subgroup,
     direct_product,
     is_camina_group,
+    parse_family_spec,
     search_counterexample,
     verify_bounds,
 )
+from camina import pairs
+from camina.corpus import default_family_instances
 from camina.errors import InvalidPairTarget
 from camina.pairs import CHECK_IDS, CaminaVerdict, _script_c_mask
 from camina.groups import centralizer, group_from_cayley_table, subgroup_generate
@@ -123,6 +126,54 @@ def test_is_camina_group(q8, d8, s3, heis27, klein):
     assert is_camina_group(heis27)
     assert is_camina_group(s3)  # (S3, A3) is a Camina pair
     assert not is_camina_group(klein)  # derived subgroup trivial
+
+
+LARGE2048 = (
+    "dihedral:2048",
+    "quaternion:1024",
+    "cyclic:2048",
+    "elemab:2,11",
+    "T:2,3",
+    "heisenberg:2,3",
+    "heisenberg:3,2",
+    "heisenberg:11,1",
+)
+
+
+@pytest.fixture(scope="module")
+def camina_group_cases(corpus_groups, non_nilpotent):
+    """Every fixture group, every family instance of order <= 625, the
+    non-nilpotent groups and the eight large2048 groups."""
+    named = dict(corpus_groups)
+    for gid, spec in default_family_instances(625):
+        named[gid] = build_family(spec)
+    named.update(non_nilpotent)
+    named.update((spec, build_family(parse_family_spec(spec))) for spec in LARGE2048)
+    return named
+
+
+def test_camina_group_verdict_from_class_sizes(camina_group_cases):
+    """The class-size verdict agrees with the class criterion on (G, G')."""
+    proper = 0
+    for name, G in camina_group_cases.items():
+        Gp = derived_subgroup(G)
+        if 1 < Gp.order < G.order:
+            proper += 1
+            assert is_camina_group(G) == camina_by_classes(G, Gp)[0], name
+        else:
+            assert not is_camina_group(G), name
+    assert proper > 60
+
+
+def test_camina_group_verdict_gathers_no_cosets(camina_group_cases, monkeypatch):
+    want = {name: is_camina_group(G) for name, G in camina_group_cases.items()}
+
+    def refuse(G, N):
+        raise AssertionError(f"cosets of a subgroup of order {N.order} gathered")
+
+    monkeypatch.setattr(pairs, "cosets", refuse)
+    for name, G in camina_group_cases.items():
+        assert is_camina_group(G) == want[name], name
 
 
 def test_heisenberg_equality_in_texp(heis27):
