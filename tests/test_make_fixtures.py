@@ -26,14 +26,22 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 @pytest.fixture(scope="module")
 def census_groups():
-    """Representatives of orders 8 and 16, as the generator builds them."""
+    """Representatives of orders 8, 9, 16 and 27, as the generator builds
+    them."""
     order4 = mf.classify_order([mf.cyclic_table(2)], 2)
     order8 = mf.classify_order(order4, 2)
-    return {8: order8, 16: mf.classify_order(order8, 2)}
+    order9 = mf.classify_order([mf.cyclic_table(3)], 3)
+    return {
+        8: order8,
+        9: order9,
+        16: mf.classify_order(order8, 2),
+        27: mf.classify_order(order9, 3),
+    }
 
 
 def _is_elementary_abelian(G) -> bool:
-    return G.is_abelian() and int(G.element_orders().max()) == 2
+    """For a nontrivial p-group: abelian, with element orders 1 and p."""
+    return G.is_abelian() and np.unique(G.element_orders()).size == 2
 
 
 def _reference_mapping_search(A, B, find_all):
@@ -112,13 +120,14 @@ def test_automorphism_counts_of_elementary_abelian_groups():
     assert len(mf.all_automorphisms(mf.abelian_product(3, 3, 3))) == 11232
 
 
-@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("order", [8, 16, 27])
 def test_automorphisms_match_reference_in_order(census_groups, order):
     """Same maps in the same order, so the extension tables, the class
     representatives and the fixture bytes stay the same (Aut(E16), 20160
-    maps, is left out: the reference takes minutes on it)."""
+    maps, and Aut(E27), 11232, are left out: the reference takes minutes
+    on them)."""
     for G in census_groups[order]:
-        if order == 16 and _is_elementary_abelian(G):
+        if order > 8 and _is_elementary_abelian(G):
             continue
         got = mf.all_automorphisms(G)
         want = _reference_mapping_search(G, G, find_all=True)
@@ -185,14 +194,11 @@ def _reference_rows(G, p):
 def _extension_tables(census_groups, p):
     """The extension tables of orders 16 (p = 2) and 27 (p = 3), of every
     parent."""
-    if p == 2:
-        parents = census_groups[8]
-    else:
-        parents = mf.classify_order([mf.cyclic_table(3)], 3)
+    parents = census_groups[8 if p == 2 else 9]
     return [T for H in parents for T in mf.extensions_of(H, p)]
 
 
-@pytest.mark.parametrize("p, size", [(2, 7), (3, 4)])
+@pytest.mark.parametrize("p, size", [(2, 7), (3, 3)])
 def test_stacked_rows_match_the_definitions(census_groups, p, size):
     """Orders 16 and 27: the extension tables of every parent, stacked in
     blocks that span several parents."""
@@ -314,27 +320,29 @@ def _reference_extensions_of(H, p):
     return out
 
 
-@pytest.fixture(scope="module")
-def order27():
-    return mf.classify_order(mf.classify_order([mf.cyclic_table(3)], 3), 3)
-
-
-def test_one_table_per_orbit_counts(census_groups, order27):
-    """1388 pairs fall into 345 Aut(H)-orbits over the order-16 parents
-    other than E16, and 3393 into 67 over the five groups of order 27."""
+def test_one_table_per_orbit_counts(census_groups):
+    """1388 pairs fall into 139 orbits under Aut(H) and the coset moves
+    over the order-16 parents other than E16, and 3393 into 34 over the
+    five groups of order 27."""
     parents = [G for G in census_groups[16] if not _is_elementary_abelian(G)]
     assert len(parents) == 13
-    assert sum(len(mf.extensions_of(H, 2)) for H in parents) == 345
+    assert sum(len(mf.extensions_of(H, 2)) for H in parents) == 139
     assert sum(len(_reference_extensions_of(H, 2)) for H in parents) == 1388
-    assert sum(len(mf.extensions_of(H, 3)) for H in order27) == 67
-    assert sum(len(_reference_extensions_of(H, 3)) for H in order27) == 3393
+    assert sum(len(mf.extensions_of(H, 3)) for H in census_groups[27]) == 34
+    assert sum(len(_reference_extensions_of(H, 3)) for H in census_groups[27]) == 3393
+
+
+def _parents_by_prime(census_groups):
+    """The parents of orders 8 (p = 2) and 9 (p = 3): at p = 3 the coset
+    move's N(h) = h a(h) a^2(h) has three factors, at p = 2 only two."""
+    return [(H, 2) for H in census_groups[8]] + [(H, 3) for H in census_groups[9]]
 
 
 def test_kept_tables_are_a_subsequence_of_the_full_enumeration(census_groups):
-    for H in census_groups[8]:
-        full = [T.tobytes() for T in _reference_extensions_of(H, 2)]
+    for H, p in _parents_by_prime(census_groups):
+        full = [T.tobytes() for T in _reference_extensions_of(H, p)]
         kept = iter(full)
-        assert all(T.tobytes() in kept for T in mf.extensions_of(H, 2))
+        assert all(T.tobytes() in kept for T in mf.extensions_of(H, p))
 
 
 def test_classify_order_keeps_the_same_representatives(monkeypatch):
@@ -356,9 +364,9 @@ def test_classify_order_keeps_the_same_representatives(monkeypatch):
 
 
 def test_every_pair_is_isomorphic_to_a_kept_one(census_groups):
-    for H in census_groups[8]:
-        kept = [mf.FiniteGroup(T) for T in mf.extensions_of(H, 2)]
-        for T in _reference_extensions_of(H, 2):
+    for H, p in _parents_by_prime(census_groups):
+        kept = [mf.FiniteGroup(T) for T in mf.extensions_of(H, p)]
+        for T in _reference_extensions_of(H, p):
             G = mf.FiniteGroup(T)
             assert any(mf.iso_exists(G, K) for K in kept)
 
@@ -417,7 +425,7 @@ print(raised(lambda: mf.classify_checked(order4, 2)))
     *progress, unchanged, no_iso, no_assoc = proc.stdout.splitlines()
     assert progress == [
         "  order 4: 2 extension tables, 2 classes",
-        "  order 8: 9 extension tables, 5 classes",
+        "  order 8: 7 extension tables, 5 classes",
     ]
     assert unchanged == "None"
     assert no_iso.startswith("order 8: ") and no_iso.endswith("expected 5")

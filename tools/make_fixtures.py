@@ -9,8 +9,12 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
 
   1. enumerates the extensions of the known groups H of order n by C_p,
      each table built by camina.groups.cyclic_extension, one table per
-     Aut(H)-orbit of the pairs: b in Aut(H) sends (a, h0) to
-     (b a b^-1, b(h0)), whose extension is isomorphic (proof in
+     orbit of the pairs under two moves that keep the group: b in Aut(H)
+     sends (a, h0) to (b a b^-1, b(h0)), whose extension is isomorphic,
+     and h in H sends it to (inn_h a, h a(h) ... a^(p-1)(h) h0), the pair
+     of the same group read with h t in place of t.  The first pair of an
+     orbit in the walk is the first of its Aut(H)-orbit, so the classes
+     keep the representatives they had from every pair (proofs in
      extensions_of),
   2. deduplicates up to isomorphism, a block of tables at a time: after
      the associativity check of each table, one pass over the stacked
@@ -22,12 +26,13 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
      before it) onto elements of the other with the same row, whose
      products and commutators with the images before it match in rows.
      Each generator added extends the map to the next subgroup of a
-     closure precomputed once per group, with a few array gathers, and
-     keeps it only while it is injective and multiplicative there; the
-     last subgroup is the whole group, so a map that survives it is an
-     isomorphism, and it is checked once more against the whole table.
-     Run from a group to itself and sorted by image array, the same
-     search lists the automorphisms that step 1 needs,
+     closure precomputed once per group, with a few array gathers over a
+     chunk of partial maps at once, and keeps it only while it is
+     injective and multiplicative there; the last subgroup is the whole
+     group, so a map that survives it is an isomorphism, and it is checked
+     once more against the whole table.  Run from a group to itself, with
+     large chunks, and sorted by image array, the same search lists the
+     automorphisms that step 1 needs,
   3. checks the census counts against the classical classification
      (5 groups of order 8, 14 of order 16, 5 of order 27, 51 of order 32),
   4. assigns catalogue indices: isomorphism-anchored indices where the
@@ -330,18 +335,34 @@ class _SearchPlan:
         self.prods.append(A.mul[np.ix_(members, gens)])
 
 
+def _search_plan(A: FiniteGroup) -> _SearchPlan:
+    if "search_plan" not in A._cache:
+        A._cache["search_plan"] = _SearchPlan(A)
+    return A._cache["search_plan"]
+
+
 def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
     """Isomorphisms A -> B, found by the images of a Burnside basis of A.
 
     Returns a list of image arrays: all of them in lexicographic order when
     find_all, else at most one.  Groups of different orders, or an abelian
     and a nonabelian group, differ in their invariant rows (the order n and
-    the class sizes), so no search is run for them.  Each depth extends the
-    map to the next subgroup of the plan with a few array gathers and
-    rejects it unless it is injective and multiplicative there.  The last
-    subgroup is all of A and |A| = |B|, so a map that passes the last depth
-    is a bijective homomorphism, an isomorphism; it is checked once more
-    against the whole table.
+    the class sizes), so no search is run for them.
+
+    The search is depth-first over chunks of partial maps, one row each:
+    the maps on <gens[:k]> and their images of gens[:k].  A chunk at depth
+    k pairs every map with every image of gens[k] of the right kind whose
+    products and commutators with the images before it have the kinds of
+    the plan's pairs, extends each such map to the next subgroup of the
+    plan with a few array gathers, and keeps it only if it is injective
+    and multiplicative there.  The survivors go back on the stack as one
+    entry; a pop takes the first chunk of an entry and leaves the rest, so
+    the maps are visited in the order of their images.  When find_all a
+    chunk holds up to COMMUTATOR_BLOCK // n^2 maps, else one, so that the
+    search stops at its first map.  The last subgroup is all of A and
+    |A| = |B|, so a map that passes the last depth is a bijective
+    homomorphism, an isomorphism; it is checked once more against the
+    whole table.
     """
     if 1 in (A.order, B.order):  # the trivial group has no invariant rows
         return [np.zeros(1, dtype=np.int32)] if A.order == B.order else []
@@ -351,51 +372,51 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool):
         and np.array_equal(data_a.kind_sizes, data_b.kind_sizes)
     ):
         return []  # the invariant rows differ as multisets
-    if "search_plan" not in A._cache:
-        A._cache["search_plan"] = _SearchPlan(A)
-    plan = A._cache["search_plan"]
+    plan = _search_plan(A)
     kind = data_b.kind
     candidates = [np.flatnonzero(kind == data_a.kind[g]) for g in plan.gens]
     depth = len(plan.gens)
-    phi = np.full(A.order, -1, dtype=np.int32)
-    phi[0] = 0
-    imgs = np.zeros(depth, dtype=np.int32)
+    chunk = max(1, COMMUTATOR_BLOCK // A.order**2) if find_all else 1
+    phi = np.full((1, A.order), -1, dtype=np.int32)
+    phi[:, 0] = 0
+    stack = [(0, phi, np.zeros((1, depth), dtype=np.int32))]
     found: list[np.ndarray] = []
-
-    def extends(k: int) -> bool:
-        """Map <gens[:k+1]> by imgs[:k+1]; True iff that is an injective
-        homomorphism on it.  It is a homomorphism iff phi(x g) = phi(x)
-        phi(g) for every member x and generator g, and then injective iff
-        only the identity maps to the identity.  No other step keeps an
-        image out of the subgroup generated by the images before it, so
-        this test is what makes a complete map bijective."""
-        for el, parent, gen in plan.levels[k]:
-            phi[el] = B.mul[phi[parent], imgs[gen]]
-        vals = phi[plan.members[k]]
-        if np.count_nonzero(vals) != vals.size - 1:
-            return False
-        return bool((phi[plan.prods[k]] == B.mul[vals[:, None], imgs[: k + 1]]).all())
-
-    def search(k: int) -> None:
+    while stack:
+        k, phi, imgs = stack.pop()
+        if len(phi) > chunk:
+            stack.append((k, phi[chunk:], imgs[chunk:]))
+            phi, imgs = phi[:chunk], imgs[:chunk]
+        if k == depth:
+            whole = phi[:, A.mul] == B.mul[phi[:, :, None], phi[:, None]]
+            found.extend(phi[whole.all(axis=(1, 2)) & (phi >= 0).all(axis=1)])
+            if found and not find_all:
+                break
+            continue
         pool = candidates[k]
         if k:
-            pairs = kind[_products_and_commutators(B, imgs[:k, None], pool)]
-            pool = pool[(pairs == plan.pair_kinds[k][..., None]).all(axis=(0, 1))]
-        for image in pool:
-            imgs[k] = image
-            if not extends(k):
-                continue
-            if k + 1 < depth:
-                search(k + 1)
-            elif (phi >= 0).all() and (phi[A.mul] == B.mul[phi[:, None], phi]).all():
-                found.append(phi.copy())
-            if found and not find_all:
-                return
-        for el, _, _ in plan.levels[k]:
-            phi[el] = -1
-
-    search(0)
-    if find_all and found:
+            pairs = kind[_products_and_commutators(B, imgs[:, :k, None], pool)]
+            fits = pairs == plan.pair_kinds[k][:, None, :, None]
+            row, col = np.nonzero(fits.all(axis=(0, 2)))
+        else:
+            row, col = np.zeros(pool.size, dtype=np.intp), np.arange(pool.size)
+        phi, imgs = phi[row], imgs[row]
+        imgs[:, k] = pool[col]
+        # Map <gens[:k+1]> by imgs.  A map is a homomorphism there iff
+        # phi(x g) = phi(x) phi(g) for every member x and generator g, and
+        # then injective iff only the identity maps to the identity.  No
+        # other step keeps an image out of the subgroup generated by the
+        # images before it, so this test is what makes a complete map
+        # bijective.
+        for el, parent, gen in plan.levels[k]:
+            phi[:, el] = B.mul[phi[:, parent], imgs[:, gen]]
+        vals = phi[:, plan.members[k]]
+        ok = vals[:, 1:].all(axis=1)  # members[k][0] is the identity
+        hom = phi[:, plan.prods[k]] == B.mul[vals[:, :, None], imgs[:, None, : k + 1]]
+        ok &= hom.all(axis=(1, 2))
+        stack.append((k + 1, phi[ok], imgs[ok]))
+    if not find_all:
+        return found[:1]
+    if found:
         found = [found[i] for i in np.lexsort(np.array(found).T[::-1])]
     return found
 
@@ -425,46 +446,91 @@ def _assoc_ok(table: np.ndarray) -> bool:
 
 
 def extensions_of(H: FiniteGroup, p: int) -> list[np.ndarray]:
-    """Cyclic-extension tables of H by C_p, one per Aut(H)-orbit of (a, h0).
+    """Cyclic-extension tables of H by C_p, one per orbit of (a, h0) under
+    Aut(H) and the coset moves t -> h t together.
 
     The pairs (a, h0) are walked with the automorphisms in the order of
     all_automorphisms and h0 ascending; a pair is kept unless an earlier
-    kept pair lies in its orbit {(b a b^-1, b(h0)) : b in Aut(H)}.  Pairs
-    in one orbit give isomorphic groups: write ext(a, h0) on the elements
-    h t^i with t h t^-1 = a(h) and t^p = h0, so that
+    kept pair lies in its orbit.  Write ext(a, h0) on the elements h t^i
+    with t h t^-1 = a(h) and t^p = h0, so that
 
         (h t^i)(k t^j) = h a^i(k) t^(i+j),  with t^(i+j) = h0 t^(i+j-p)
                                             when i + j >= p.
 
-    Take b in Aut(H), a' = b a b^-1, h0' = b(h0), and the bijection
-    f(h t^i) = b(h) t'^i from ext(a, h0) onto ext(a', h0').  As
-    b(a^i(k)) = a'^i(b(k)), f maps the product above to
+    Two moves send a pair to one whose group is isomorphic:
 
-        b(h) a'^i(b(k)) t'^(i+j),  with t'^(i+j) = h0' t'^(i+j-p) likewise,
+      * b in Aut(H) sends (a, h0) to (b a b^-1, b(h0)).  Take a' = b a b^-1,
+        h0' = b(h0), and the bijection f(h t^i) = b(h) t'^i from ext(a, h0)
+        onto ext(a', h0').  As b(a^i(k)) = a'^i(b(k)), f maps the product
+        above to
 
-    which is f(h t^i) f(k t^j); so f is an isomorphism.  On tables, f is
-    (h, i) -> (b(h), i).  classify_order keeps the first table of each
-    isomorphism class, and that is the table of the first pair of an
-    orbit, so it keeps the same representatives, in the same order, as
-    it would from every pair.
+            b(h) a'^i(b(k)) t'^(i+j),  with t'^(i+j) = h0' t'^(i+j-p)
+                                       likewise,
+
+        which is f(h t^i) f(k t^j); so f is an isomorphism.
+      * h in H sends (a, h0) to (inn_h a, N(h) h0), where inn_h(k) = h k h^-1
+        and N(h) = h a(h) a^2(h) ... a^(p-1)(h).  This is the pair of the
+        same group ext(a, h0) read with t' = h t in place of t: t' lies
+        outside H, t' k t'^-1 = h a(k) h^-1, and moving each t rightwards
+        past the h after it, t h = a(h) t, gives
+
+            (h t)^p = h a(h) a^2(h) ... a^(p-1)(h) t^p = N(h) h0.
+
+    The coset moves compose as h' (h t) = (h' h) t, and b after the move by
+    h is the move by b(h) after b, since b inn_h a b^-1 = inn_b(h) b a b^-1
+    and b(N(h)) is the N(b(h)) of b a b^-1.  So the orbit of a pair under
+    both moves is the union of the Aut(H)-orbits of its pairs
+    (inn_h a, N(h) h0), h in H.  The first pair of an orbit in the walk is
+    also the first of its own Aut(H)-orbit, which lies inside the orbit,
+    so the kept pairs are some of those that the Aut(H)-orbits alone
+    keep, in the same order.  classify_order keeps the first table of each
+    isomorphism class, and the first pair in the walk whose group lies in
+    a class is the first of its orbit, so it is kept: the same
+    representatives, in the same order, as from every pair.  An
+    automorphism is found by its images of the Burnside basis of H, read
+    as digits in base |H|.
     """
-    inner = _inner_maps(H)
+    n = H.order
+    # the distinct inner automorphisms: inn_h is inn[inn_of[h]]
+    inn, inn_of = np.unique(_inner_maps(H), axis=0, return_inverse=True)
     auts = np.array(all_automorphisms(H))
     auts_inv = np.argsort(auts, axis=1)
-    index = {a.tobytes(): i for i, a in enumerate(auts)}
-    seen = np.zeros((len(auts), H.order), dtype=bool)
+    gens = np.asarray(_search_plan(H).gens)
+    if n ** len(gens) >= 2**63:
+        raise CaminaError(f"automorphism keys overflow at order {n}")
+    radix = n ** np.arange(len(gens), dtype=np.int64)
+    keys = auts[:, gens] @ radix
+    by_key = np.argsort(keys)
+    # The pairs in the order of the walk: the automorphisms a whose p-th
+    # power is an inner map inn[c], compared by key, then each h0 with
+    # inn_of[h0] = c and a(h0) = h0, ascending.
+    apow = auts
+    for _ in range(p - 1):
+        apow = np.take_along_axis(auts, apow, axis=1)
+    powered, c = np.nonzero((apow[:, gens] @ radix)[:, None] == inn[:, gens] @ radix)
+    fixed = auts[powered] == np.arange(n)
+    pair, pair_h0 = np.nonzero(fixed & (inn_of == c[:, None]))
+    rows = np.arange(len(auts))[:, None]
+    seen = np.zeros((len(auts), n), dtype=bool)
     out = []
-    for i, alpha in enumerate(auts):
-        apow = alpha
+    for i, h0 in zip(powered[pair].tolist(), pair_h0.tolist()):
+        if seen[i, h0]:
+            continue
+        alpha = auts[i]
+        out.append(cyclic_extension(H.mul, alpha, h0, p))
+        norm = power = np.arange(n)  # N(h) for every h, then N(h) h0
         for _ in range(p - 1):
-            apow = alpha[apow]
-        h0_candidates = np.flatnonzero((inner == apow[None, :]).all(axis=1))
-        for h0 in h0_candidates:
-            if alpha[h0] != h0 or seen[i, h0]:
-                continue
-            out.append(cyclic_extension(H.mul, alpha, int(h0), p))
-            conj = np.take_along_axis(auts, alpha[auts_inv], axis=1)
-            seen[[index[c.tobytes()] for c in conj], auts[:, h0]] = True
+            power = alpha[power]
+            norm = H.mul[norm, power]
+        norm = H.mul[norm, h0]
+        # b (i a) b^-1 on the basis, for every inner i and every b
+        images = auts[rows, inn[:, alpha][:, auts_inv[:, gens]]]
+        image_keys = images @ radix
+        at = np.searchsorted(keys, image_keys, sorter=by_key)
+        orbit = by_key[np.minimum(at, len(auts) - 1)]
+        _ensure(np.array_equal(keys[orbit], image_keys), "an orbit left Aut(H)")
+        moved = np.unique(inn_of * n + norm)  # the distinct pairs (inn_h, N(h) h0)
+        seen[orbit[moved // n], auts[:, moved % n].T] = True
     return out
 
 
