@@ -26,11 +26,9 @@ from .groups import (
     Permutation,
     SubgroupHandle,
     center,
-    centralizer,
     derived_subgroup,
     direct_product,
     group_exponent,
-    group_from_cayley_table,
     group_from_generators,
     is_normal,
     subgroup_generate,
@@ -54,7 +52,6 @@ from .pairs import (
 from .structure import (
     CentralSeries,
     lower_central_series,
-    nilpotency_class,
     quotient_exponent_over_center,
     upper_central_series,
 )
@@ -83,19 +80,16 @@ __all__ = [
     "camina_by_commutators",
     "census",
     "center",
-    "centralizer",
     "class_mult_coefficients",
     "default_family_instances",
     "derived_subgroup",
     "direct_product",
     "dixon_character_table",
     "group_exponent",
-    "group_from_cayley_table",
     "group_from_generators",
     "is_camina_group",
     "is_normal",
     "lower_central_series",
-    "nilpotency_class",
     "parse_corpus",
     "parse_family_spec",
     "quotient_exponent_over_center",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks pass or vacuous, 2 at least one FAIL, 1
 operational error (bad input, unknown id, parse failure, bad usage).
-With --workers 1 output is byte-identical across runs; with more workers
-the rows are sorted by group id before emission, so files still match.
+The verify rows are always sorted by group id, (order, index), at any
+number of workers, so its output is byte-identical across runs.
 """
 
 from __future__ import annotations

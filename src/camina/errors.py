@@ -13,22 +13,6 @@ class ClosureExceedsCap(CaminaError):
     """Generated closure grew past the configured order cap."""
 
 
-class NoIdentity(CaminaError):
-    """Cayley table has no identity at index 0."""
-
-
-class NotLatinSquare(CaminaError):
-    """Some row or column of a Cayley table is not a permutation."""
-
-
-class NotAssociative(CaminaError):
-    """Cayley table fails associativity; carries the first bad triple."""
-
-    def __init__(self, a: int, b: int, c: int):
-        self.triple = (a, b, c)
-        super().__init__(f"(x*y)*z != x*(y*z) at (x, y, z) = ({a}, {b}, {c})")
-
-
 class InvalidPairTarget(CaminaError):
     """Pair test target N is trivial, the whole group, or not normal."""
 

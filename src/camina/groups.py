@@ -4,10 +4,9 @@ Every group lives as an order x order int16 table ``mul`` with
 ``mul[a, b] = a*b``, identity at index 0, plus the int16 inverse map;
 `FiniteGroup` fixes that dtype, and every order is at most
 `MAX_ORDER_CAP`.  Groups are either closed from permutation generators
-(breadth-first, so element indexing is deterministic), validated from an
-explicit table, or built by one of the two extension formulas
-(`cyclic_extension`, `central_extension`).  All operations are exact
-integer computations over the table.
+(breadth-first, so element indexing is deterministic) or built by one of
+the two extension formulas (`cyclic_extension`, `central_extension`).
+All operations are exact integer computations over the table.
 
 Conventions, fixed once for reproducible witnesses, and read only through
 this module:
@@ -24,13 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ClosureExceedsCap,
-    InvalidPermutation,
-    NoIdentity,
-    NotAssociative,
-    NotLatinSquare,
-)
+from .errors import ClosureExceedsCap, InvalidPermutation
 
 DEFAULT_ORDER_CAP = 2048
 # The largest order cap any caller may ask for, from a budget of 512 MiB
@@ -209,12 +202,6 @@ class SubgroupHandle:
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
 
-    def closure_holds(self) -> bool:
-        """Check closure under multiplication and inversion (witness test)."""
-        m = self.members
-        prods = self.parent.mul[np.ix_(m, m)]
-        return bool(self.mask[prods].all() and self.mask[self.parent.inv[m]].all())
-
 
 def _handle(parent: FiniteGroup, members: np.ndarray) -> SubgroupHandle:
     return SubgroupHandle(parent, np.sort(np.asarray(members, dtype=np.int32)))
@@ -290,53 +277,6 @@ def group_from_generators(
     for k in range(1, n):
         parent, j = parent_gen[k]
         mul[:, k] = rmaps[j][mul[:, parent]]
-    return FiniteGroup(mul, name=name)
-
-
-def group_from_cayley_table(table, name: str = "") -> FiniteGroup:
-    """Validate an explicit table (integer, identity, Latin, associative).
-
-    Every Latin row holds the identity 0, so every element has an inverse.
-    The entries must have an integer dtype and are range-checked in it, so
-    narrowing to the table dtype afterwards cannot truncate or wrap.
-    """
-    try:
-        table = np.asarray(table)
-    except ValueError as exc:  # ragged rows
-        raise NotLatinSquare(f"table is not an array: {exc}") from None
-    n = table.shape[0] if table.ndim else 0
-    if table.dtype.kind not in "iu" or table.shape != (n, n) or n == 0:
-        raise NotLatinSquare(
-            f"need a nonempty square integer table, got {table.dtype} {table.shape}"
-        )
-    check_order(n)
-    if table.min() < 0 or table.max() >= n:
-        bad = np.argwhere((table < 0) | (table >= n))[0]
-        raise NotLatinSquare(
-            f"entry at ({bad[0]}, {bad[1]}) is outside [0, {n})"
-        )
-    mul = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
-
-    idx = np.arange(n)
-    row_bad = np.flatnonzero(mul[0] != idx)
-    if row_bad.size:
-        raise NoIdentity(f"row 0 is not the identity at column {row_bad[0]}")
-    col_bad = np.flatnonzero(mul[:, 0] != idx)
-    if col_bad.size:
-        raise NoIdentity(f"column 0 is not the identity at row {col_bad[0]}")
-
-    for axis, kind in ((1, "row"), (0, "column")):
-        sorted_lines = np.sort(mul, axis=axis)
-        ok = (sorted_lines == (idx[None, :] if axis == 1 else idx[:, None])).all(
-            axis=axis
-        )
-        bad_lines = np.flatnonzero(~ok)
-        if bad_lines.size:
-            raise NotLatinSquare(f"{kind} {bad_lines[0]} is not a permutation")
-
-    bad = assoc_violation(mul)
-    if bad is not None:
-        raise NotAssociative(*bad)
     return FiniteGroup(mul, name=name)
 
 
@@ -481,24 +421,13 @@ def center(G: FiniteGroup) -> SubgroupHandle:
     return _handle(G, G.center_members())
 
 
-def centralizer(G: FiniteGroup, x: int) -> SubgroupHandle:
-    return _handle(G, np.flatnonzero(G.mul[:, x] == G.mul[x, :]))
-
-
 def commutators(G: FiniteGroup, x, y):
     """[x, y] = x^-1 y^-1 x y, broadcast over index arrays.
 
     One of x and y may be a slice: commutators(G, g, slice(None)) reads
-    row g of the table and commutators(G, slice(None), g) column g; for a
-    1-D array gs, commutators(G, slice(None), gs) is the (|G|, len(gs))
-    block of columns [x, g], from two column takes and one flat gather.
+    row g of the table and commutators(G, slice(None), g) column g.
     """
     m, inv = G.mul, G.inv
-    if isinstance(x, slice) and np.ndim(y) == 1:
-        left = np.take(m, inv[y], axis=1)[inv[x]].astype(np.intp)  # x^-1 y^-1
-        left *= G.order
-        left += np.take(m, y, axis=1)[x]  # xy
-        return np.take(m, left)
     return m[m[inv[x], inv[y]], m[x, y]]
 
 

@@ -4,9 +4,10 @@ A pair (G, N) with 1 < N < G normal is a Camina pair when every g outside
 N is conjugate to the whole coset gN.  Three equivalent criteria are
 implemented (conjugacy classes, commutator coverage, centralizer orders)
 and always cross-asserted; the class and centralizer criteria share G's
-class partition, the commutator criterion reads none, and all three read
-G/N only through `groups.cosets`; `is_camina_group` reads class sizes and
-no cosets.  For a positive verdict on N = Z(G) the full report of named
+class partition, the commutator criterion reads none and takes y over the
+least members of the cosets of Z(G), and all three read G/N and G/Z only
+through `groups.cosets`; `is_camina_group` reads class sizes and no
+cosets.  For a positive verdict on N = Z(G) the full report of named
 inequality checks is evaluated in exact integer arithmetic; every check
 records its hypothesis and conclusion separately so vacuous passes stay
 visible.  The checks are declared once, in `CHECKS`, over one
@@ -33,12 +34,12 @@ from .groups import (
     derived_subgroup,
     greedy_generators,
     is_normal,
-    orders_modulo,
     power_map,
 )
 from .structure import (
     central_series,
     is_prime_power,
+    quotient_exponent_over_center,
     second_center_of,
     valuation,
 )
@@ -56,9 +57,9 @@ class Invariants:
 
     |G:Z| = p^n, |Z| = p^m, |G':Z| = p^l, exp(G/Z) = p^n_exp and
     |G : G'Z_2| = p^n_z2; the flags are the structural facts the other
-    checks test.  fully_ramified is None when |G| is over the table cap,
-    so no table was built and L2.4 reads SKIPPED on a square index; it is
-    True on an index that is not a square, where L2.4 fails anyway.
+    checks test.  fully_ramified is None when no table was built: on an
+    index that is not a square, where L2.4 fails anyway, and when |G| is
+    over the table cap, where L2.4 reads SKIPPED on a square index.
     """
 
     p: int
@@ -255,22 +256,25 @@ def camina_by_commutators(G: FiniteGroup, N: SubgroupHandle):
     g^y = g [g, y] and [y, g] = [g, y]^-1, so the condition says
     gN <= g^G, and as in `camina_by_classes` only the g least in gN are
     scanned, ascending, here in blocks of 1, 2, 4, ... up to
-    COMMUTATOR_BLOCK / |G| columns [y, g]: a failure on the first coset
-    costs one column.  Reads no conjugacy data.
+    COMMUTATOR_BLOCK / |G| columns: a failure on the first coset costs one
+    column.  [yz, g] = [y, g] for z in Z(G), so y runs over the least
+    members of the cosets of Z(G) only, |G:Z| commutators per column.
+    Reads no conjugacy data.
     """
     _validate_pair_target(G, N)
-    scanned, n, start, rows = cosets(G, N)[0][1:], G.order, 0, 1
+    Z = center(G)
+    zmin = cosets(G, Z)[0]
+    scanned = (zmin if N == Z else cosets(G, N)[0])[1:]
+    ys, n, start, cols = zmin[:, None], G.order, 0, 1
     while start < scanned.size:
-        gs = scanned[start : start + rows]
-        flat = commutators(G, slice(None), gs).astype(np.intp)  # [y, g]
-        flat += np.arange(gs.size) * n  # rows * n passes int16
-        hit = np.zeros(gs.size * n, dtype=bool)
-        hit[flat] = True
-        missed = ~hit.reshape(gs.size, n)[:, N.members]
+        gs = scanned[start : start + cols]
+        hit = np.zeros((gs.size, n), dtype=bool)
+        hit[np.arange(gs.size), commutators(G, ys, gs)] = True  # [y, g]
+        missed = ~hit[:, N.members]
         if missed.any():
             i, j = np.argwhere(missed)[0]
             return False, (int(gs[i]), int(N.members[j]))
-        start, rows = start + rows, min(2 * rows, COMMUTATOR_BLOCK // n)
+        start, cols = start + cols, min(2 * cols, COMMUTATOR_BLOCK // n)
     return True, None
 
 
@@ -397,7 +401,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     if not Gp.mask[Z.members].all():
         raise EquivalenceViolation("Z(G) not inside G' despite a true verdict")
     l = valuation(Gp.order // Z.order, p)
-    n_exp = valuation(int(orders_modulo(G, Z.mask).max()), p)  # exp(G/Z) = p^n_exp
+    n_exp = quotient_exponent_over_center(G)[1]  # exp(G/Z) = p^n_exp
 
     Z2 = second_center_of(upper)
     pw = power_map(G, p)
@@ -438,11 +442,8 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
     n_meet = int((Gp.mask & Z2.mask).sum())  # |G' n Z_2|
 
     # L2.4, character half: only on a square index, and at desk scale
-    if order > char_table_cap:
-        ramified_ok = None  # no table: L2.4 reads SKIPPED on a square index
-    elif n % 2:
-        ramified_ok = True  # no table needed: L2.4 fails on the index
-    else:
+    ramified_ok = None  # no table: FAIL on an odd n, SKIPPED over the cap
+    if n % 2 == 0 and order <= char_table_cap:
         ramified_ok, _ = verify_fully_ramified(G, Z, dixon_character_table(G))
 
     return Invariants(

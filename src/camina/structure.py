@@ -1,4 +1,4 @@
-"""Central series, nilpotency class, the exponent of G/Z(G), and
+"""Central series and their nilpotency class, the exponent of G/Z(G), and
 prime-power arithmetic."""
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ def central_series(G: FiniteGroup) -> tuple[CentralSeries, CentralSeries]:
             f"central series disagree: lower {lower.class_c}, upper {upper.class_c}"
         )
     return lower, upper
-
-
-def nilpotency_class(G: FiniteGroup) -> int | None:
-    """Common class of both central series (checked to agree)."""
-    return central_series(G)[0].class_c
 
 
 def second_center_of(upper: CentralSeries) -> SubgroupHandle:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import group_from_cayley_table
 
 from camina import (
     FamilySpec,
@@ -43,7 +44,7 @@ from camina.cli import main
 from camina.corpus import default_family_instances, parse_family_spec
 from camina.cyclotomic import reduction_matrix
 from camina.errors import InvariantViolation, TableTooLarge
-from camina.groups import group_from_cayley_table, subgroup_generate
+from camina.groups import subgroup_generate
 from camina.pairs import analyze_center_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import group_from_cayley_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from camina import (
     center,
     derived_subgroup,
     group_exponent,
-    nilpotency_class,
     parse_corpus,
     parse_family_spec,
     serialize_corpus,
@@ -36,6 +36,7 @@ from camina.errors import (
     OrderMismatch,
     UnsupportedParameters,
 )
+from camina.structure import central_series
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def test_family_heisenberg():
     G = build_family(FamilySpec("heisenberg", (3, 1)))
     assert G.order == 27
     assert center(G).order == 3
-    assert nilpotency_class(G) == 2
+    assert central_series(G)[0].class_c == 2
     assert group_exponent(G) == 3
 
 
@@ -556,7 +557,7 @@ def test_every_constructor_holds_int16_tables(corpus_groups, s3):
     """Every FiniteGroup holds int16 mul and inv, whoever built it: the
     families, the fixture corpus, each groups builder, and a group handed
     int32 arrays."""
-    c2 = groups.group_from_cayley_table([[0, 1], [1, 0]])
+    c2 = group_from_cayley_table([[0, 1], [1, 0]])
     V = groups.direct_product(c2, c2)
     raw = [
         groups.cyclic_extension(V.mul, np.array([0, 2, 1, 3]), 0, 2),
@@ -660,5 +661,5 @@ def test_witness_profile_p3(t81):
         assert c.sum() == 27
         assert cent[np.ix_(c, c)].all()
     assert Z.mask[Tp.members].all() and Z.order == 3 * Tp.order
-    assert nilpotency_class(t81) == 2
+    assert central_series(t81)[0].class_c == 2
     assert group_exponent(t81) == 3

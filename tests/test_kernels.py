@@ -8,7 +8,8 @@ return (-1, -1) or (-1, -1, -1) where those functions return None.
 conjugacy_data labels each element by the least member of its orbit under
 conjugation by a generating set; its reference conjugates by every
 element.  Both pair criteria scan one element per coset of N; their
-references scan every element outside N.  camina_by_centralizers reads
+references scan every element outside N.  The commutator criterion takes
+y over one element per coset of Z(G); its reference over every element.  camina_by_centralizers reads
 G/N only as coset labels; its reference counts both centralizers from
 their definitions.  The work guards pin those savings on dihedral:2048.
 """
@@ -231,42 +232,30 @@ def block_groups():
     return {s: build_family(parse_family_spec(s)) for s in ("heisenberg:11,1", "T:2,3")}
 
 
-def test_commutator_columns_match_the_broadcast_form(block_groups, q8):
-    rng = np.random.default_rng(7)
-    for G in (*block_groups.values(), q8):
-        every = np.arange(G.order)
-        for gs in (
-            np.array([], dtype=np.int32),
-            np.array([0]),
-            groups.cosets(G, center(G))[0],
-            rng.integers(0, G.order, 50).astype(np.int16),
-        ):
-            block = groups.commutators(G, slice(None), gs)
-            assert block.shape == (G.order, gs.size)
-            assert np.array_equal(block, groups.commutators(G, every[:, None], gs))
-            for j, g in enumerate(gs.tolist()):
-                column = groups.commutators(G, slice(None), g)
-                assert np.array_equal(block[:, j], column)
-
-
 @pytest.mark.parametrize("spec", ["heisenberg:11,1", "T:2,3"])
 @pytest.mark.parametrize("target", ["center", "above center"])
 def test_commutator_blocks_match_element_scan(block_groups, monkeypatch, spec, target):
-    """Z of heisenberg:11,1 passes every block, so blocks of up to 49
-    columns are scanned, with offsets rows |G| past int16."""
+    """Each column [y, g] forms |G:Z| commutators, y over the least members
+    of the cosets of Z = Z(G).  Z of heisenberg:11,1 passes every block, so
+    all 120 columns are scanned, in blocks of up to 49, and 121 * 120
+    commutators are formed instead of 1331 * 120."""
     G = block_groups[spec]
     N = center(G) if target == "center" else _above_center(G)
-    widths = []
+    index_of_z = G.order // center(G).order
+    widths, formed = [], []
 
     def recording(G, x, y, _op=groups.commutators):
+        out = _op(G, x, y)
         widths.append(np.size(y))
-        return _op(G, x, y)
+        formed.append(out.size)
+        return out
 
     monkeypatch.setattr(pairs, "commutators", recording)
     assert _as_witness(camina_by_commutators(G, N)) == _cover_reference(G, N)
+    assert sum(formed) == index_of_z * sum(widths)
     if (spec, target) == ("heisenberg:11,1", "center"):
-        assert max(widths) * G.order > 1 << 15
-        assert sum(widths) == G.order // N.order - 1
+        assert max(widths) == groups.COMMUTATOR_BLOCK // G.order == 49
+        assert sum(formed) == index_of_z * (G.order // N.order - 1) == 121 * 120
 
 
 @pytest.mark.parametrize("k", [1, 4, 100, 126])

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import centralizer, group_from_cayley_table
 
 from camina import (
     FamilySpec,
@@ -26,7 +27,7 @@ from camina import pairs
 from camina.corpus import default_family_instances
 from camina.errors import InvalidPairTarget
 from camina.pairs import CHECK_IDS, CaminaVerdict, _script_c_mask
-from camina.groups import centralizer, group_from_cayley_table, subgroup_generate
+from camina.groups import subgroup_generate
 
 
 @pytest.fixture(scope="module")

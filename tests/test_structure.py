@@ -2,16 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import ref_quotient
+from conftest import centralizer, ref_quotient
 
 from camina import (
     Permutation,
     build_family,
     center,
-    centralizer,
     group_from_generators,
     lower_central_series,
-    nilpotency_class,
     quotient_exponent_over_center,
     upper_central_series,
 )
@@ -23,7 +21,12 @@ from camina.groups import (
     subgroup_generate,
 )
 from camina.pairs import _d_masks
-from camina.structure import is_prime_power, second_center_of, valuation
+from camina.structure import (
+    central_series,
+    is_prime_power,
+    second_center_of,
+    valuation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +85,12 @@ def test_upper_central_series_matches_quotient_reference(
 
 
 def test_nilpotency_class(q8, klein, s3, heis27, t81, wreath81):
-    assert nilpotency_class(klein) == 1
-    assert nilpotency_class(q8) == 2
-    assert nilpotency_class(s3) is None
-    assert nilpotency_class(heis27) == 2
-    assert nilpotency_class(t81) == 2
-    assert nilpotency_class(wreath81) == 3
+    assert central_series(klein)[0].class_c == 1
+    assert central_series(q8)[0].class_c == 2
+    assert central_series(s3)[0].class_c is None
+    assert central_series(heis27)[0].class_c == 2
+    assert central_series(t81)[0].class_c == 2
+    assert central_series(wreath81)[0].class_c == 3
 
 
 def test_series_agree_on_corpus_sample(corpus_groups):
@@ -96,7 +99,7 @@ def test_series_agree_on_corpus_sample(corpus_groups):
         low = lower_central_series(G)
         up = upper_central_series(G)
         assert low.class_c == up.class_c
-        assert low.class_c == nilpotency_class(G)
+        assert low.class_c == central_series(G)[0].class_c
 
 
 def test_series_terms_are_nested_chains(q8, heis27, wreath81):
