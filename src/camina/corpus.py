@@ -101,7 +101,8 @@ def parse_corpus(
     check_cap(order_cap)
     entries: list[CorpusEntry] = []
     seen: set[tuple[int, int]] = set()
-    cur: dict | None = None
+    entry: CorpusEntry | None = None  # the open block; degree 0 until read
+    start = 0  # the line of its 'group' keyword
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -110,7 +111,7 @@ def parse_corpus(
         fields = line.split()
         kw = fields[0]
         if kw == "group":
-            if cur is not None:
+            if entry is not None:
                 raise CorpusSyntaxError(lineno, "previous entry not closed by 'end'")
             if len(fields) < 4:
                 raise CorpusSyntaxError(lineno, "expected: group <order> <index> <name>")
@@ -120,69 +121,55 @@ def parse_corpus(
                 raise CorpusSyntaxError(lineno, "order and index must be integers")
             if order < 1:
                 raise CorpusSyntaxError(lineno, "order must be positive")
-            cur = {
-                "order": order,
-                "index": index,
-                "name": " ".join(fields[3:]),
-                "degree": None,
-                "gens": [],
-                "line": lineno,
-            }
+            entry = CorpusEntry(order, index, " ".join(fields[3:]), 0, [])
+            start = lineno
         elif kw == "degree":
-            if cur is None:
+            if entry is None:
                 raise CorpusSyntaxError(lineno, "'degree' outside a group block")
-            if cur["degree"] is not None:
+            if entry.degree:
                 raise CorpusSyntaxError(lineno, "duplicate 'degree' line")
             try:
-                cur["degree"] = int(fields[1])
+                degree = int(fields[1])
             except (IndexError, ValueError):
                 raise CorpusSyntaxError(lineno, "expected: degree <d>")
-            if cur["degree"] < 1:
+            if degree < 1:
                 raise CorpusSyntaxError(lineno, "degree must be positive")
-            if cur["degree"] > order_cap:
+            if degree > order_cap:
                 raise CorpusSyntaxError(
-                    lineno, f"degree {cur['degree']} exceeds the order cap {order_cap}"
+                    lineno, f"degree {degree} exceeds the order cap {order_cap}"
                 )
+            entry.degree = degree
         elif kw == "gen":
-            if cur is None or cur["degree"] is None:
+            if entry is None or not entry.degree:
                 raise CorpusSyntaxError(lineno, "'gen' before 'degree'")
             try:
-                images = tuple(int(v) for v in fields[1:])
+                images = [int(v) for v in fields[1:]]
             except ValueError:
                 raise CorpusSyntaxError(lineno, "generator images must be integers")
-            if len(images) != cur["degree"]:
+            if len(images) != entry.degree:
                 raise CorpusSyntaxError(
-                    lineno,
-                    f"expected {cur['degree']} images, got {len(images)}",
+                    lineno, f"expected {entry.degree} images, got {len(images)}"
                 )
             try:
-                cur["gens"].append(Permutation(images))
+                entry.generators.append(Permutation(images))
             except InvalidPermutation as exc:
                 raise CorpusSyntaxError(lineno, str(exc)) from None
         elif kw == "end":
-            if cur is None:
+            if entry is None:
                 raise CorpusSyntaxError(lineno, "'end' outside a group block")
-            if cur["degree"] is None:
+            if not entry.degree:
                 raise CorpusSyntaxError(lineno, "entry has no 'degree' line")
-            key = (cur["order"], cur["index"])
+            key = (entry.order, entry.index)
             if key in seen:
                 raise DuplicateId(f"duplicate group id {key[0]}:{key[1]}")
             seen.add(key)
-            entries.append(
-                CorpusEntry(
-                    order=cur["order"],
-                    index=cur["index"],
-                    name=cur["name"],
-                    degree=cur["degree"],
-                    generators=cur["gens"],
-                )
-            )
-            cur = None
+            entries.append(entry)
+            entry = None
         else:
             raise CorpusSyntaxError(lineno, f"unknown keyword {kw!r}")
 
-    if cur is not None:
-        raise CorpusSyntaxError(cur["line"], "unterminated group block")
+    if entry is not None:
+        raise CorpusSyntaxError(start, "unterminated group block")
     if validate:
         for entry in entries:
             entry.build(order_cap)
@@ -195,7 +182,7 @@ def serialize_corpus(entries: list[CorpusEntry]) -> str:
         lines.append(f"group {e.order} {e.index} {e.name}")
         lines.append(f"degree {e.degree}")
         for g in e.generators:
-            lines.append("gen " + " ".join(str(v) for v in g.images))
+            lines.append("gen " + " ".join(map(str, g.images.tolist())))
         lines.append("end")
         lines.append("")
     return "\n".join(lines)
@@ -209,7 +196,7 @@ def group_to_entry(G: FiniteGroup, order: int, index: int, name: str) -> CorpusE
     rebuilt table is the same group with a possibly different element order.
     """
     images = G.mul[:, greedy_generators(G)].T + 1
-    gens = [Permutation(tuple(row.tolist())) for row in images]
+    gens = [Permutation(row) for row in images]
     return CorpusEntry(
         order=order, index=index, name=name, degree=G.order, generators=gens
     )

@@ -29,8 +29,11 @@ DEFAULT_ORDER_CAP = 2048
 # The largest order cap any caller may ask for, from a budget of 512 MiB
 # peak RSS for one `camina analyze`.  At 2^13 the int16 table takes 128
 # MiB, and `analyze --order-cap 8192` peaked at 223 MB on dihedral:8192,
-# elemab:2,13 and T:2,4 alike (79 MB on heisenberg:2,4, order 4096;
-# Python 3.11, numpy 2.4, Linux x86-64).  At 2^14 the table alone would
+# elemab:2,13 and T:2,4 alike with `--family` (79 MB on heisenberg:2,4,
+# order 4096), and at 292 and 294 MB with `--input` on the
+# `corpus.group_to_entry` files of dihedral:8192 and elemab:2,13, whose
+# closure holds 128 MiB of element keys before the table is formed
+# (Python 3.11, numpy 2.4, Linux x86-64).  At 2^14 the table alone would
 # take the whole budget.  Below 2^14 every label, label + 1 and label +
 # label fits in int16, the dtype of every table.
 MAX_ORDER_CAP = 1 << 13
@@ -38,34 +41,34 @@ TABLE_DTYPE = np.int16
 COMMUTATOR_BLOCK = 1 << 16  # commutators formed per array operation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """A permutation given by its 1-based image sequence."""
+    """A permutation of 1..degree, held once as its 1-based images in a
+    read-only TABLE_DTYPE array, the form `group_from_generators` composes.
 
-    images: tuple[int, ...]
+    Any integer sequence of images, an array included, is checked to be a
+    bijection on 1..degree with degree at most MAX_ORDER_CAP before it is
+    narrowed to the table dtype.  Nothing compares permutations, so
+    equality is identity.
+    """
+
+    images: np.ndarray
 
     def __post_init__(self):
         d = len(self.images)
+        if d > MAX_ORDER_CAP:  # its points would not all fit the table dtype
+            raise InvalidPermutation(f"degree {d} exceeds the ceiling {MAX_ORDER_CAP}")
         if sorted(self.images) != list(range(1, d + 1)):
             raise InvalidPermutation(
-                f"images {self.images!r} are not a bijection on 1..{d}"
+                f"images {tuple(self.images)!r} are not a bijection on 1..{d}"
             )
+        images = np.array(self.images, dtype=TABLE_DTYPE)
+        images.setflags(write=False)
+        object.__setattr__(self, "images", images)
 
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def to_array(self) -> np.ndarray:
-        """0-based image array."""
-        return np.asarray(self.images, dtype=np.int32) - 1
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        images = list(range(1, degree + 1))
-        for cyc in cycles:
-            for i, pt in enumerate(cyc):
-                images[pt - 1] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
 
 
 class FiniteGroup:
@@ -138,15 +141,11 @@ class FiniteGroup:
             self._cache["orders"] = orders
         return self._cache["orders"]
 
-    def centralizer_matrix(self, rows=None) -> np.ndarray:
-        """Boolean matrix whose row i is the centralizer of rows[i].
-
-        rows defaults to every element, giving the order x order matrix;
-        each row read costs one comparison of |G|.  Not cached: at order
-        2048 the whole matrix takes 4 MB.
+    def centralizer_matrix(self, rows) -> np.ndarray:
+        """Boolean matrix whose row i is the centralizer of rows[i]; each
+        row costs one comparison of |G|.  Not cached: at order 2048 every
+        row together takes 4 MB.
         """
-        if rows is None:
-            return self.mul.T == self.mul
         return self.mul[:, rows].T == self.mul[rows]
 
     def center_members(self) -> np.ndarray:
@@ -243,34 +242,33 @@ def group_from_generators(
             raise InvalidPermutation(
                 f"generator degree {g.degree} does not match declared degree {degree}"
             )
-    gen_arrays = [g.to_array() for g in gens]
+    maps = [g.images - 1 for g in gens]  # 0-based
 
-    ident = np.arange(degree, dtype=np.int32)
-    elems = [ident]
-    index_of = {ident.tobytes(): 0}
+    # keys[i], the bytes of element i's 0-based image array, is its one copy
+    identity = Permutation(range(1, degree + 1))  # refuses a degree past the cap
+    keys = [(identity.images - 1).tobytes()]
+    index_of = {keys[0]: 0}
     parent_gen: list[tuple[int, int]] = [(-1, -1)]
-    right_maps = [[] for _ in gen_arrays]  # right_maps[j][i] = index of elem_i * gen_j
+    right_maps = [[] for _ in maps]  # right_maps[j][i] = index of elem_i * gen_j
 
-    head = 0
-    while head < len(elems):
-        e = elems[head]
-        for j, g in enumerate(gen_arrays):
-            f = g[e]  # apply e then the generator
-            key = f.tobytes()
+    for head, elem in enumerate(keys):  # keys grows while it is read
+        e = np.frombuffer(elem, dtype=TABLE_DTYPE)
+        for j, g in enumerate(maps):
+            key = g.take(e).tobytes()  # apply e then the generator
             idx = index_of.get(key)
             if idx is None:
-                idx = len(elems)
+                idx = len(keys)
                 if idx >= max_order:
                     raise ClosureExceedsCap(
                         f"closure exceeds cap {max_order} (degree {degree})"
                     )
                 index_of[key] = idx
-                elems.append(f)
+                keys.append(key)
                 parent_gen.append((head, j))
             right_maps[j].append(idx)
-        head += 1
 
-    n = len(elems)
+    n = len(keys)
+    del keys, index_of  # the table is formed from the right maps alone
     rmaps = [np.asarray(r, dtype=TABLE_DTYPE) for r in right_maps]
     mul = np.empty((n, n), dtype=TABLE_DTYPE)
     mul[:, 0] = np.arange(n)

@@ -60,6 +60,9 @@ class Invariants:
     checks test.  fully_ramified is None when no table was built: on an
     index that is not a square, where L2.4 fails anyway, and when |G| is
     over the table cap, where L2.4 reads SKIPPED on a square index.
+    p_group is True wherever the invariants are computed, since
+    `verify_bounds` reports an order that is not a prime power itself,
+    with L2.1 failed and every other check vacuous.
     """
 
     p: int
@@ -454,7 +457,7 @@ def _invariants(G, Z, p, upper, lower, char_table_cap) -> Invariants:
         n_exp=n_exp,
         n_z2=valuation(order * n_meet // (Gp.order * Z2.order), p),
         class_c=class_c,
-        p_group=order == p ** valuation(order, p),  # Lagrange: orders divide |G|
+        p_group=True,  # |G| = p^k: verify_bounds checked it
         upper_factors_exp_p=l22_ok,
         z_is_last_lower_term=l23_ok,
         fully_ramified=ramified_ok,

@@ -132,8 +132,17 @@ def s3():
     return group_from_generators(3, [Permutation((2, 3, 1)), Permutation((2, 1, 3))])
 
 
+def perm_from_cycles(degree, cycles):
+    """The permutation of 1..degree with the given disjoint cycles."""
+    images = list(range(1, degree + 1))
+    for cyc in cycles:
+        for i, pt in enumerate(cyc):
+            images[pt - 1] = cyc[(i + 1) % len(cyc)]
+    return Permutation(images)
+
+
 def _perm_group(degree, *cycle_lists):
-    gens = [Permutation.from_cycles(degree, cycles) for cycles in cycle_lists]
+    gens = [perm_from_cycles(degree, cycles) for cycles in cycle_lists]
     return group_from_generators(degree, gens)
 
 

@@ -210,7 +210,7 @@ def test_criterion_6_witness_family(harness):
     for p, k in ((3, 1), (5, 1)):
         T = build_family(parse_family_spec(f"T:{p},{k}"))
         Z, Tp = center(T), derived_subgroup(T)
-        cent = T.centralizer_matrix()
+        cent = T.centralizer_matrix(np.arange(T.order))
         noncentral = cent[~Z.mask]  # row of each noncentral g: C(g)
         profile = (
             T.order == p ** (3 * k + 1)

@@ -377,6 +377,11 @@ def test_bad_family_spec_is_one_error_line(capsys, spec):
         # rejected at parse time, before the identity of degree 10^8 is built
         ("group 1 1 x\ndegree 99999999\nend\n", "line 2: degree 99999999 exceeds"),
         ("group 2 1 C2\ndegree 2\ngen 1 3\nend\n", "line 3: images (1, 3) are not"),
+        # validated as Python ints, before any narrowing to a fixed width
+        (
+            "group 2 1 C2\ndegree 2\ngen 99999999999999999999 1\nend\n",
+            "line 3: images (99999999999999999999, 1) are not a bijection on 1..2",
+        ),
     ],
 )
 def test_bad_corpus_entry_is_one_error_line(tmp_path, capsys, text, message):

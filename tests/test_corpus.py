@@ -16,6 +16,7 @@ from camina import (
     center,
     derived_subgroup,
     group_exponent,
+    group_from_generators,
     parse_corpus,
     parse_family_spec,
     serialize_corpus,
@@ -553,6 +554,42 @@ def test_builder_peak_stays_below_twice_the_table(spec):
     assert peak < 2 * G.mul.nbytes
 
 
+def test_closure_of_a_regular_representation_peaks_below_three_tables():
+    """The closure holds each element it finds once, as the bytes of its
+    int16 image array, and drops them before the table is formed: closing
+    the 2048 points of dihedral:2048 peaks below three 8 MB tables."""
+    entry = group_to_entry(build_family(parse_family_spec("dihedral:2048")), 2048, 1, "D")
+    tracemalloc.start()
+    try:
+        G = group_from_generators(entry.degree, entry.generators, max_order=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 2048
+    assert peak < 3 * G.mul.nbytes
+
+
+def test_parsed_generators_are_held_as_int16():
+    """One degree-512 entry whose 511 generators are the right
+    multiplications of C512 but the identity's: as int16 their images take
+    0.5 MB, and the parsed entry holds less than 2 MB."""
+    G = build_family(parse_family_spec("cyclic:512"))
+    rows = (G.mul[:, 1:].T + 1).tolist()
+    text = "\n".join(
+        ["group 512 1 C512", "degree 512"]
+        + ["gen " + " ".join(map(str, row)) for row in rows]
+        + ["end", ""]
+    )
+    tracemalloc.start()
+    try:
+        entries = parse_corpus(text, validate=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(entries[0].generators) == 511
+    assert held < 2 * 2**20
+
+
 def test_every_constructor_holds_int16_tables(corpus_groups, s3):
     """Every FiniteGroup holds int16 mul and inv, whoever built it: the
     families, the fixture corpus, each groups builder, and a group handed
@@ -655,7 +692,7 @@ def test_witness_profile_p3(t81):
     """T:3,1: order 3^4, center of order 3^2 and index 3^2, abelian
     noncentral centralizers of order 3^3, |Z:T'| = 3, class 2, exponent 3."""
     Z, Tp = center(t81), derived_subgroup(t81)
-    cent = t81.centralizer_matrix()
+    cent = t81.centralizer_matrix(np.arange(t81.order))
     assert (t81.order, Z.order) == (81, 9)
     for c in cent[~Z.mask]:  # C(g) for each noncentral g
         assert c.sum() == 27

@@ -29,7 +29,7 @@ from camina import (
     parse_family_spec,
     subgroup_generate,
 )
-from camina.errors import ClosureExceedsCap, InvalidPermutation
+from camina.errors import CaminaError, ClosureExceedsCap, InvalidPermutation
 from camina import groups
 from camina.corpus import _digit_sum_table
 from camina.groups import commutator_set, commutators, cosets
@@ -128,6 +128,23 @@ def test_permutation_rejects_non_bijections(images):
     else:
         with pytest.raises(InvalidPermutation):
             Permutation(tuple(images))
+
+
+def test_permutation_holds_a_read_only_table_dtype_array():
+    images = Permutation((2, 3, 1)).images
+    assert images.dtype == groups.TABLE_DTYPE
+    assert images.tolist() == [2, 3, 1]
+    with pytest.raises(ValueError):
+        images[0] = 1
+
+
+def test_degree_past_the_ceiling_is_refused():
+    """A degree above MAX_ORDER_CAP would not fit the table dtype."""
+    degree = groups.MAX_ORDER_CAP + 1
+    with pytest.raises(CaminaError, match=f"degree {degree} exceeds the ceiling"):
+        Permutation(range(1, degree + 1))
+    with pytest.raises(CaminaError, match=f"degree {degree} exceeds the ceiling"):
+        group_from_generators(degree, [])
 
 
 def test_table_trivial_and_c2():

@@ -36,7 +36,7 @@ def ref_fields(G, p, upper):
     """The fields of `Invariants` that read D(g)', G'Z_2 or element orders,
     from the definitions, over every noncentral element."""
     Z, Gp, Z2 = center(G), derived_subgroup(G), second_center_of(upper)
-    cent, pw = G.centralizer_matrix(), power_map(G, p)
+    cent, pw = G.centralizer_matrix(np.arange(G.order)), power_map(G, p)
     z_elementary = bool((pw[Z.members] == 0).all())
     dprime = {}
     fields = dict(

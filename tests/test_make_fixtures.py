@@ -183,7 +183,7 @@ def _reference_rows(G, p):
     return np.stack(
         [
             orders,
-            n // G.centralizer_matrix().sum(axis=1),
+            n // G.centralizer_matrix(np.arange(n)).sum(axis=1),
             frattini.mask,
             np.bincount(powers, minlength=n),
         ],

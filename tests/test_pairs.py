@@ -227,7 +227,7 @@ def test_script_c_contains_derived_and_its_centralizer(corpus_groups, q8):
         assert Z.order < Gp.order
         mask = _script_c_mask(G, Z, Gp)
         # x is in C(b) for some b in G' - Z iff C(x) meets G' beyond Z
-        meets = (G.centralizer_matrix() & Gp.mask).sum(axis=1) > Z.order
+        meets = (G.centralizer_matrix(np.arange(G.order)) & Gp.mask).sum(axis=1) > Z.order
         assert np.array_equal(mask, meets)
         assert mask[Gp.members].all()
         cent = np.ones(G.order, dtype=bool)

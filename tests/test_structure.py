@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import centralizer, ref_quotient
+from conftest import centralizer, perm_from_cycles, ref_quotient
 
 from camina import (
-    Permutation,
     build_family,
     center,
     group_from_generators,
@@ -32,8 +31,8 @@ from camina.structure import (
 @pytest.fixture(scope="module")
 def wreath81():
     """C3 wr C3 as the Sylow 3-subgroup of S9: order 81, class 3."""
-    block = Permutation.from_cycles(9, [(1, 2, 3)])
-    shift = Permutation.from_cycles(9, [(1, 4, 7), (2, 5, 8), (3, 6, 9)])
+    block = perm_from_cycles(9, [(1, 2, 3)])
+    shift = perm_from_cycles(9, [(1, 4, 7), (2, 5, 8), (3, 6, 9)])
     return group_from_generators(9, [block, shift])
 
 
