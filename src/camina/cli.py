@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -258,6 +257,8 @@ def cmd_verify(args) -> int:
     workers = min(args.workers, len(entries), os.cpu_count() or 1)
     columns = (entries, repeat(args.order_cap), repeat(args.chartable_cap))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_for_entry, *columns, chunksize=4))
     else:

@@ -1,6 +1,7 @@
 """Command-line interface behavior and output determinism."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import gc
@@ -589,7 +590,7 @@ class _RecordingExecutor:
 )
 def test_verify_workers_are_capped(monkeypatch, capsys, workers, cpus, started):
     """At most one worker per entry and per CPU; one worker runs serially."""
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(_RecordingExecutor, "created", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     argv = ["verify", "--workers", workers, "--input", str(FIXTURES / "order8.grp")]
@@ -597,6 +598,18 @@ def test_verify_workers_are_capped(monkeypatch, capsys, workers, cpus, started):
     assert code == 0
     assert out.count("\n") == 6  # header + 5 groups
     assert _RecordingExecutor.created == started
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool's module is imported by a verify that starts a pool, not by
+    every command."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = "import sys, camina.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
 
 
 def test_search_keeps_at_most_two_corpus_groups_alive(monkeypatch, capsys):
@@ -748,7 +761,7 @@ def test_argv_fuzz_exits_0_1_or_2(fuzz_paths, data):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         # verify maps in-process: the fuzz is about argv, not workers
-        mp.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         mp.setattr(_RecordingExecutor, "created", [])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -3,6 +3,7 @@ reference copy of the breadth-first search it replaced, and byte-identical
 regeneration of the shipped fixture files."""
 
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -115,9 +116,26 @@ def test_automorphism_counts_of_order_8():
 
 
 def test_automorphism_counts_of_elementary_abelian_groups():
-    """|GL(4, 2)| and |GL(3, 3)|."""
-    assert len(mf.all_automorphisms(mf.abelian_product(2, 2, 2, 2))) == 20160
-    assert len(mf.all_automorphisms(mf.abelian_product(3, 3, 3))) == 11232
+    """|GL(4, 2)|, |GL(3, 3)| and the counts of Hillar and Rhea's formula for
+    |Aut| of a finite abelian group (Amer. Math. Monthly 114, 2007), up to
+    order 81, where the reference search is too slow; each map is a
+    permutation, listed once."""
+    counts = {
+        (2, 2, 2, 2): 20160,
+        (3, 3, 3): 11232,
+        (9, 3, 3): 23328,
+        (9, 9): 3888,
+        (27, 3): 324,
+        (81,): 54,
+        (4, 2, 2): 192,
+        (4, 4): 96,
+        (8, 2): 16,
+    }
+    for factors, count in counts.items():
+        auts = mf.all_automorphisms(mf.abelian_product(*factors))
+        assert auts.shape == (count, np.prod(factors)), factors
+        assert (np.sort(auts, axis=1) == np.arange(auts.shape[1])).all()
+        assert len(np.unique(auts, axis=0)) == count
 
 
 @pytest.mark.parametrize("order", [8, 16, 27])
@@ -159,6 +177,45 @@ def test_iso_exists_rejects_groups_of_different_orders(census_groups):
     for A in census_groups[8]:
         for B in census_groups[16] + [mf.cyclic_table(27)]:
             assert not mf.iso_exists(A, B) and not mf.iso_exists(B, A)
+
+
+def test_automorphisms_of_e32_are_refused_before_listing():
+    """|GL(5, 2)| |E32| = 319 979 520 entries is past the budget, so both
+    calls raise within 1 s and 100 MB.  The child runs under a 1 GiB
+    address-space limit: a search that started listing fails there instead
+    of filling the machine."""
+    script = f"""
+import sys, time
+sys.path.insert(0, {str(ROOT / "tools")!r})
+import make_fixtures as mf
+
+E32 = mf.abelian_product(2, 2, 2, 2, 2)
+for call in (mf.all_automorphisms, lambda G: mf.extensions_of(G, 2)):
+    start = time.perf_counter()
+    try:
+        call(E32)
+        sys.exit("not refused")
+    except mf.CaminaError as exc:
+        print(exc)
+    if time.perf_counter() - start > 1:
+        sys.exit("refused too late")
+# the peak of this process alone: ru_maxrss would count the forking parent
+peak_kb = int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])
+if peak_kb > 100 * 1024:
+    sys.exit(f"peak {{peak_kb}} kB")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.count("319979520 entries") == 2
 
 
 def test_mapping_search_rejects_a_non_prime_power_order():
