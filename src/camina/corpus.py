@@ -13,9 +13,12 @@ Families cover the recurring constructions: cyclic, dihedral,
 for odd p, the Sylow p-subgroup of SL3 over GF(p^k) (upper unitriangular
 matrices), and its product with C_p.  Each is declared once, in `FAMILIES`.
 Dihedral, quaternion and the extraspecial group of order p^3 and
-exponent p^2 are cyclic extensions of C_k; the SL3 Sylow subgroups and
-the other extraspecial groups are central extensions of a vector space
-by a bilinear cocycle (`camina.groups` holds both formulas).
+exponent p^2 are cyclic extensions of C_k; the SL3 Sylow subgroups,
+their products with C_p and the other extraspecial groups are central
+extensions of a vector space by a bilinear cocycle (`camina.groups`
+holds both formulas, each writing its int16 table in place).  The
+cyclic table is cut from one doubled row, and (Z/p)^k is the direct
+product of the groups of its high and low halves of digits.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ClosureExceedsCap,
@@ -244,9 +248,9 @@ class FamilySpec:
 
 
 def _cyclic(n: int) -> FiniteGroup:
+    """Row i is 0..n-1 rotated left by i: n windows of one doubled copy."""
     idx = np.arange(n, dtype=TABLE_DTYPE)
-    table = idx[:, None] + idx  # below 2n, which fits the table dtype
-    table %= n
+    table = sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
     return FiniteGroup(table, -idx % n, name=f"C{n}")
 
 
@@ -256,14 +260,26 @@ def _extend_cyclic(k: int, s: int, h0: int, m: int, name: str) -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
+def _elementary_abelian(p: int, k: int) -> FiniteGroup:
+    """(Z/p)^k on the base-p codes of its elements, added digit by digit.
+
+    It is the direct product of the groups of the high k - k//2 digits
+    and of the low k//2 digits, each built the same way: the element
+    (a, b) has index a p^(k//2) + b, so b's code is exactly the low k//2
+    digits and the sum of two elements goes digit by digit in both
+    factors.  Halving keeps the innermost broadcast axis of each product
+    long, where the k-fold product with C_p would make it p.
+    """
+    G = _cyclic(p) if k == 1 else direct_product(
+        _elementary_abelian(p, k - k // 2), _elementary_abelian(p, k // 2)
+    )
+    return FiniteGroup(G.mul, G.inv, name=f"E{p}^{k}")
+
+
 def _digit_sum_table(p: int, k: int) -> np.ndarray:
     """Digitwise sums mod p of base-p codes: the table of (Z/p)^k and of
-    the addition in GF(p^k).  It is the k-fold direct product of C_p, whose
-    code a p + b has b as its low digit."""
-    G = C = _cyclic(p)
-    for _ in range(k - 1):
-        G = direct_product(G, C)
-    return G.mul
+    the addition in GF(p^k), from `_elementary_abelian`."""
+    return _elementary_abelian(p, k).mul
 
 
 def _bilinear_cocycle(form, p: int) -> np.ndarray:
@@ -284,13 +300,19 @@ def bilinear(p: int, form, name: str = "") -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
-def _heisenberg(p: int, k: int) -> FiniteGroup:
+def _heisenberg(p: int, k: int, cyclic_factor: bool = False) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over GF(p^k), order p^(3k): the
-    central extension of GF(q)^2 by GF(q) with cocycle a b'."""
+    central extension of GF(q)^2 by GF(q) with cocycle a b', where (a, b)
+    has index a q + b.  With the cyclic factor, see
+    `_heisenberg_times_cyclic`."""
     q, fadd, fmul = gf_tables(p, k)
     a, b = np.divmod(np.arange(q * q), q)
-    table = central_extension(_digit_sum_table(p, 2 * k), fadd, fmul[a[:, None], b])
-    return FiniteGroup(table, name=f"H({p}^{k})")
+    cocycle = fmul[a[:, None], b]
+    name = f"H({p}^{k})"
+    if cyclic_factor:  # W = GF(q) x C_p, cocycle (a b', 0)
+        fadd, cocycle, name = _digit_sum_table(p, k + 1), cocycle * p, f"{name}xC{p}"
+    table = central_extension(_digit_sum_table(p, 2 * k), fadd, cocycle)
+    return FiniteGroup(table, name=name)
 
 
 def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
@@ -316,8 +338,18 @@ def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
 
 
 def _heisenberg_times_cyclic(p: int, k: int) -> FiniteGroup:
-    H = _heisenberg(p, k)
-    return direct_product(H, _cyclic(p))
+    """T = H(p^k) x C_p, built as one central extension of GF(q)^2 by W =
+    GF(q) x C_p with cocycle (a b', 0).
+
+    W's element (w, c) has index w p + c, so W's table is the digit sums
+    of k + 1 digits and (a b', 0) is fmul[a, b'] p.  With h = v q + w the
+    element (h, c) of H x C_p has index (v q + w) p + c = v (q p) + (w p
+    + c), which is the index of (v, (w, c)) in the extension, and the
+    products agree factor by factor; so the table is `direct_product(H,
+    C_p)` entry for entry, without a product whose inner factor has only
+    p elements.
+    """
+    return _heisenberg(p, k, cyclic_factor=True)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -374,7 +406,7 @@ FAMILIES = {
     "elemab": Family(
         "p,k", "elementary abelian group of order p^k",
         _check_prime_and_exponent, lambda p, k: p**k,
-        lambda p, k: FiniteGroup(_digit_sum_table(p, k), name=f"E{p}^{k}")),
+        _elementary_abelian),
     "extraspecial_p": Family(
         "p[,blocks]", "extraspecial, order p^(2 blocks+1), exponent p",
         _check_extraspecial, lambda p, b: p ** (2 * b + 1),

@@ -39,6 +39,7 @@ DEFAULT_ORDER_CAP = 2048
 MAX_ORDER_CAP = 1 << 13
 TABLE_DTYPE = np.int16
 COMMUTATOR_BLOCK = 1 << 16  # commutators formed per array operation
+POWER_STEPS = 8  # powers of an element taken one at a time before doubling
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,22 +299,35 @@ def assoc_violation(mul: np.ndarray) -> tuple[int, int, int] | None:
 
 
 def cyclic_extension(mulH: np.ndarray, alpha: np.ndarray, h0: int, p: int):
-    """Group on H x Zp from (alpha, h0) with t^p = h0, t h t^-1 = alpha(h)."""
+    """Group on H x Zp from (alpha, h0) with t^p = h0, t h t^-1 = alpha(h).
+
+    The element h t^i has index i |H| + h, and (h t^i)(k t^j) = h
+    alpha^i(k) t^(i+j), times t^p = h0 when i + j >= p.  Row block i, all
+    |H| rows h t^i, is one contiguous (|H|, p |H|) array: a single column
+    gather of mulH writes it in place, then each column block j gets its
+    offset ((i + j) mod p) |H|.  Block row 0 needs no gather (alpha^0 is
+    the identity).  An alpha entry outside 0..|H|-1 raises IndexError.
+    """
     nH = mulH.shape[0]
     n = nH * p
     check_order(n)
-    alpha = np.asarray(alpha, dtype=np.int32)
-    apow = np.arange(nH, dtype=np.int32)  # alpha^i
-    table = np.empty((n, n), dtype=TABLE_DTYPE)
-    for i in range(p):
-        for j in range(p):
-            # h alpha^i(k), times t^p = h0 when t^(i+j) wraps; a column
-            # gather is 5x faster than the same fancy index
-            cols = mulH[apow, h0] if i + j >= p else apow
-            block = table[i * nH : (i + 1) * nH, j * nH : (j + 1) * nH]
-            np.add(np.take(mulH, cols, axis=1), (i + j) % p * nH, out=block)
+    alpha = np.asarray(alpha, dtype=np.intp)
+    if alpha.min() < 0 or alpha.max() >= nH:
+        raise IndexError(f"alpha maps outside the {nH} elements of H")
+    mulH = np.asarray(mulH, dtype=TABLE_DTYPE)
+    table = np.empty((p, nH, p, nH), dtype=TABLE_DTYPE)
+    offsets = np.arange(2 * p, dtype=TABLE_DTYPE) % p * nH  # ((i + j) mod p) |H|
+    np.add(mulH[:, None, :], offsets[:p, None], out=table[0])
+    apow = alpha  # alpha^i
+    for i in range(1, p):
+        # h alpha^i(k), times h0 in the blocks where t^(i+j) wraps; the
+        # alpha range check above keeps every column inside mulH
+        wrapped = mulH[apow, h0]
+        cols = np.concatenate([apow] * (p - i) + [wrapped] * i)
+        np.take(mulH, cols, axis=1, out=table[i].reshape(nH, n), mode="clip")
+        table[i] += offsets[i : i + p, None]
         apow = alpha[apow]
-    return table
+    return table.reshape(n, n)
 
 
 def central_extension(vadd: np.ndarray, wadd: np.ndarray, cocycle: np.ndarray):
@@ -321,14 +335,29 @@ def central_extension(vadd: np.ndarray, wadd: np.ndarray, cocycle: np.ndarray):
 
     vadd and wadd are the tables of the abelian groups V and W, and
     cocycle is a |V| x |V| array of elements of W; element (v, w) has
-    index v |W| + w.  The table is assembled in place, so nothing larger
-    than it is allocated.
+    index v |W| + w.  The table is assembled one w at a time.  Its
+    entries in the rows (v, w) are (v + v') |W| + ((w + w') + c) for c =
+    cocycle[v, v']: one gather, through the index (v + v') |W| + c, of
+    the rows of the small table source[x |W| + c, w'] = x |W| + ((w +
+    w') + c), into a buffer that is then copied to those rows.  So
+    nothing larger than the table and that |V| x |V| x |W| buffer is
+    allocated.  A cocycle entry outside 0..|W|-1 raises IndexError.
     """
     nV, nW = vadd.shape[0], wadd.shape[0]
     check_order(nV * nW)
-    wadd = wadd.astype(TABLE_DTYPE)
-    table = wadd[wadd[None, :, None, :], cocycle[:, None, :, None]]
-    table += (vadd.astype(TABLE_DTYPE) * nW)[:, None, :, None]
+    cocycle = np.asarray(cocycle, dtype=np.intp)
+    if cocycle.min() < 0 or cocycle.max() >= nW:
+        raise IndexError(f"the cocycle has values outside the {nW} elements of W")
+    index = np.multiply(vadd, nW, dtype=np.intp)  # (v + v') |W| + c
+    index += cocycle
+    wadd = np.asarray(wadd, dtype=TABLE_DTYPE)
+    base = (np.arange(nV, dtype=TABLE_DTYPE) * nW)[:, None, None]  # x |W|
+    table = np.empty((nV, nW, nV, nW), dtype=TABLE_DTYPE)
+    gathered = np.empty((nV, nV, nW), dtype=TABLE_DTYPE)
+    for w in range(nW):
+        source = base + wadd[wadd[w]].T  # [x, c, w'] -> x |W| + ((w + w') + c)
+        np.take(source.reshape(nV * nW, nW), index, axis=0, out=gathered, mode="clip")
+        table[:, w] = gathered
     return table.reshape(nV * nW, nV * nW)
 
 
@@ -384,8 +413,9 @@ def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
 
     <H, g> is closed from H<g> (one |H| x ord(g) product) by right
     multiplication by the generators; only elements new in H<g> need it,
-    since H is already closed under the earlier generators.  All of these
-    products stay inside the subgroup.
+    since H is already closed under the earlier generators, and each
+    round takes the elements that the one before added, read off the
+    mask.  All of these products stay inside the subgroup.
     """
     whole = members is None or len(members) == G.order
     if whole and "generators" in G._cache:
@@ -397,6 +427,21 @@ def greedy_generators(G: FiniteGroup, members=None) -> list[int]:
     return gens
 
 
+def _powers(G: FiniteGroup, g: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(ord(g) - 1): one at a time up to POWER_STEPS of
+    them, then by doubling, g^k times g^0..g^(k-1), cut at the identity."""
+    powers = [0]
+    while (x := G.mul.item(powers[-1], g)) != 0 and len(powers) < POWER_STEPS:
+        powers.append(x)
+    powers = np.array(powers)
+    while x != 0:  # x = g^k, k = len(powers)
+        nxt = G.mul[x, powers]  # g^k, ..., g^(2k-1)
+        cut = int((nxt == 0).argmax()) or len(nxt)  # nxt[0] = x is not 1
+        powers = np.concatenate([powers, nxt[:cut]])
+        x = G.mul.item(nxt[cut - 1], g)
+    return powers
+
+
 def _greedy_closure(G: FiniteGroup, members) -> tuple[list[int], np.ndarray]:
     """(S, mask of <S>) for the greedy generators S of the sorted members."""
     gens: list[int] = []
@@ -405,13 +450,11 @@ def _greedy_closure(G: FiniteGroup, members) -> tuple[list[int], np.ndarray]:
     while (left := members[~mask[members]]).size:
         g = int(left[0])
         gens.append(g)
-        powers = [0]  # <g>
-        while (x := G.mul.item(powers[-1], g)) != 0:
-            powers.append(x)
-        prods = G.mul[np.flatnonzero(mask)[:, None], powers]  # H<g>
-        while (new := np.unique(prods[~mask[prods]])).size:
-            mask[new] = True
-            prods = G.mul[new[:, None], gens]
+        done = mask.copy()  # H, closed under the generators before g
+        mask[G.mul[np.flatnonzero(mask)[:, None], _powers(G, g)]] = True  # H<g>
+        while (new := np.flatnonzero(mask & ~done)).size:
+            done[new] = True
+            mask[G.mul[new[:, None], gens]] = True
     return gens, mask
 
 

@@ -540,7 +540,43 @@ def test_extraspecial_at_the_cap_forms_no_larger_table(spec, mul_sha, inv_sha):
 
 
 @pytest.mark.parametrize(
-    "spec", ["elemab:2,11", "cyclic:2048", "dihedral:2048", "quaternion:1024", "T:2,3"]
+    "spec, mul_sha, inv_sha",
+    [
+        ("elemab:3,7",
+         "301b8a1d0344f199b69e9de499e252272cec0cb0aff04e2230a88545a2953361",
+         "185af2b3e85e9ceff50af41ec512b9a2e4c68e0880730aa67d88bfdd9521e2cc"),
+        ("T:3,2",
+         "9fe9f7038f2feb4b911931ee18bce6e68bece50e5b39caa58a5e8bb00b9be23c",
+         "1cdfaabfa621ac06d6235a2075167cc9537bc789a4c322cd057e408a752e8cb0"),
+    ],
+    ids=["elemab:3,7", "T:3,2"],
+)
+def test_halved_and_extension_builds_at_the_cap_are_pinned(spec, mul_sha, inv_sha):
+    """Order 2187 past the default cap: (Z/3)^7 from its two halves of
+    digits and T as one central extension keep the bytes of the k-fold
+    and the H x C_p products they replace, below twice the table."""
+    tracemalloc.start()
+    try:
+        G = build_family(parse_family_spec(spec), order_cap=2187)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * G.mul.nbytes
+    assert _sha256_int32(G.mul) == mul_sha
+    assert _sha256_int32(G.inv) == inv_sha
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "elemab:2,11",
+        "cyclic:2048",
+        "dihedral:2048",
+        "quaternion:1024",
+        "T:2,3",
+        "heisenberg:11,1",
+        "T:5,1",
+    ],
 )
 def test_builder_peak_stays_below_twice_the_table(spec):
     """Each family table is built as int16 in the array that is returned,
@@ -610,8 +646,8 @@ def test_every_constructor_holds_int16_tables(corpus_groups, s3):
 
 
 def test_int16_holds_every_label_sum_under_the_ceiling():
-    """Labels, label + 1 (group_to_entry) and label + label (_cyclic) of
-    an order at MAX_ORDER_CAP fit the table dtype."""
+    """Labels, label + 1 (group_to_entry) and label + label of an order
+    at MAX_ORDER_CAP fit the table dtype."""
     top = groups.MAX_ORDER_CAP - 1
     assert 2 * top <= np.iinfo(groups.TABLE_DTYPE).max
     assert groups.MAX_ORDER_CAP <= 2**14

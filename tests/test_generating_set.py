@@ -101,6 +101,8 @@ GENERATOR_PINS = {
     "elemab:2,11": [1 << i for i in range(11)],
     "heisenberg:11,1": [1, 11, 121],
     "extraspecial_p:3,2": [1, 3, 9, 27, 81],
+    "quaternion:1024": [1, 512],
+    "T:2,3": [1 << i for i in range(10)],
 }
 
 

@@ -660,3 +660,35 @@ def test_cyclic_extension_of_a_cyclic_group(params):
     assert groups.power_map(G, m)[t] == h0
     h = np.arange(k)
     assert np.array_equal(groups.conjugates(G, h, G.inv[t]), alpha)  # t h t^-1
+
+
+_C4 = np.add.outer(np.arange(4), np.arange(4)) % 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a cocycle value |W| = 4 is not an element of W
+        lambda: groups.central_extension(_C4, _C4, np.full((4, 4), 4)),
+        lambda: groups.central_extension(_C4, _C4, np.eye(4, dtype=int) * 4),
+        # alpha maps 3 to column 4 of a table with columns 0..3
+        lambda: groups.cyclic_extension(_C4, np.array([0, 3, 2, 4]), 0, 2),
+        lambda: groups.cyclic_extension(_C4, np.array([0, 3, 2, 4]), 2, 4),
+        # numpy would read -1 as the last element; the builders refuse it
+        lambda: groups.central_extension(_C4, _C4, -np.eye(4, dtype=int)),
+        lambda: groups.cyclic_extension(_C4, np.array([0, 3, 2, -1]), 0, 2),
+    ],
+    ids=[
+        "cocycle-all",
+        "cocycle-one-entry",
+        "column-p2",
+        "column-p4",
+        "cocycle-negative",
+        "column-negative",
+    ],
+)
+def test_extension_builders_refuse_indices_outside_the_factor(build):
+    """The builders gather in place without numpy's index check, so they
+    check the cocycle and alpha ranges themselves."""
+    with pytest.raises(IndexError):
+        build()
