@@ -303,8 +303,18 @@ def bilinear(p: int, form, name: str = "") -> FiniteGroup:
 def _heisenberg(p: int, k: int, cyclic_factor: bool = False) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over GF(p^k), order p^(3k): the
     central extension of GF(q)^2 by GF(q) with cocycle a b', where (a, b)
-    has index a q + b.  With the cyclic factor, see
-    `_heisenberg_times_cyclic`."""
+    has index a q + b.
+
+    With the cyclic factor it is T = H(p^k) x C_p, built as one central
+    extension of GF(q)^2 by W = GF(q) x C_p with cocycle (a b', 0).  W's
+    element (w, c) has index w p + c, so W's table is the digit sums of
+    k + 1 digits and (a b', 0) is fmul[a, b'] p.  With h = v q + w the
+    element (h, c) of H x C_p has index (v q + w) p + c = v (q p) + (w p
+    + c), which is the index of (v, (w, c)) in the extension, and the
+    products agree factor by factor; so the table is `direct_product(H,
+    C_p)` entry for entry, without a product whose inner factor has only
+    p elements.
+    """
     q, fadd, fmul = gf_tables(p, k)
     a, b = np.divmod(np.arange(q * q), q)
     cocycle = fmul[a[:, None], b]
@@ -335,21 +345,6 @@ def _extraspecial(p: int, blocks: int, exponent_p2: bool) -> FiniteGroup:
     cocycle = (_bilinear_cocycle(form, p) + (w1[:, None] + w1) // p) % p
     table = central_extension(_digit_sum_table(p, n), _cyclic(p).mul, cocycle)
     return FiniteGroup(table, name=name)
-
-
-def _heisenberg_times_cyclic(p: int, k: int) -> FiniteGroup:
-    """T = H(p^k) x C_p, built as one central extension of GF(q)^2 by W =
-    GF(q) x C_p with cocycle (a b', 0).
-
-    W's element (w, c) has index w p + c, so W's table is the digit sums
-    of k + 1 digits and (a b', 0) is fmul[a, b'] p.  With h = v q + w the
-    element (h, c) of H x C_p has index (v q + w) p + c = v (q p) + (w p
-    + c), which is the index of (v, (w, c)) in the extension, and the
-    products agree factor by factor; so the table is `direct_product(H,
-    C_p)` entry for entry, without a product whose inner factor has only
-    p elements.
-    """
-    return _heisenberg(p, k, cyclic_factor=True)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -421,7 +416,7 @@ FAMILIES = {
     "T": Family(
         "p[,k]", "the witness product heisenberg(p,k) x C_p",
         _check_prime_and_exponent, lambda p, k: p ** (3 * k + 1),
-        _heisenberg_times_cyclic),
+        lambda p, k: _heisenberg(p, k, cyclic_factor=True)),
 }
 # fmt: on
 

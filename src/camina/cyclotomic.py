@@ -6,7 +6,8 @@ in zeta modulo the e-th cyclotomic polynomial Phi_e.  Canonical forms are
 unique, so zero testing and equality compare integer arrays; no floating
 point is involved anywhere.  reduction_matrix(e) takes coefficient
 vectors of length e to canonical form in one matrix product, and
-format_values writes canonical forms as text.
+format_values writes canonical forms as text, each distinct vector once
+through an exact lookup by its bytes.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolation
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -46,11 +42,10 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     Computed by dividing x^e - 1 by the cyclotomic polynomials of the
     proper divisors of e; exact integer arithmetic throughout.
     """
-    if e == 1:
-        return (-1, 1)
     num = [-1] + [0] * (e - 1) + [1]
-    for d in _divisors(e)[:-1]:
-        num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
+    for d in range(1, e):
+        if e % d == 0:
+            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
     return tuple(num)
 
 
@@ -90,41 +85,20 @@ def _format_terms(powers: list[int], coeffs: list[int]) -> str:
     return "+".join(parts).replace("+-", "-") or "0"
 
 
-def _sort_keys(flat: np.ndarray) -> np.ndarray:
-    """One weighted sum (mod 2^64) of the coefficients of each row of the
-    int64 array flat, with fixed pseudo-random weights: equal rows get equal
-    keys, and distinct rows almost never do."""
-    weights = np.random.default_rng(0).integers(
-        0, 2**64, size=flat.shape[1], dtype=np.uint64
-    )
-    return flat.view(np.uint64) @ weights
-
-
 def format_values(V: np.ndarray) -> list[str]:
     """The text of every canonical coefficient vector along the last axis
     of V, in C order, e.g. "1-z2+3*z5" or "0".
 
-    Table values repeat heavily, so each run of equal vectors is written
-    once.  Sorting by `_sort_keys` brings equal vectors together, and
-    neighbours are then compared exactly, so two vectors share a text only
-    if they are equal; distinct vectors with equal keys merely cost an
-    extra text.  One np.nonzero pass reads the terms of the runs, and the
-    texts are gathered back.
+    Table values repeat heavily, so each distinct vector is written once:
+    each vector is read as one bytes object, an exact key, and its text is
+    looked up by it.
     """
-    flat = V.reshape(-1, V.shape[-1])
-    order = np.argsort(_sort_keys(flat))
-    ranked = flat[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    runs = ranked[starts]
-    which, powers = np.nonzero(runs)
-    coeffs = runs[which, powers].tolist()
-    powers = powers.tolist()
-    ends = np.searchsorted(which, np.arange(runs.shape[0] + 1)).tolist()
-    texts = np.array(
-        [_format_terms(powers[a:b], coeffs[a:b]) for a, b in zip(ends, ends[1:])],
-        dtype=object,
-    )
-    run_of = np.empty(order.size, dtype=np.intp)
-    run_of[order] = np.cumsum(starts) - 1
-    return texts[run_of].tolist()
+    flat = np.ascontiguousarray(V.reshape(-1, V.shape[-1]))
+    row_bytes = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+    keys = flat.view(row_bytes).ravel().tolist()
+    texts = dict.fromkeys(keys)
+    for key in texts:
+        row = np.frombuffer(key, dtype=flat.dtype)
+        powers = np.flatnonzero(row)
+        texts[key] = _format_terms(powers.tolist(), row[powers].tolist())
+    return [texts[key] for key in keys]

@@ -27,8 +27,8 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 @pytest.fixture(scope="module")
 def census_groups():
-    """Representatives of orders 8, 9, 16 and 27, as the generator builds
-    them."""
+    """Representatives of orders 8, 9, 16, 25 and 27, as the generator
+    builds them."""
     order4 = mf.classify_order([mf.cyclic_table(2)], 2)
     order8 = mf.classify_order(order4, 2)
     order9 = mf.classify_order([mf.cyclic_table(3)], 3)
@@ -36,6 +36,7 @@ def census_groups():
         8: order8,
         9: order9,
         16: mf.classify_order(order8, 2),
+        25: mf.classify_order([mf.cyclic_table(5)], 5),
         27: mf.classify_order(order9, 3),
     }
 
@@ -218,6 +219,15 @@ if peak_kb > 100 * 1024:
     assert proc.stdout.count("319979520 entries") == 2
 
 
+def test_mapping_search_returns_an_empty_array_when_the_rows_differ():
+    """C4 and C2 x C2 differ in their invariant rows, so no search is run,
+    and the answer is still an (m, |A|) int32 array."""
+    C4, V4 = mf.cyclic_table(4), mf.abelian_product(2, 2)
+    maps = mf._mapping_search(C4, V4, find_all=False)
+    assert isinstance(maps, np.ndarray)
+    assert maps.dtype == np.int32 and maps.shape == (0, 4)
+
+
 def test_mapping_search_rejects_a_non_prime_power_order():
     S3 = mf.build_family(mf.FamilySpec("dihedral", (6,)))
     with pytest.raises(CaminaError, match="p-group"):
@@ -249,24 +259,24 @@ def _reference_rows(G, p):
 
 
 def _extension_tables(census_groups, p):
-    """The extension tables of orders 16 (p = 2) and 27 (p = 3), of every
-    parent."""
-    parents = census_groups[8 if p == 2 else 9]
+    """The extension tables of orders 16 (p = 2), 27 (p = 3) and 125
+    (p = 5), of every parent."""
+    parents = census_groups[{2: 8, 3: 9, 5: 25}[p]]
     return [T for H in parents for T in mf.extensions_of(H, p)]
 
 
-@pytest.mark.parametrize("p, size", [(2, 7), (3, 3)])
+@pytest.mark.parametrize("p, size", [(2, 7), (3, 3), (5, 4)])
 def test_stacked_rows_match_the_definitions(census_groups, p, size):
-    """Orders 16 and 27: the extension tables of every parent, stacked in
-    blocks that span several parents."""
+    """Orders 16, 27 and 125: the extension tables of every parent, stacked
+    in blocks that span several parents.  At order 125 the p-th power map
+    takes four products, and elements of order 125 occur."""
     tables = _extension_tables(census_groups, p)
     assert len(tables) > 2 * size
     for start in range(0, len(tables), size):
-        block = tables[start : start + size]
-        rows = mf._element_invariants(np.stack(block), p)
-        for T, got in zip(block, rows):
-            want = _reference_rows(mf.FiniteGroup(T), p)
-            assert np.array_equal(got, want)
+        block = [mf.FiniteGroup(T) for T in tables[start : start + size]]
+        rows = mf._element_invariants(block, p)
+        for G, got in zip(block, rows):
+            assert np.array_equal(got, _reference_rows(G, p))
 
 
 def _partition(rows):
@@ -301,14 +311,15 @@ def test_stacked_rows_past_the_int16_range(census_groups, count):
     tables = list(islice(extensions, count))
     assert len(tables) == count
     assert all(T.dtype == np.int16 for T in tables)
-    rows = mf._element_invariants(np.stack(tables), 2)
-    for T, got in zip(tables, rows):
-        assert np.array_equal(got, mf._element_invariants(T[None], 2)[0])
+    block = [mf.FiniteGroup(T) for T in tables]
+    rows = mf._element_invariants(block, 2)
+    for G, got in zip(block, rows):
+        assert np.array_equal(got, mf._element_invariants([G], 2)[0])
 
 
 def test_element_invariants_reject_a_table_without_identity():
     with pytest.raises(InvariantViolation, match="order above 4"):
-        mf._element_invariants(np.ones((1, 4, 4), dtype=np.int32), 2)
+        mf._element_invariants([mf.FiniteGroup(np.ones((4, 4)))], 2)
 
 
 def test_classification_reads_each_table_once(monkeypatch):
@@ -344,9 +355,9 @@ def test_classification_reads_each_table_once(monkeypatch):
         calls["tables"] += len(tables)
         return tables
 
-    def counting_rows(tables, p):
-        calls["rows"] += len(tables)
-        return element_invariants(tables, p)
+    def counting_rows(groups, p):
+        calls["rows"] += len(groups)
+        return element_invariants(groups, p)
 
     def counting_iso(A, B):
         found = iso_exists(A, B)

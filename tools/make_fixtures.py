@@ -19,12 +19,14 @@ a^p = (conjugation by h0) where h0 = t^p.  Conversely every such pair
   2. deduplicates up to isomorphism, a block of tables at a time: after
      the associativity check of each table, one pass over the stacked
      block gives every element a row of invariants (order, class size,
-     membership of Phi, number of p-th roots), cached on its group.  The
-     multiset of a group's rows is its bucket key, and within a bucket an
-     exact search maps a Burnside basis of one group (d(G) elements, each
-     outside the subgroup generated by the Frattini subgroup and the ones
-     before it) onto elements of the other with the same row, whose
-     products and commutators with the images before it match in rows.
+     membership of Phi, number of p-th roots), cached on its group; the
+     orders are read off the p-th power map, and the inverse maps are
+     the groups' own.  The multiset of a group's rows is its bucket key,
+     and within a bucket an exact search maps a Burnside basis of one
+     group (d(G) elements, each outside the subgroup generated by the
+     Frattini subgroup and the ones before it) onto elements of the other
+     with the same row, whose products and commutators with the images
+     before it match in rows.
      Each generator added extends the map to the next subgroup of a
      closure precomputed once per group, with a few array gathers over a
      chunk of partial maps at once, and keeps it only while it is
@@ -137,12 +139,13 @@ def structural_fingerprint(G: FiniteGroup) -> tuple:
 # element invariants, a block of tables at a time
 
 
-def _element_invariants(tables: np.ndarray, p: int) -> np.ndarray:
-    """Rows of isomorphism invariants of every element of every table in a
-    stack (T, n, n) of p-group tables, as a (T, n, 4) array; one group is a
-    stack of one.  The columns of element x of G are
+def _element_invariants(groups: list[FiniteGroup], p: int) -> np.ndarray:
+    """Rows of isomorphism invariants of every element of T p-groups of one
+    order n, as a (T, n, 4) array; one group is a list of one.  The columns
+    of element x of G are
 
-      0. the order of x, from a power loop of at most n steps,
+      0. the order of x: p^j for the least j with x^(p^j) = 1, read off
+         the p-th power map in at most log_p(n) steps,
       1. its class size n / |C(x)|, with |C(x)| counted from M == M^T,
       2. membership of Phi(G) = G'G^p, the closure of every commutator and
          p-th power,
@@ -150,39 +153,39 @@ def _element_invariants(tables: np.ndarray, p: int) -> np.ndarray:
 
     The order of x^2 and membership of Z(G) are functions of these, so they
     would split no kind: ord(x^2) = ord(x) / gcd(2, ord(x)), and x is
-    central exactly when its class size is 1.
+    central exactly when its class size is 1.  The commutators read the
+    groups' own inverse maps, found when each FiniteGroup was made.
 
     Element x of table t has the label t n + x, and entry (t, y, x) of the
     stack is flat[t n^2 + y n + x], so each step gathers over the whole
     stack at once.  The stack is widened to int32 first: those flat labels
     outgrow the int16 of a group table once T n^2 > 2^15.
     """
-    tables = np.asarray(tables, dtype=np.int32)
+    tables = np.array([G.mul for G in groups], dtype=np.int32)
     T, n, _ = tables.shape
     flat = tables.reshape(-1)
     label = np.arange(T * n)
     x = label % n
     first = label - x  # t n
     column = first * n + x  # x^(k+1) = x^k x is flat[column + x^k n]
-    orders = np.zeros(T * n, dtype=np.int64)
-    todo, y = label, x
-    for k in range(1, n + 1):
-        done = y == 0
-        orders[todo[done]] = k
-        todo, y = todo[~done], y[~done]
-        if not todo.size:
-            break
-        y = flat[column[todo] + y * n]
-    if todo.size:
-        raise InvariantViolation(f"an element has order above {n}: not a group table")
     powers = x
     for _ in range(p - 1):
         powers = flat[column + powers * n]
     powers = first + powers  # the label of x^p
+    orders = np.ones(T * n, dtype=np.int64)
+    y, step = label, 1  # y is the label of x^step, step = p^j
+    while (pending := y != first).any():
+        step *= p
+        if step > n:
+            raise InvariantViolation(
+                f"an element has order above {n}: not a group table"
+            )
+        orders[pending] = step
+        y = powers[y]
 
     centralizer = (tables == tables.transpose(0, 2, 1)).sum(axis=2)
     offset = np.arange(0, T * n, n, dtype=np.int32)[:, None, None]
-    inv = (tables == 0).argmax(axis=2)[:, :, None]
+    inv = np.stack([G.inv for G in groups])[:, :, None]
     # [x, y] = (x^-1 y^-1)(xy), where x^-1 y^-1 is entry (t, x, y) of the
     # stack with the rows and columns of each table permuted by inv
     commutators_ = np.take_along_axis(tables, inv, axis=1)
@@ -245,8 +248,7 @@ def _cache_invariants(groups: list[FiniteGroup]) -> None:
     pk = is_prime_power(n)
     if pk is None:
         raise CaminaError(f"element invariants need a p-group, got order {n}")
-    stack = np.stack([G.mul for G in groups])
-    for G, rows in zip(groups, _element_invariants(stack, pk[0])):
+    for G, rows in zip(groups, _element_invariants(groups, pk[0])):
         frattini = np.flatnonzero(rows[:, 2])
         G._cache["element_data"] = _ElementData(*_kinds(rows), frattini)
 
@@ -378,7 +380,8 @@ def _mapping_search(A: FiniteGroup, B: FiniteGroup, find_all: bool) -> np.ndarra
         np.array_equal(data_a.keys, data_b.keys)
         and np.array_equal(data_a.kind_sizes, data_b.kind_sizes)
     ):
-        return []  # the invariant rows differ as multisets
+        # the invariant rows differ as multisets
+        return np.empty((0, A.order), dtype=np.int32)
     plan = _search_plan(A)
     kind = data_b.kind
     candidates = [np.flatnonzero(kind == data_a.kind[g]) for g in plan.gens]
